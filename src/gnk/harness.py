@@ -35,7 +35,7 @@ from .homsearch import (
     check_property_t,
     hom_image_matrix,
     indexed_tables,
-    orbit_count,
+    orbit_partition,
     structured_count,
 )
 from .presentations import KNOT_NAMES, knot_presentation
@@ -145,10 +145,14 @@ def write_records(path: str, records) -> None:
 def read_records(path: str) -> list[ResultRecord]:
     out = []
     with open(path, encoding="utf-8") as fh:
-        for line in fh:
+        for lineno, line in enumerate(fh, 1):
             line = line.strip()
-            if line:
+            if not line:
+                continue
+            try:
                 out.append(ResultRecord.from_json(line))
+            except (ValueError, TypeError) as exc:
+                raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
     return out
 
 
@@ -185,7 +189,7 @@ def _merged_matrix(pres, group, shards: int) -> tuple[np.ndarray, dict]:
     }
 
 
-def _count_buckets(matrix: np.ndarray, group: FiniteGroup) -> dict:
+def _count_buckets(matrix: np.ndarray, group: FiniteGroup, classes: int) -> dict:
     """The three counting buckets read off one image matrix."""
     total = int(matrix.shape[0])
     idx = indexed_tables(group)
@@ -197,25 +201,33 @@ def _count_buckets(matrix: np.ndarray, group: FiniteGroup) -> dict:
     return {
         "all_homs": total,
         "nonabelian_image": total - int(commuting.sum()),
-        "class_representatives": orbit_count(matrix, group),
+        "class_representatives": classes,
     }
 
 
-def _talex_lines(pres, group, matrix: np.ndarray) -> list[str]:
+def _representation_builder(group: FiniteGroup):
     if isinstance(group, PSL2Group) and group.p == 7:
-        builder = representation_from_psl27_hom
-    elif isinstance(group, SL2Group) and not isinstance(group, PSL2Group):
-        builder = representation_from_sl2_hom
-    else:
-        raise CapabilityError(
-            f"no matrix representation route for {group.name}"
-        )
-    lines = []
-    for row in matrix:
+        return representation_from_psl27_hom
+    if isinstance(group, SL2Group) and not isinstance(group, PSL2Group):
+        return representation_from_sl2_hom
+    raise CapabilityError(f"no matrix representation route for {group.name}")
+
+
+def _talex_lines(
+    pres, group, builder, reps: np.ndarray, sizes: np.ndarray
+) -> list[tuple[str, int]]:
+    """(invariant line, orbit size) for each conjugation orbit.
+
+    The normalized invariant is a class function of the representation
+    (Wada 1994; Kirk and Livingston 1999), so it is evaluated once, on the
+    lex-least row of each orbit, and stands for every member.
+    """
+    out = []
+    for row, size in zip(reps, sizes):
         hom = Homomorphism(pres, group, tuple(int(v) for v in row))
         rep = builder(pres, hom)
-        lines.append(twisted_alexander(pres, rep).line())
-    return lines
+        out.append((twisted_alexander(pres, rep).line(), int(size)))
+    return out
 
 
 def run_cell(
@@ -231,6 +243,14 @@ def run_cell(
             cache["matrix"], cache["stats"] = _merged_matrix(pres, group, shards)
         return cache["matrix"], cache["stats"]
 
+    def orbits():
+        """(row index of each orbit's lex-least member, orbit size), lex order."""
+        if "orbits" not in cache:
+            matrix, _ = matrix_and_stats()
+            roots = np.asarray(orbit_partition(matrix, group), dtype=np.int64)
+            cache["orbits"] = np.unique(roots, return_counts=True)
+        return cache["orbits"]
+
     records = []
     for task in tasks:
         try:
@@ -244,11 +264,11 @@ def run_cell(
             if task == "count":
                 matrix, stats = matrix_and_stats()
                 stats = dict(stats)
-                stats["buckets"] = _count_buckets(matrix, group)
+                stats["buckets"] = _count_buckets(matrix, group, len(orbits()[0]))
                 value, status = int(matrix.shape[0]), "ok"
             elif task == "classes":
                 matrix, _ = matrix_and_stats()
-                value, status = orbit_count(matrix, group), "ok"
+                value, status = len(orbits()[0]), "ok"
                 stats = {"homs": int(matrix.shape[0])}
             elif task == "property_t":
                 report = check_property_t(group, n, knot)
@@ -267,12 +287,16 @@ def run_cell(
                 stats = {}
             elif task == "talex":
                 matrix, _ = matrix_and_stats()
-                lines = _talex_lines(pres, group, matrix)
-                digest = hashlib.sha256(
-                    "\n".join(sorted(lines)).encode()
-                ).hexdigest()
+                builder = _representation_builder(group)
+                reps, sizes = orbits()
+                weighted = _talex_lines(pres, group, builder, matrix[reps], sizes)
+                lines = sorted(line for line, size in weighted for _ in range(size))
+                digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
                 value, status = digest, "ok"
-                stats = {"homs": len(lines), "distinct": len(set(lines))}
+                stats = {
+                    "homs": len(lines),
+                    "distinct": len({line for line, _ in weighted}),
+                }
             else:
                 raise ValueError(f"unknown task {task!r}")
         except CapabilityError as exc:

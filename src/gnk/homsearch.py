@@ -28,7 +28,7 @@ from .presentations import (
     g1_braid_presentation,
     knot_presentation,
 )
-from .words import Word, evaluate, word_inverse, word_product
+from .words import GeneratorTable, Word, evaluate, word_inverse, word_product
 
 BLOCK_ROWS = 1 << 17
 
@@ -150,15 +150,22 @@ def _solve_for(relator: Word, pos: int) -> Word:
     return word_product(v, u)
 
 
-@lru_cache(maxsize=None)
 def compile_plan(pres: Presentation) -> tuple:
-    count = len(pres.gens)
+    """Assignment steps for pres; _Pin and _Check refer to relator positions."""
+    # Presentation equality ignores relator order, so the cache keys on the
+    # ordered relators instead.
+    return _compile_plan(pres.gens, pres.relators)
+
+
+@lru_cache(maxsize=None)
+def _compile_plan(gens: GeneratorTable, relators: tuple[Word, ...]) -> tuple:
+    count = len(gens)
     known: set[int] = set()
     used: set[int] = set()
     steps: list = []
 
     def attach_checks() -> None:
-        for ri, r in enumerate(pres.relators):
+        for ri, r in enumerate(relators):
             if ri in used:
                 continue
             if {g for g, _ in r.syllables} <= known:
@@ -169,7 +176,7 @@ def compile_plan(pres: Presentation) -> tuple:
     attach_checks()
     while len(known) < count:
         pinned = False
-        for ri, r in enumerate(pres.relators):
+        for ri, r in enumerate(relators):
             if ri in used:
                 continue
             unknown = [
@@ -190,7 +197,7 @@ def compile_plan(pres: Presentation) -> tuple:
                 if g in known:
                     continue
                 near_done = members = 0
-                for ri, r in enumerate(pres.relators):
+                for ri, r in enumerate(relators):
                     if ri in used:
                         continue
                     gens_in = {gg for gg, _ in r.syllables}

@@ -10,7 +10,8 @@ column block leaves the numerator matrix; the invariant is the pair
 with both entries normalized to lowest degree 0 and lowest coefficient 1.
 The gcd is computed as the product of invariant factors of the deleted
 matrix (diagonalization over F_p[t]), which agrees with the minors gcd;
-the test suite recomputes small cases by enumerating minors directly.
+the test suite recomputes small cases by enumerating minors directly, and
+rebuilds the block matrix from Fox derivatives.
 
 Every matrix construction replays the chain-rule identity
 sum_j  Phi(dr/dx_j) (Phi(x_j) - 1) = 0  and refuses to hand back a matrix
@@ -31,7 +32,7 @@ from .presentations import (
     exponent_matrix,
     smith_normal_form,
 )
-from .words import GeneratorTable, Word, word_power, word_product
+from .words import GeneratorTable, Word
 
 # -- Laurent polynomials -------------------------------------------------------
 
@@ -438,75 +439,6 @@ def _invariant_factor_product(ring, grid: list[list]) -> tuple[object, int]:
         prod = ring.mul(prod, grid[t][t])
         t += 1
     return prod, t
-
-
-# -- free differential calculus ----------------------------------------------------
-
-
-@dataclass(frozen=True)
-class GroupRingElem:
-    """Integer combination of free-group words, terms sorted and nonzero."""
-
-    table: GeneratorTable
-    terms: tuple[tuple[Word, int], ...]
-
-    def __add__(self, other: "GroupRingElem") -> "GroupRingElem":
-        if self.table != other.table:
-            raise ValueError("generator-table mismatch")
-        return group_ring(self.table, list(self.terms) + list(other.terms))
-
-    def scale(self, c: int) -> "GroupRingElem":
-        return group_ring(self.table, [(w, k * c) for w, k in self.terms])
-
-    def __neg__(self) -> "GroupRingElem":
-        return self.scale(-1)
-
-    def times_word(self, w: Word) -> "GroupRingElem":
-        """Left multiplication by a group element."""
-        return group_ring(
-            self.table, [(word_product(w, u), c) for u, c in self.terms]
-        )
-
-    @property
-    def augmentation(self) -> int:
-        return sum(c for _, c in self.terms)
-
-
-def group_ring(
-    table: GeneratorTable, terms: Iterable[tuple[Word, int]]
-) -> GroupRingElem:
-    acc: dict[tuple, tuple[Word, int]] = {}
-    for w, c in terms:
-        if w.table != table:
-            raise ValueError("generator-table mismatch")
-        key = w.syllables
-        if key in acc:
-            acc[key] = (w, acc[key][1] + c)
-        else:
-            acc[key] = (w, c)
-    kept = [(w, c) for w, c in acc.values() if c]
-    kept.sort(key=lambda item: item[0].syllables)
-    return GroupRingElem(table, tuple(kept))
-
-
-def fox_derivative(w: Word, gen: int) -> GroupRingElem:
-    """d(w)/d(x_gen) with d(uv) = du + u dv, d(g) = 1, d(g^-1) = -g^-1."""
-    table = w.table
-    terms: list[tuple[Word, int]] = []
-    prefix = Word(table, ())
-    unit = Word(table, ((gen, 1),))
-    for g, e in w.syllables:
-        if g == gen:
-            if e > 0:
-                for j in range(e):
-                    terms.append((word_product(prefix, word_power(unit, j)), 1))
-            else:
-                for j in range(1, -e + 1):
-                    terms.append(
-                        (word_product(prefix, word_power(unit, -j)), -1)
-                    )
-        prefix = word_product(prefix, Word(table, ((g, e),)))
-    return group_ring(table, terms)
 
 
 # -- representations and the block matrix --------------------------------------------

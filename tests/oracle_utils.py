@@ -2,13 +2,16 @@
 
 Everything here is deliberately naive: straightforward algorithms whose
 correctness is easy to see, used to cross-check the fast paths in the
-package.
+package.  Fox derivatives rebuild the twisted Alexander block matrix term by
+term, and the per-homomorphism talex loop checks the orbit-weighted one.
 """
 
+import hashlib
 import itertools
+from dataclasses import dataclass
 from math import gcd
 
-from gnk.words import evaluate
+from gnk.words import GeneratorTable, Word, evaluate, word_power, word_product
 
 
 def int_det(mat):
@@ -89,3 +92,113 @@ def brute_force_homs(pres, group):
         ):
             found.append(assign)
     return found
+
+
+# -- free differential calculus ----------------------------------------------------
+
+
+@dataclass(frozen=True)
+class GroupRingElem:
+    """Integer combination of free-group words, terms sorted and nonzero."""
+
+    table: GeneratorTable
+    terms: tuple
+
+    def __add__(self, other):
+        if self.table != other.table:
+            raise ValueError("generator-table mismatch")
+        return group_ring(self.table, list(self.terms) + list(other.terms))
+
+    def scale(self, c):
+        return group_ring(self.table, [(w, k * c) for w, k in self.terms])
+
+    def __neg__(self):
+        return self.scale(-1)
+
+    def times_word(self, w):
+        """Left multiplication by a group element."""
+        return group_ring(
+            self.table, [(word_product(w, u), c) for u, c in self.terms]
+        )
+
+    @property
+    def augmentation(self):
+        return sum(c for _, c in self.terms)
+
+
+def group_ring(table, terms):
+    acc = {}
+    for w, c in terms:
+        if w.table != table:
+            raise ValueError("generator-table mismatch")
+        key = w.syllables
+        if key in acc:
+            acc[key] = (w, acc[key][1] + c)
+        else:
+            acc[key] = (w, c)
+    kept = [(w, c) for w, c in acc.values() if c]
+    kept.sort(key=lambda item: item[0].syllables)
+    return GroupRingElem(table, tuple(kept))
+
+
+def fox_derivative(w, gen):
+    """d(w)/d(x_gen) with d(uv) = du + u dv, d(g) = 1, d(g^-1) = -g^-1."""
+    table = w.table
+    terms = []
+    prefix = Word(table, ())
+    unit = Word(table, ((gen, 1),))
+    for g, e in w.syllables:
+        if g == gen:
+            if e > 0:
+                for j in range(e):
+                    terms.append((word_product(prefix, word_power(unit, j)), 1))
+            else:
+                for j in range(1, -e + 1):
+                    terms.append(
+                        (word_product(prefix, word_power(unit, -j)), -1)
+                    )
+        prefix = word_product(prefix, Word(table, ((g, e),)))
+    return group_ring(table, terms)
+
+
+def fox_block(rep, elem):
+    """The image of a group-ring element: sum of c * rep(word) * t^deg(word)."""
+    from gnk.talex import laurent
+
+    k, p = rep.dim, rep.p
+    block = [[laurent(p, ()) for _ in range(k)] for _ in range(k)]
+    for word, c in elem.terms:
+        mat, deg = rep.apply(word)
+        for u in range(k):
+            for v in range(k):
+                block[u][v] = block[u][v] + laurent(p, (c * mat[u][v],), deg)
+    return tuple(tuple(row) for row in block)
+
+
+# -- twisted Alexander, one evaluation per homomorphism -----------------------------
+
+
+def per_hom_talex(knot, n, target):
+    """(digest, homs, distinct) of a talex cell, evaluating every homomorphism."""
+    from gnk.fingroups import PSL2Group, group_from_spec
+    from gnk.homsearch import enumerate_homs
+    from gnk.presentations import knot_presentation
+    from gnk.talex import (
+        representation_from_psl27_hom,
+        representation_from_sl2_hom,
+        twisted_alexander,
+    )
+
+    group = group_from_spec(target)
+    pres = knot_presentation(knot, n)
+    builder = (
+        representation_from_psl27_hom
+        if isinstance(group, PSL2Group)
+        else representation_from_sl2_hom
+    )
+    lines = [
+        twisted_alexander(pres, builder(pres, hom)).line()
+        for hom in enumerate_homs(pres, group)
+    ]
+    digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
+    return digest, len(lines), len(set(lines))

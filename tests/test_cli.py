@@ -265,3 +265,16 @@ def test_report_missing_file_is_error(capsys, tmp_path):
     code, _, err = run(capsys, "report", "--records", str(tmp_path / "nope.jsonl"))
     assert code == 1
     assert err.startswith("error:")
+
+
+def test_report_truncated_record_names_the_line(capsys, tmp_path):
+    config, records = write_config(tmp_path)
+    run(capsys, "sweep", "--config", config)
+    with open(records, encoding="utf-8") as fh:
+        lines = fh.read().splitlines()
+    with open(records, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines[:-1] + [lines[-1][: len(lines[-1]) // 2]]))
+    code, _, err = run(capsys, "report", "--records", records)
+    assert code == 1
+    assert err.startswith("error:")
+    assert f"{records}:{len(lines)}:" in err

@@ -3,6 +3,7 @@ import os
 
 import pytest
 
+from gnk import harness
 from gnk.harness import (
     CHIRAL_PAIRS,
     ENGINE,
@@ -16,6 +17,8 @@ from gnk.harness import (
     sort_records,
     write_records,
 )
+
+from oracle_utils import per_hom_talex
 
 
 def make_record(knot="SK", n=2, target="S3", task="count", status="ok",
@@ -159,6 +162,30 @@ def test_cell_talex_digest_stable():
     assert a.status == "ok"
     assert len(a.value) == 64 and a.value == b.value
     assert a.stats["homs"] == 264
+
+
+@pytest.mark.parametrize(
+    "knot,n,target",
+    [(knot, n, "SL2_3") for knot in ("SK", "GK") for n in (1, 2, 3)]
+    + [("SK", 3, "SL2_5")],
+)
+def test_cell_talex_matches_per_hom_oracle(knot, n, target, monkeypatch):
+    evaluated = []
+    real = harness._talex_lines
+
+    def spy(*args):
+        out = real(*args)
+        evaluated.append(out)
+        return out
+
+    monkeypatch.setattr(harness, "_talex_lines", spy)
+    classes, talex = run_cell(knot, n, target, ("classes", "talex"))
+    digest, homs, distinct = per_hom_talex(knot, n, target)
+    assert talex.value == digest
+    assert talex.stats == {"homs": homs, "distinct": distinct}
+    (weighted,) = evaluated
+    assert len(weighted) == classes.value  # one evaluation per orbit
+    assert sum(size for _, size in weighted) == homs
 
 
 def test_cell_rejects_unknown_task():

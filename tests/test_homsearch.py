@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 
@@ -69,6 +71,17 @@ def test_plan_covers_presentations_without_relators():
     t = GeneratorTable(("x", "y"))
     steps = compile_plan(Presentation(t, ()))
     assert [type(s) for s in steps] == [_Free, _Free]
+
+
+def test_plan_cache_respects_relator_order():
+    # Reordered presentations compare equal, but plan steps hold relator
+    # positions, so each ordering needs its own plan.
+    pres = knot_presentation("SK", 2, raw=True)
+    assert count_homs(pres, S3)[0] == 6
+    for order in itertools.permutations(pres.relators):
+        moved = Presentation(pres.gens, order, pres.n, pres.label)
+        assert moved == pres
+        assert count_homs(moved, S3)[0] == 6
 
 
 # -- engine vs brute force -------------------------------------------------------

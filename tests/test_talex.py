@@ -13,15 +13,12 @@ from gnk.presentations import (
     trefoil_right_reduced,
 )
 from gnk.talex import (
-    GroupRingElem,
     LaurentPoly,
     Representation,
     _deleted_flat,
     _gl32_elements,
     _mat3_order,
     abelianization_degrees,
-    fox_derivative,
-    group_ring,
     laurent,
     poly_det,
     poly_gcd,
@@ -35,7 +32,13 @@ from gnk.talex import (
 )
 from gnk.words import GeneratorTable, Word, parse_word, word_product
 
-from oracle_utils import poly_cofactor_det, poly_minors_gcd
+from oracle_utils import (
+    fox_block,
+    fox_derivative,
+    group_ring,
+    poly_cofactor_det,
+    poly_minors_gcd,
+)
 
 AB = GeneratorTable(("a", "b"))
 
@@ -333,6 +336,25 @@ def test_wada_shape():
     assert all(len(row) == 3 for row in wm.blocks)
     flat = _deleted_flat(wm, 0)
     assert len(flat) == 6 and len(flat[0]) == 4
+
+
+def test_wada_matches_fox_oracle():
+    cases = []
+    pres = trefoil_right_reduced(1)
+    cases.append((pres, trivial_representation(pres, 5)))
+    raw = knot_presentation("GK", 1, raw=True)
+    cases.append((raw, trivial_representation(raw, 3)))
+    sk = knot_presentation("SK", 2)
+    homs = list(enumerate_homs(sk, SL2Group(3)))
+    cases.append((sk, representation_from_sl2_hom(sk, homs[len(homs) // 2])))
+    gk = knot_presentation("GK", 3)
+    hom = next(iter(enumerate_homs(gk, PSL2Group(7))))
+    cases.append((gk, representation_from_psl27_hom(gk, hom)))
+    for pres, rep in cases:
+        wm = wada_matrix(pres, rep)
+        for i, rel in enumerate(pres.relators):
+            for j in range(len(pres.gens)):
+                assert wm.blocks[i][j] == fox_block(rep, fox_derivative(rel, j))
 
 
 # -- the invariant --------------------------------------------------------------
