@@ -17,8 +17,7 @@ import itertools
 import math
 import random
 import re
-from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Iterator
 
 MAX_ENUMERABLE_ORDER = 2500
 
@@ -519,25 +518,6 @@ def nth_roots(group: FiniteGroup, target, n: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
-class RootTable:
-    """n-th roots of every element, built in one pass."""
-
-    group: FiniteGroup
-    n: int
-    roots: Mapping
-
-    def of(self, target) -> tuple:
-        return self.roots.get(target, ())
-
-
-def root_table(group: FiniteGroup, n: int) -> RootTable:
-    buckets: dict = {}
-    for x in group.elements():
-        buckets.setdefault(group.power(x, n), []).append(x)
-    return RootTable(group, n, {k: tuple(v) for k, v in buckets.items()})
-
-
 def generating_set(group: FiniteGroup) -> tuple:
     """Greedy generating set: repeatedly adjoin the first uncovered element."""
     cached = getattr(group, "_generating_set", None)
@@ -566,66 +546,6 @@ def generating_set(group: FiniteGroup) -> tuple:
     out = tuple(gens)
     group._generating_set = out
     return out
-
-
-def conjugacy_classes(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    """Element indices grouped by conjugacy, classes ordered by least index."""
-    els = group.elements()
-    gens = generating_set(group)
-    seen = [False] * len(els)
-    classes = []
-    for i, e in enumerate(els):
-        if seen[i]:
-            continue
-        seen[i] = True
-        members = [i]
-        frontier = [e]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = group.conjugate(x, g)
-                j = group.index_of(y)
-                if not seen[j]:
-                    seen[j] = True
-                    members.append(j)
-                    frontier.append(y)
-        classes.append(tuple(sorted(members)))
-    return tuple(classes)
-
-
-def validate_group(group: FiniteGroup, seed: int = 0) -> bool:
-    """Identity and inverse axioms exhaustively; associativity sampled."""
-    els = group.elements()
-    if len(set(els)) != len(els):
-        raise ValueError(f"{group.name}: duplicate elements")
-    e = group.identity
-    members = set(els)
-    for x in els:
-        if group.mul(e, x) != x or group.mul(x, e) != x:
-            raise ValueError(f"{group.name}: identity fails at {x}")
-        y = group.inv(x)
-        if y not in members:
-            raise ValueError(f"{group.name}: inverse leaves the group at {x}")
-        if group.mul(x, y) != e or group.mul(y, x) != e:
-            raise ValueError(f"{group.name}: inverse fails at {x}")
-    n = len(els)
-    if n**2 <= 600_000:
-        for a in els:
-            for b in els:
-                if group.mul(a, b) not in members:
-                    raise ValueError(f"{group.name}: not closed at ({a}, {b})")
-    if n**3 <= 300_000:
-        triples = itertools.product(els, repeat=3)
-    else:
-        rng = random.Random(seed)
-        triples = (
-            (els[rng.randrange(n)], els[rng.randrange(n)], els[rng.randrange(n)])
-            for _ in range(3000)
-        )
-    for a, b, c in triples:
-        if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
-            raise ValueError(f"{group.name}: not associative at ({a}, {b}, {c})")
-    return True
 
 
 # -- spec strings ---------------------------------------------------------------

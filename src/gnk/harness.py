@@ -36,6 +36,7 @@ from .homsearch import (
     hom_image_matrix,
     indexed_tables,
     orbit_partition,
+    require_composite,
     structured_count,
 )
 from .presentations import KNOT_NAMES, knot_presentation
@@ -254,13 +255,8 @@ def run_cell(
     records = []
     for task in tasks:
         try:
-            if task in ("property_t", "structured", "talex") and knot not in (
-                "SK",
-                "GK",
-            ):
-                raise CapabilityError(
-                    f"{task} is defined for the composite knots only"
-                )
+            if task in ("property_t", "structured", "talex"):
+                require_composite(task, knot)
             if task == "count":
                 matrix, stats = matrix_and_stats()
                 stats = dict(stats)

@@ -17,12 +17,12 @@ int32 is safe throughout.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .fingroups import FiniteGroup, SymmetricGroup, generating_set, nth_roots
+from .fingroups import CapabilityError, FiniteGroup, SymmetricGroup, generating_set
 from .presentations import (
     Presentation,
     g1_braid_presentation,
@@ -436,6 +436,57 @@ def g1_base_matrix(group: FiniteGroup) -> np.ndarray:
     return cached
 
 
+def require_composite(task: str, knot: str) -> None:
+    """Refuse tasks that need the third relator of the composite knots."""
+    if knot not in ("SK", "GK"):
+        raise CapabilityError(f"{task} is defined for the composite knots only")
+
+
+def root_buckets(group: FiniteGroup, n: int) -> tuple[np.ndarray, ...]:
+    """(order, starts, counts): the n-th roots of element t, in enumeration
+    order, are order[starts[t] : starts[t] + counts[t]]."""
+    powers = indexed_tables(group).pow_map(n)
+    order = np.argsort(powers, kind="stable")
+    counts = np.bincount(powers, minlength=len(powers))
+    return order, np.cumsum(counts) - counts, counts
+
+
+def lift_roots(
+    group: FiniteGroup, base: np.ndarray, n: int, knot: str
+) -> tuple[np.ndarray, ...]:
+    """Every root lift of every base row (D, B, E), valid or not.
+
+    Returns (row, d_hat, b_hat, e_hat, third_ok), one entry per pair of a
+    base row and an n-th root d_hat of its D, ordered by row and then root.
+    The other two images are forced: b_hat = (DB) d_hat (DB)^-1, and e_hat
+    is d_hat conjugated by DE (SK) or D^-1 E^-1 (GK).  A lift is a
+    homomorphism of the reduced twisted presentation exactly when its third
+    relator checks out; the braid relators hold whenever the base's do.
+    """
+    relators = knot_presentation(knot, n).relators  # bad n or knot raise here
+    require_composite("property_t", knot)
+    idx = indexed_tables(group)
+    order, starts, counts = root_buckets(group, n)
+    D, B, E = base.T.astype(np.int64)
+    per_row = counts[D]
+    row = np.repeat(np.arange(len(base)), per_row)
+    first = np.repeat(starts[D] - (np.cumsum(per_row) - per_row), per_row)
+    d_hat = order[first + np.arange(len(row))].astype(np.int32)
+
+    def conjugate_roots(x: np.ndarray) -> np.ndarray:
+        x = x[row]
+        return idx.mul[idx.mul[x, d_hat], idx.inv[x]]
+
+    b_hat = conjugate_roots(idx.mul[D, B])
+    if knot == "SK":
+        e_hat = conjugate_roots(idx.mul[D, E])
+    else:
+        e_hat = conjugate_roots(idx.mul[idx.inv[D], idx.inv[E]])
+    cols = {0: d_hat, 1: b_hat, 2: e_hat}
+    third_ok = _eval_on_columns(relators[2], cols, idx, len(row)) == idx.ident
+    return row, d_hat, b_hat, e_hat, third_ok
+
+
 @dataclass(frozen=True)
 class ExtensionCandidate:
     """One attempted lift of a base homomorphism along an n-th root."""
@@ -455,59 +506,45 @@ class ExtensionCandidate:
         return self.root_ok and self.braid_ok and self.third_ok
 
 
-def _chain(group: FiniteGroup, *xs):
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = group.mul(acc, x)
-    return acc
-
-
 def extend_g1_hom(
     group: FiniteGroup, base: tuple, n: int, knot: str
 ) -> tuple[ExtensionCandidate, ...]:
     """All root lifts of one base homomorphism, valid or not.
 
-    base is the (D, B, E) image triple.  For each d with d^n = D the other
-    two images are forced; the candidate is a homomorphism of the reduced
-    twisted presentation exactly when its third relator checks out.
+    base is the (D, B, E) image triple; see lift_roots.
     """
-    D, B, E = base
-    inv = group.inv
-    third = knot_presentation(knot, n).relators[2]
-
-    def braid(x, y) -> bool:
-        return _chain(group, x, y, x) == _chain(group, y, x, y)
-
-    braid_ok = braid(B, D) and braid(E, D)
-    out = []
-    for d_hat in nth_roots(group, D, n):
-        b_hat = _chain(group, D, B, d_hat, inv(B), inv(D))
-        if knot == "SK":
-            e_hat = _chain(group, D, E, d_hat, inv(E), inv(D))
-        elif knot == "GK":
-            e_hat = _chain(group, inv(D), inv(E), d_hat, E, D)
-        else:
-            raise KeyError(f"no extension rule for knot {knot!r}")
-        out.append(
-            ExtensionCandidate(
-                knot=knot,
-                n=n,
-                base=base,
-                d_hat=d_hat,
-                b_hat=b_hat,
-                e_hat=e_hat,
-                root_ok=group.power(d_hat, n) == D,
-                braid_ok=braid_ok,
-                third_ok=evaluate(third, [d_hat, b_hat, e_hat], group)
-                == group.identity,
-            )
+    indices = np.array([[group.index_of(x) for x in base]], dtype=np.int32)
+    _, d_hat, b_hat, e_hat, third_ok = lift_roots(group, indices, n, knot)
+    braid_ok = all(
+        evaluate(r, base, group) == group.identity
+        for r in g1_braid_presentation().relators
+    )
+    els = group.elements()
+    return tuple(
+        ExtensionCandidate(
+            knot=knot,
+            n=n,
+            base=base,
+            d_hat=els[d],
+            b_hat=els[b],
+            e_hat=els[e],
+            root_ok=True,  # d_hat is drawn from the n-th roots of D
+            braid_ok=braid_ok,
+            third_ok=ok,
         )
-    return tuple(out)
+        for d, b, e, ok in zip(
+            d_hat.tolist(), b_hat.tolist(), e_hat.tolist(), third_ok.tolist()
+        )
+    )
 
 
 @dataclass(frozen=True)
 class PropertyTReport:
-    """Whether every root lift of every base homomorphism is valid."""
+    """Whether every root lift of every base homomorphism is valid.
+
+    pairs counts every (base, root) pair, also when property T fails; the
+    counterexample is the first failing pair in base-row, then root order.
+    """
 
     group: str
     n: int
@@ -520,56 +557,26 @@ class PropertyTReport:
 
 
 def check_property_t(group: FiniteGroup, n: int, knot: str) -> PropertyTReport:
-    idx = indexed_tables(group)
     base = g1_base_matrix(group)
-    third = knot_presentation(knot, n).relators[2]
-    powers = idx.pow_map(n)
-    roots_of: dict[int, np.ndarray] = {}
-    els = group.elements()
-    pairs = 0
-    for row in base:
-        d_idx, b_idx, e_idx = (int(v) for v in row)
-        roots = roots_of.get(d_idx)
-        if roots is None:
-            roots = np.where(powers == d_idx)[0].astype(np.int32)
-            roots_of[d_idx] = roots
-        if not len(roots):
-            continue
-        pairs += len(roots)
-        head_b = int(idx.mul[d_idx, b_idx])
-        b_hat = idx.mul_flat[head_b * idx.n + roots]
-        b_hat = idx.mul_flat[b_hat * idx.n + idx.inv[b_idx]]
-        b_hat = idx.mul_flat[b_hat * idx.n + idx.inv[d_idx]]
-        if knot == "SK":
-            head_e = int(idx.mul[d_idx, e_idx])
-            e_hat = idx.mul_flat[head_e * idx.n + roots]
-            e_hat = idx.mul_flat[e_hat * idx.n + idx.inv[e_idx]]
-            e_hat = idx.mul_flat[e_hat * idx.n + idx.inv[d_idx]]
-        elif knot == "GK":
-            head_e = int(idx.mul[idx.inv[d_idx], idx.inv[e_idx]])
-            e_hat = idx.mul_flat[head_e * idx.n + roots]
-            e_hat = idx.mul_flat[e_hat * idx.n + e_idx]
-            e_hat = idx.mul_flat[e_hat * idx.n + d_idx]
-        else:
-            raise KeyError(f"no extension rule for knot {knot!r}")
-        cols = {0: roots, 1: b_hat, 2: e_hat}
-        vals = _eval_on_columns(third, cols, idx, len(roots))
-        bad = np.nonzero(vals != idx.ident)[0]
-        if len(bad):
-            j = int(bad[0])
-            return PropertyTReport(
-                group=group.name,
-                n=n,
-                knot=knot,
-                holds=False,
-                bases=len(base),
-                pairs=pairs,
-                counterexample_base=(els[d_idx], els[b_idx], els[e_idx]),
-                counterexample_root=els[int(roots[j])],
-            )
-    return PropertyTReport(
-        group=group.name, n=n, knot=knot, holds=True, bases=len(base), pairs=pairs
+    row, d_hat, _, _, third_ok = lift_roots(group, base, n, knot)
+    bad = np.flatnonzero(~third_ok)
+    report = PropertyTReport(
+        group=group.name,
+        n=n,
+        knot=knot,
+        holds=not len(bad),
+        bases=len(base),
+        pairs=len(row),
     )
+    if len(bad):
+        els = group.elements()
+        j = bad[0]
+        report = replace(
+            report,
+            counterexample_base=tuple(els[i] for i in base[row[j]]),
+            counterexample_root=els[d_hat[j]],
+        )
+    return report
 
 
 def structured_count(group: FiniteGroup, n: int) -> int:
@@ -578,10 +585,8 @@ def structured_count(group: FiniteGroup, n: int) -> int:
     Equals the twisted homomorphism count whenever every root lift is
     valid; when lifts can fail, the difference is data worth recording.
     """
-    idx = indexed_tables(group)
-    base = g1_base_matrix(group)
-    root_counts = np.bincount(idx.pow_map(n), minlength=idx.n)
-    return int(root_counts[base[:, 0]].sum())
+    _, _, counts = root_buckets(group, n)
+    return int(counts[g1_base_matrix(group)[:, 0]].sum())
 
 
 # -- a concrete degree-24 certificate -------------------------------------------
@@ -620,6 +625,13 @@ class WitnessReport:
             and self.braid_ed_ok
             and not (self.powered_holds and self.powered_holds_mirror)
         )
+
+
+def _chain(group: FiniteGroup, *xs):
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = group.mul(acc, x)
+    return acc
 
 
 def s24_witness_report() -> WitnessReport:

@@ -405,6 +405,8 @@ KNOT_NAMES = tuple(REDUCED_BUILDERS)
 
 
 def knot_presentation(knot: str, n: int, raw: bool = False) -> Presentation:
+    if n < 1:
+        raise ValueError("twist level n must be >= 1")
     if knot not in KNOT_NAMES:
         raise KeyError(f"unknown knot {knot!r}")
     if raw:

@@ -3,14 +3,18 @@
 Everything here is deliberately naive: straightforward algorithms whose
 correctness is easy to see, used to cross-check the fast paths in the
 package.  Fox derivatives rebuild the twisted Alexander block matrix term by
-term, and the per-homomorphism talex loop checks the orbit-weighted one.
+term, the per-homomorphism talex loop checks the orbit-weighted one, and the
+scalar root lift checks the array kernel behind property T and `gnk extend`.
 """
 
 import hashlib
 import itertools
+import random
 from dataclasses import dataclass
 from math import gcd
 
+from gnk.fingroups import generating_set, nth_roots
+from gnk.presentations import knot_presentation
 from gnk.words import GeneratorTable, Word, evaluate, word_power, word_product
 
 
@@ -92,6 +96,117 @@ def brute_force_homs(pres, group):
         ):
             found.append(assign)
     return found
+
+
+# -- finite groups -----------------------------------------------------------------
+
+
+def conjugacy_classes(group):
+    """Element indices grouped by conjugacy, classes ordered by least index."""
+    els = group.elements()
+    gens = generating_set(group)
+    seen = [False] * len(els)
+    classes = []
+    for i, e in enumerate(els):
+        if seen[i]:
+            continue
+        seen[i] = True
+        members = [i]
+        frontier = [e]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = group.conjugate(x, g)
+                j = group.index_of(y)
+                if not seen[j]:
+                    seen[j] = True
+                    members.append(j)
+                    frontier.append(y)
+        classes.append(tuple(sorted(members)))
+    return tuple(classes)
+
+
+def validate_group(group, seed=0):
+    """Identity and inverse axioms exhaustively; associativity sampled."""
+    els = group.elements()
+    if len(set(els)) != len(els):
+        raise ValueError(f"{group.name}: duplicate elements")
+    e = group.identity
+    members = set(els)
+    for x in els:
+        if group.mul(e, x) != x or group.mul(x, e) != x:
+            raise ValueError(f"{group.name}: identity fails at {x}")
+        y = group.inv(x)
+        if y not in members:
+            raise ValueError(f"{group.name}: inverse leaves the group at {x}")
+        if group.mul(x, y) != e or group.mul(y, x) != e:
+            raise ValueError(f"{group.name}: inverse fails at {x}")
+    n = len(els)
+    if n**2 <= 600_000:
+        for a in els:
+            for b in els:
+                if group.mul(a, b) not in members:
+                    raise ValueError(f"{group.name}: not closed at ({a}, {b})")
+    if n**3 <= 300_000:
+        triples = itertools.product(els, repeat=3)
+    else:
+        rng = random.Random(seed)
+        triples = (
+            (els[rng.randrange(n)], els[rng.randrange(n)], els[rng.randrange(n)])
+            for _ in range(3000)
+        )
+    for a, b, c in triples:
+        if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
+            raise ValueError(f"{group.name}: not associative at ({a}, {b}, {c})")
+    return True
+
+
+# -- root lifts of base homomorphisms, one scalar product at a time -----------------
+
+
+def _chain(group, *xs):
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = group.mul(acc, x)
+    return acc
+
+
+def scalar_lifts(group, base, n, knot):
+    """(d_hat, b_hat, e_hat, third_ok) for each n-th root d_hat of D.
+
+    base is a (D, B, E) element triple; the lift follows the written-out
+    formulas b_hat = D B d_hat B^-1 D^-1 and e_hat = D E d_hat E^-1 D^-1
+    (SK) or D^-1 E^-1 d_hat E D (GK).
+    """
+    D, B, E = base
+    inv = group.inv
+    third = knot_presentation(knot, n).relators[2]
+    out = []
+    for d_hat in nth_roots(group, D, n):
+        b_hat = _chain(group, D, B, d_hat, inv(B), inv(D))
+        if knot == "SK":
+            e_hat = _chain(group, D, E, d_hat, inv(E), inv(D))
+        elif knot == "GK":
+            e_hat = _chain(group, inv(D), inv(E), d_hat, E, D)
+        else:
+            raise KeyError(f"no extension rule for knot {knot!r}")
+        ok = evaluate(third, [d_hat, b_hat, e_hat], group) == group.identity
+        out.append((d_hat, b_hat, e_hat, ok))
+    return out
+
+
+def scalar_property_t(group, base_rows, n, knot):
+    """(holds, first failing (base, root) or None, pairs) over index rows."""
+    els = group.elements()
+    first_fail = None
+    pairs = 0
+    for row in base_rows:
+        triple = tuple(els[int(i)] for i in row)
+        for d_hat, _, _, ok in scalar_lifts(group, triple, n, knot):
+            pairs += 1
+            if not ok and first_fail is None:
+                first_fail = (triple, d_hat)
+    return first_fail is None, first_fail, pairs
 
 
 # -- free differential calculus ----------------------------------------------------

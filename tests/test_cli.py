@@ -38,6 +38,12 @@ def test_present_raw_has_more_generators(capsys):
     assert len(json.loads(out_raw)["gens"]) > len(json.loads(out_red)["gens"])
 
 
+def test_present_rejects_nonpositive_n(capsys):
+    code, out, err = run(capsys, "present", "--knot", "SK", "--n", "-2")
+    assert code == 1 and out == ""
+    assert err == "error: twist level n must be >= 1\n"
+
+
 def test_unknown_knot_is_usage_error(capsys):
     with pytest.raises(SystemExit) as info:
         main(["present", "--knot", "figure8", "--n", "1"])
@@ -131,6 +137,13 @@ def test_check_t_json_fields(capsys):
 # -- extension --------------------------------------------------------------------
 
 
+def test_check_t_trefoil_skips(capsys):
+    code, out, err = run(capsys, "check-t", "--target", "S3", "--n", "2",
+                         "--knot", "trefoil_r")
+    assert code == 2 and out == ""
+    assert err == "skip: property_t is defined for the composite knots only\n"
+
+
 def test_extend_reports_candidates(capsys):
     code, out, _ = run(capsys, "extend", "--target", "S4", "--n", "2",
                        "--knot", "SK", "--base",
@@ -138,6 +151,14 @@ def test_extend_reports_candidates(capsys):
     assert code == 0
     last = out.strip().split("\n")[-1]
     assert last.startswith("valid extensions:")
+
+
+def test_extend_trefoil_skips(capsys):
+    code, out, err = run(capsys, "extend", "--target", "S4", "--n", "2",
+                         "--knot", "trefoil_r", "--base",
+                         "d=(1,2,3); b=(1,2,3); e=(1,2,3)")
+    assert code == 2 and out == ""
+    assert err == "skip: property_t is defined for the composite knots only\n"
 
 
 def test_extend_rejects_non_braid_base(capsys):

@@ -15,7 +15,6 @@ from gnk.fingroups import (
     SL2Group,
     SymmetricGroup,
     cayley_table,
-    conjugacy_classes,
     format_cayley_table,
     format_cycles,
     from_cayley_table,
@@ -25,9 +24,10 @@ from gnk.fingroups import (
     parse_cayley_table,
     parse_cycles,
     permutation_parity,
-    root_table,
-    validate_group,
 )
+from gnk.homsearch import root_buckets
+
+from oracle_utils import conjugacy_classes, validate_group
 
 SUITE = (
     "S3 S4 S5 S6 A4 A5 D4 D5 D6 D7 D8 "
@@ -168,15 +168,16 @@ def test_nth_roots_counts():
 
 
 def test_root_table_matches_nth_roots():
+    # the root buckets behind property T, extend and structured counts
     for spec in ("S4", "D6", "Z12", "SL2_3"):
         g = group_from_spec(spec) if spec != "Z12" else CyclicGroup(12)
+        els = g.elements()
         for n in (2, 3):
-            table = root_table(g, n)
-            total = 0
-            for target, roots in table.roots.items():
-                assert roots == nth_roots(g, target, n)
-                total += len(roots)
-            assert total == g.order
+            order, starts, counts = root_buckets(g, n)
+            for t, target in enumerate(els):
+                bucket = order[starts[t] : starts[t] + counts[t]]
+                assert tuple(els[i] for i in bucket) == nth_roots(g, target, n)
+            assert counts.sum() == g.order
 
 
 def test_conjugacy_class_counts():

@@ -19,6 +19,7 @@ from gnk.homsearch import (
     extend_g1_hom,
     g1_base_matrix,
     hom_image_matrix,
+    lift_roots,
     orbit_count,
     orbit_partition,
     orbit_representatives,
@@ -36,7 +37,7 @@ from gnk.presentations import (
 )
 from gnk.words import GeneratorTable, evaluate, parse_word
 
-from oracle_utils import brute_force_homs
+from oracle_utils import brute_force_homs, scalar_lifts, scalar_property_t
 
 S3 = SymmetricGroup(3)
 S4 = SymmetricGroup(4)
@@ -317,14 +318,70 @@ def test_extension_unknown_knot():
 
 
 def naive_property_t(group, n, knot):
-    third = knot_presentation(knot, n).relators[2]
+    rows = brute_force_homs(g1_braid_presentation(), group)
+    holds, _, _ = scalar_property_t(group, rows, n, knot)
+    return holds
+
+
+def non_braid_rows(group, count, seed):
+    """Seeded random (D, B, E) index rows that break a braid relation."""
+    rng = np.random.default_rng(seed)
     els = group.elements()
-    for row in brute_force_homs(g1_braid_presentation(), group):
-        triple = tuple(els[i] for i in row)
-        for cand in extend_g1_hom(group, triple, n, knot):
-            if not cand.third_ok:
-                return False
-    return True
+    braid = g1_braid_presentation()
+    rows = []
+    while len(rows) < count:
+        row = rng.integers(0, group.order, size=3)
+        images = [els[i] for i in row]
+        if any(evaluate(r, images, group) != group.identity for r in braid.relators):
+            rows.append(row)
+    return np.array(rows, dtype=np.int32)
+
+
+def kernel_pairs(group, base, n, knot):
+    els = group.elements()
+    row, d_hat, b_hat, e_hat, third_ok = lift_roots(group, base, n, knot)
+    return [
+        (int(r), els[d], els[b], els[e], bool(ok))
+        for r, d, b, e, ok in zip(row, d_hat, b_hat, e_hat, third_ok)
+    ]
+
+
+def oracle_pairs(group, base, n, knot):
+    els = group.elements()
+    return [
+        (r, *lift)
+        for r, indices in enumerate(base)
+        for lift in scalar_lifts(group, tuple(els[i] for i in indices), n, knot)
+    ]
+
+
+@pytest.mark.parametrize("knot", ["SK", "GK"])
+@pytest.mark.parametrize("n", [2, 3])
+def test_lift_kernel_matches_scalar_oracle(knot, n):
+    for spec in ("S3", "S4", "D4", "Z6"):
+        group = group_from_spec(spec)
+        base = g1_base_matrix(group)
+        assert kernel_pairs(group, base, n, knot) == oracle_pairs(
+            group, base, n, knot
+        ), spec
+    base = non_braid_rows(S4, 40, seed=n)
+    got = kernel_pairs(S4, base, n, knot)
+    assert got == oracle_pairs(S4, base, n, knot)
+    assert not all(ok for *_, ok in got)  # lifts do fail off the braid rows
+
+
+def test_property_t_failure_counts_every_pair(monkeypatch):
+    extra = non_braid_rows(S4, 12, seed=7)
+    base = np.concatenate([g1_base_matrix(S4)[:20], extra, g1_base_matrix(S4)])
+    monkeypatch.setattr("gnk.homsearch.g1_base_matrix", lambda group: base)
+    report = check_property_t(S4, 2, "SK")
+    holds, first_fail, pairs = scalar_property_t(S4, base, 2, "SK")
+    assert not report.holds and not holds
+    assert (report.counterexample_base, report.counterexample_root) == first_fail
+    els = S4.elements()
+    root_counts = [len(nth_roots(S4, els[int(d)], 2)) for d in base[:, 0]]
+    assert report.pairs == pairs == sum(root_counts)
+    assert report.bases == len(base)
 
 
 @pytest.mark.parametrize("spec", ["S3", "D4", "Z6"])
