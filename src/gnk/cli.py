@@ -11,7 +11,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .fingroups import CapabilityError, group_from_spec, nth_roots
 from .harness import (
@@ -28,6 +27,7 @@ from .homsearch import (
     hom_image_matrix,
     orbit_count,
     s24_witness_report,
+    sharded_search,
 )
 from .presentations import (
     KNOT_NAMES,
@@ -89,43 +89,13 @@ def cmd_count_homs(args) -> int:
     if args.shard_id is not None:
         count, stats = count_homs(pres, group, args.shards, args.shard_id)
         stats = stats.as_dict()
-    elif args.shards == 1:
-        count, stats = count_homs(pres, group)
-        stats = stats.as_dict()
     else:
-        shard_ids = list(range(args.shards))
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
-                results = list(
-                    pool.map(
-                        _count_shard,
-                        [
-                            (args.knot, args.n, args.raw, args.target, args.shards, sid)
-                            for sid in shard_ids
-                        ],
-                    )
-                )
-        else:
-            results = [
-                count_homs(pres, group, args.shards, sid) for sid in shard_ids
-            ]
-        count = sum(c for c, _ in results)
-        stats = {
-            "nodes": sum(s.nodes for _, s in results),
-            "prunes": sum(s.prunes for _, s in results),
-            "homs": count,
-            "wall_time": round(sum(s.wall_time for _, s in results), 6),
-            "shards": args.shards,
-        }
+        _, stats = sharded_search(
+            pres, group, args.shards, jobs=args.jobs, collect=False
+        )
+        count = stats["homs"]
     _emit(args, {"count": count, "stats": stats}, str(count))
     return 0
-
-
-def _count_shard(packed):
-    knot, n, raw, target, shards, sid = packed
-    group = group_from_spec(target)
-    pres = knot_presentation(knot, n, raw=raw)
-    return count_homs(pres, group, shards, sid)
 
 
 def cmd_count_classes(args) -> int:

@@ -17,6 +17,7 @@ import itertools
 import math
 import random
 import re
+from functools import lru_cache
 from typing import Iterator
 
 MAX_ENUMERABLE_ORDER = 2500
@@ -561,12 +562,25 @@ _SPEC_MAKERS = (
 
 
 def group_from_spec(spec: str) -> FiniteGroup:
-    """Parse names like S5, A4, Z6, D4, SL2_3, PSL2_7, Z2xZ4, cayley:path."""
+    """Parse names like S5, A4, Z6, D4, SL2_3, PSL2_7, Z2xZ4, cayley:path.
+
+    One shared group per spec (and, for cayley:, per file content), so the
+    caches hung on a group (index tables, n = 1 bases) outlive each caller.
+    """
     s = spec.strip()
     if s.startswith("cayley:"):
-        path = s[len("cayley:") :]
-        with open(path) as fh:
-            return parse_cayley_table(fh.read(), name=s)
+        with open(s[len("cayley:") :]) as fh:
+            return _cayley_group(fh.read(), s)
+    return _named_group(s)
+
+
+@lru_cache(maxsize=None)
+def _cayley_group(text: str, name: str) -> CayleyGroup:
+    return parse_cayley_table(text, name=name)
+
+
+@lru_cache(maxsize=None)
+def _named_group(s: str) -> FiniteGroup:
     if "x" in s:
         parts = s.split("x")
         group = group_from_spec(parts[0])
@@ -577,4 +591,4 @@ def group_from_spec(spec: str) -> FiniteGroup:
         m = pat.fullmatch(s)
         if m:
             return make(m)
-    raise ValueError(f"unrecognized group spec {spec!r}")
+    raise ValueError(f"unrecognized group spec {s!r}")

@@ -33,10 +33,10 @@ from .fingroups import (
 from .homsearch import (
     Homomorphism,
     check_property_t,
-    hom_image_matrix,
     indexed_tables,
     orbit_partition,
     require_composite,
+    sharded_search,
     structured_count,
 )
 from .presentations import KNOT_NAMES, knot_presentation
@@ -164,32 +164,6 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _merged_matrix(pres, group, shards: int) -> tuple[np.ndarray, dict]:
-    """Image matrix assembled shard by shard, with summed search stats."""
-    if shards == 1:
-        matrix, stats = hom_image_matrix(pres, group)
-        return matrix, stats.as_dict()
-    parts = []
-    nodes = prunes = 0
-    wall = 0.0
-    for sid in range(shards):
-        part, stats = hom_image_matrix(pres, group, shards, sid)
-        parts.append(part)
-        nodes += stats.nodes
-        prunes += stats.prunes
-        wall += stats.wall_time
-    matrix = np.vstack(parts)
-    order = np.lexsort(tuple(matrix[:, c] for c in range(matrix.shape[1] - 1, -1, -1)))
-    matrix = matrix[order]
-    return matrix, {
-        "nodes": nodes,
-        "prunes": prunes,
-        "homs": int(matrix.shape[0]),
-        "wall_time": round(wall, 6),
-        "shards": shards,
-    }
-
-
 def _count_buckets(matrix: np.ndarray, group: FiniteGroup, classes: int) -> dict:
     """The three counting buckets read off one image matrix."""
     total = int(matrix.shape[0])
@@ -241,7 +215,7 @@ def run_cell(
 
     def matrix_and_stats():
         if "matrix" not in cache:
-            cache["matrix"], cache["stats"] = _merged_matrix(pres, group, shards)
+            cache["matrix"], cache["stats"] = sharded_search(pres, group, shards)
         return cache["matrix"], cache["stats"]
 
     def orbits():

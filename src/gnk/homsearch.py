@@ -17,6 +17,7 @@ int32 is safe throughout.
 from __future__ import annotations
 
 import time
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -78,23 +79,41 @@ class Homomorphism:
 
 
 class _Indexed:
-    """Multiplication, inverse, and power tables over element indices."""
+    """Multiplication, inverse, and power tables over element indices.
+
+    Only the generators' columns (right multiplication by g) call group.mul:
+    column j*g is column g applied to column j, as (x j) g = x (j g), and a
+    breadth-first walk from the identity's column reaches every column.
+    """
 
     def __init__(self, group: FiniteGroup) -> None:
         els = group.elements()
         n = len(els)
         idx = {e: i for i, e in enumerate(els)}
-        mul = np.empty((n, n), dtype=np.int32)
-        for i, a in enumerate(els):
-            mul[i] = [idx[group.mul(a, b)] for b in els]
+        ident = idx[group.identity]
+        right = np.array(
+            [[idx[group.mul(a, g)] for a in els] for g in generating_set(group)],
+            dtype=np.int32,
+        )
+        cols = np.empty((n, n), dtype=np.int32)  # cols[k] is column k of mul
+        cols[ident] = np.arange(n)
+        seen = {ident}
+        queue = [ident]
+        for j in queue:
+            for r in right:
+                k = int(r[j])
+                if k not in seen:
+                    seen.add(k)
+                    cols[k] = r[cols[j]]
+                    queue.append(k)
         self.group = group
         self.n = n
-        self.ident = idx[group.identity]
-        self.mul = mul
-        self.mul_flat = mul.reshape(-1)
-        self.inv = np.array([idx[group.inv(e)] for e in els], dtype=np.int32)
+        self.ident = ident
+        self.mul = np.ascontiguousarray(cols.T)
+        self.mul_flat = self.mul.reshape(-1)
+        self.inv = (cols == ident).argmax(axis=1).astype(np.int32)
         self._pow: dict[int, np.ndarray] = {
-            0: np.full(n, self.ident, dtype=np.int32),
+            0: np.full(n, ident, dtype=np.int32),
             1: np.arange(n, dtype=np.int32),
         }
 
@@ -231,6 +250,15 @@ def _eval_on_columns(
     return val
 
 
+def _lex_sorted(matrix: np.ndarray) -> np.ndarray:
+    return matrix[np.lexsort(matrix.T[::-1])]
+
+
+def _check_shards(shards: int, shard_id: int = 0) -> None:
+    if shards < 1 or not 0 <= shard_id < shards:
+        raise ValueError("need shards >= 1 and 0 <= shard_id < shards")
+
+
 def _search(
     pres: Presentation,
     group: FiniteGroup,
@@ -238,8 +266,7 @@ def _search(
     shard_id: int,
     collect: bool,
 ) -> tuple[np.ndarray | None, SearchStats]:
-    if shards < 1 or not 0 <= shard_id < shards:
-        raise ValueError("need shards >= 1 and 0 <= shard_id < shards")
+    _check_shards(shards, shard_id)
     idx = indexed_tables(group)
     steps = compile_plan(pres)
     stats = SearchStats(shards=shards, shard_id=shard_id)
@@ -301,8 +328,7 @@ def _search(
             matrix = np.concatenate(blocks)
         else:
             matrix = np.empty((0, gen_count), dtype=np.int32)
-        order = np.lexsort(tuple(matrix[:, c] for c in range(gen_count - 1, -1, -1)))
-        matrix = matrix[order]
+        matrix = _lex_sorted(matrix)
     stats.wall_time = time.perf_counter() - started
     return matrix, stats
 
@@ -321,6 +347,47 @@ def count_homs(
 ) -> tuple[int, SearchStats]:
     _, stats = _search(pres, group, shards, shard_id, collect=False)
     return stats.homs, stats
+
+
+def _run_shard(args: tuple):
+    pres, group, shards, shard_id, collect = args
+    search = hom_image_matrix if collect else count_homs
+    return search(pres, group, shards, shard_id)
+
+
+def sharded_search(
+    pres: Presentation,
+    group: FiniteGroup,
+    shards: int = 1,
+    jobs: int = 1,
+    collect: bool = True,
+) -> tuple[np.ndarray | None, dict]:
+    """Every shard of one search, in turn or on a pool of jobs processes.
+
+    Returns the merged, lex-sorted image matrix (None unless collect) and
+    the shards' stats summed; a single shard reports its own stats.
+    """
+    _check_shards(shards)
+    work = [(pres, group, shards, sid, collect) for sid in range(shards)]
+    if jobs > 1 and shards > 1:
+        with ProcessPoolExecutor(max_workers=jobs) as pool:
+            results = list(pool.map(_run_shard, work))
+    else:
+        results = [_run_shard(args) for args in work]
+    if shards == 1:
+        found, stats = results[0]
+        return (found if collect else None), stats.as_dict()
+    matrix = None
+    if collect:
+        matrix = _lex_sorted(np.vstack([found for found, _ in results]))
+    parts = [stats for _, stats in results]
+    return matrix, {
+        "nodes": sum(s.nodes for s in parts),
+        "prunes": sum(s.prunes for s in parts),
+        "homs": sum(s.homs for s in parts),
+        "wall_time": round(sum(s.wall_time for s in parts), 6),
+        "shards": shards,
+    }
 
 
 def enumerate_homs(pres: Presentation, group: FiniteGroup):
@@ -348,68 +415,58 @@ def _as_matrix(homs, group: FiniteGroup | None) -> tuple[np.ndarray, FiniteGroup
     return mat, first.group
 
 
-def _row_locator(matrix: np.ndarray, n: int):
-    rows, gens = matrix.shape
-    if gens * max(1, (n - 1).bit_length()) <= 62:
-        weights = np.array(
-            [n ** (gens - 1 - i) for i in range(gens)], dtype=np.int64
-        )
-        keys = matrix.astype(np.int64) @ weights
-        order = np.argsort(keys, kind="stable")
-        sorted_keys = keys[order]
+def _row_locator(matrix: np.ndarray):
+    """locate(block)[i] is the row of matrix equal to block[i]."""
+    rows = matrix.shape[0]
 
-        def locate(block: np.ndarray) -> np.ndarray:
-            got = block.astype(np.int64) @ weights
-            pos = np.searchsorted(sorted_keys, got)
-            ok = (pos < rows) & (sorted_keys[np.minimum(pos, rows - 1)] == got)
-            if not ok.all():
-                raise ValueError("conjugate left the homomorphism set")
-            return order[pos]
+    def as_keys(block: np.ndarray) -> np.ndarray:
+        block = np.ascontiguousarray(block, dtype=np.int32)
+        row_bytes = np.dtype((np.void, block.itemsize * block.shape[1]))
+        return block.view(row_bytes)[:, 0]
 
-        return locate
-    lookup = {tuple(int(v) for v in row): i for i, row in enumerate(matrix)}
+    keys = as_keys(matrix)
+    order = np.argsort(keys, kind="stable")
+    sorted_keys = keys[order]
 
-    def locate_dict(block: np.ndarray) -> np.ndarray:
-        out = np.empty(len(block), dtype=np.int64)
-        for i, row in enumerate(block):
-            key = tuple(int(v) for v in row)
-            if key not in lookup:
-                raise ValueError("conjugate left the homomorphism set")
-            out[i] = lookup[key]
-        return out
+    def locate(block: np.ndarray) -> np.ndarray:
+        got = as_keys(block)
+        pos = np.searchsorted(sorted_keys, got)
+        ok = (pos < rows) & (sorted_keys[np.minimum(pos, rows - 1)] == got)
+        if not ok.all():
+            raise ValueError("conjugate left the homomorphism set")
+        return order[pos]
 
-    return locate_dict
+    return locate
 
 
 def orbit_partition(homs, group: FiniteGroup | None = None) -> list[int]:
-    """Union-find roots (row index of lex-least member) per input row."""
+    """The least row index of each input row's conjugation orbit.
+
+    For a lex-sorted image matrix that is the orbit's lex-least row.  Labels
+    start as row indices; each round takes the least label over the
+    conjugates by every generator and then jumps label = label[label],
+    until nothing changes.
+    """
     matrix, group = _as_matrix(homs, group)
     idx = indexed_tables(group)
     rows = matrix.shape[0]
     if rows == 0:
         return []
-    locate = _row_locator(matrix, idx.n)
-    parent = list(range(rows))
-
-    def find(i: int) -> int:
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
+    locate = _row_locator(matrix)
+    targets = []
     for g in generating_set(group):
         k = group.index_of(g)
         pre = idx.mul_flat[idx.inv[k] * idx.n + matrix]
-        conjugated = idx.mul_flat[pre * idx.n + k]
-        targets = locate(conjugated)
-        for i in range(rows):
-            a, b = find(i), find(int(targets[i]))
-            if a != b:
-                if a < b:
-                    parent[b] = a
-                else:
-                    parent[a] = b
-    return [find(i) for i in range(rows)]
+        targets.append(locate(idx.mul_flat[pre * idx.n + k]))
+    label = np.arange(rows)
+    while True:
+        new = label
+        for target in targets:
+            new = np.minimum(new, new[target])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label.tolist()
+        label = new
 
 
 def orbit_count(homs, group: FiniteGroup | None = None) -> int:

@@ -15,6 +15,7 @@ comparison.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Sequence
 
 from .words import (
@@ -378,6 +379,7 @@ def granny_knot_gn(n: int) -> Presentation:
     return Presentation(t, rels, n=n, label=f"G_{n}(GK)")
 
 
+@lru_cache(maxsize=None)
 def g1_braid_presentation() -> Presentation:
     """The common n = 1 group of both composite knots, on d, b, e."""
     t = GeneratorTable(("d", "b", "e"))
@@ -404,7 +406,9 @@ REDUCED_BUILDERS = {
 KNOT_NAMES = tuple(REDUCED_BUILDERS)
 
 
+@lru_cache(maxsize=None, typed=True)
 def knot_presentation(knot: str, n: int, raw: bool = False) -> Presentation:
+    """G_n(knot), reduced or (raw) one generator per arc; built once each."""
     if n < 1:
         raise ValueError("twist level n must be >= 1")
     if knot not in KNOT_NAMES:

@@ -3,8 +3,10 @@
 Everything here is deliberately naive: straightforward algorithms whose
 correctness is easy to see, used to cross-check the fast paths in the
 package.  Fox derivatives rebuild the twisted Alexander block matrix term by
-term, the per-homomorphism talex loop checks the orbit-weighted one, and the
-scalar root lift checks the array kernel behind property T and `gnk extend`.
+term, the per-homomorphism talex loop checks the orbit-weighted one, the
+scalar root lift checks the array kernel behind property T and `gnk extend`,
+and entry-by-entry index tables and a union-find orbit partition check the
+breadth-first table build and the label-propagation orbits.
 """
 
 import hashlib
@@ -159,6 +161,57 @@ def validate_group(group, seed=0):
         if group.mul(group.mul(a, b), c) != group.mul(a, group.mul(b, c)):
             raise ValueError(f"{group.name}: not associative at ({a}, {b}, {c})")
     return True
+
+
+def naive_index_tables(group):
+    """(mul, inv, ident) over element indices, one group.mul call per entry."""
+    import numpy as np
+
+    els = group.elements()
+    idx = {e: i for i, e in enumerate(els)}
+    mul = np.array(
+        [[idx[group.mul(a, b)] for b in els] for a in els], dtype=np.int32
+    )
+    inv = np.array([idx[group.inv(e)] for e in els], dtype=np.int32)
+    return mul, inv, idx[group.identity]
+
+
+def union_find_partition(matrix, group):
+    """Least row index of each row's conjugation orbit, by union-find.
+
+    Rows are conjugated by each generator through the naive tables and looked
+    up in a dict of row tuples.
+    """
+    mul, inv, _ = naive_index_tables(group)
+    lookup = {tuple(int(v) for v in row): i for i, row in enumerate(matrix)}
+    rows = len(matrix)
+    parent = list(range(rows))
+
+    def find(i):
+        while parent[i] != i:
+            parent[i] = parent[parent[i]]
+            i = parent[i]
+        return i
+
+    for g in generating_set(group):
+        k = group.index_of(g)
+        for i, row in enumerate(matrix):
+            conj = tuple(int(mul[mul[inv[k], int(v)], k]) for v in row)
+            a, b = find(i), find(lookup[conj])
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(rows)]
+
+
+def burnside_orbit_count(matrix, group):
+    """(1/|H|) * sum over h of the rows fixed by conjugation by h."""
+    mul, inv, _ = naive_index_tables(group)
+    fixed = 0
+    for h in range(len(mul)):
+        conj = mul[mul[inv[h], matrix], h]
+        fixed += int((conj == matrix).all(axis=1).sum())
+    assert fixed % len(mul) == 0
+    return fixed // len(mul)
 
 
 # -- root lifts of base homomorphisms, one scalar product at a time -----------------

@@ -16,7 +16,7 @@ import pytest
 from gnk.fingroups import group_from_spec, nth_roots
 from gnk.harness import SweepConfig, compare_report, run_cell, run_sweep
 from gnk.homsearch import count_homs, hom_image_matrix, s24_witness_report
-from gnk.harness import _merged_matrix
+from gnk.homsearch import sharded_search
 from gnk.presentations import (
     abelianization_invariants,
     exponent_matrix,
@@ -321,9 +321,9 @@ def test_criterion_10_property_suites(suite_records):
     for knot, n, target in cells:
         pres = knot_presentation(knot, n)
         group = group_from_spec(target)
-        single, _ = _merged_matrix(pres, group, 1)
+        single, _ = sharded_search(pres, group, 1)
         for shards in (3, 8):
-            merged, _ = _merged_matrix(pres, group, shards)
+            merged, _ = sharded_search(pres, group, shards)
             assert merged.tobytes() == single.tobytes(), (knot, n, target, shards)
     print("criterion 10 PASS: words, Fox identity, roots, shard determinism")
 

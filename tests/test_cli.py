@@ -90,6 +90,16 @@ def test_count_homs_single_shard_json(capsys):
     assert total == int(out)
 
 
+@pytest.mark.parametrize("shards", ["0", "-2"])
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_count_homs_rejects_nonpositive_shards(capsys, shards, jobs):
+    code, out, err = run(capsys, "count-homs", "--knot", "SK", "--n", "2",
+                         "--target", "S3", "--shards", shards, "--jobs", jobs)
+    assert code == 1
+    assert out == ""
+    assert "need shards >= 1" in err
+
+
 def test_count_classes(capsys):
     code, out, _ = run(capsys, "count-classes", "--knot", "SK", "--n", "2",
                        "--target", "S3")

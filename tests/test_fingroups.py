@@ -290,6 +290,30 @@ def test_group_from_spec_cayley_file(tmp_path):
     assert len(conjugacy_classes(g)) == 5
 
 
+def test_group_from_spec_shares_one_group_per_spec():
+    assert group_from_spec("S4") is group_from_spec(" S4 ")
+    assert group_from_spec("Z2xZ4") is group_from_spec("Z2xZ4")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            group_from_spec("Q8")
+
+
+def test_group_from_spec_cayley_keys_on_content(tmp_path):
+    path = tmp_path / "g.table"
+    path.write_text(format_cayley_table(DihedralGroup(4)))
+    first = group_from_spec(f"cayley:{path}")
+    assert first is group_from_spec(f"cayley:{path}")
+    path.write_text(format_cayley_table(CyclicGroup(8)))
+    second = group_from_spec(f"cayley:{path}")
+    assert second is not first
+    assert second.table == cayley_table(CyclicGroup(8))
+    assert first.table == cayley_table(DihedralGroup(4))
+    path.write_text("2\n0 1\n0 1\n")
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            group_from_spec(f"cayley:{path}")
+
+
 @settings(max_examples=40)
 @given(st.permutations(tuple(range(5))), st.permutations(tuple(range(5))))
 def test_cycles_and_mul_consistency(x, y):

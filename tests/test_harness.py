@@ -218,6 +218,26 @@ def test_sweep_appends_and_rerun_matches(tmp_path):
     assert on_disk[0].value == on_disk[1].value == first[0].value == second[0].value
 
 
+def test_repeated_sweeps_in_one_process_agree(tmp_path):
+    # the second sweep finds every group, table and presentation cached
+    cfg = SweepConfig(("SK", "GK", "trefoil_r"), (1, 2, 3), ("S4", "SL2_3"),
+                      ("count", "classes", "property_t", "structured", "talex"),
+                      output=str(tmp_path / "r.jsonl"))
+    run_sweep(cfg)
+    run_sweep(cfg)
+    on_disk = read_records(cfg.output)
+    half = len(on_disk) // 2
+    assert half == 90
+
+    def outcome(rec):
+        stats = {k: v for k, v in rec.stats.items() if k != "wall_time"}
+        return rec.key(), rec.status, rec.value, stats
+
+    assert [outcome(r) for r in on_disk[:half]] == [
+        outcome(r) for r in on_disk[half:]
+    ]
+
+
 def test_sweep_unconstructible_target_fails_before_writing(tmp_path):
     cfg = SweepConfig(("SK",), (1,), ("S3", "Q8"), ("count",),
                       output=str(tmp_path / "r.jsonl"))

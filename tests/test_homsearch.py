@@ -6,7 +6,11 @@ import pytest
 from gnk.fingroups import (
     CapabilityError,
     CyclicGroup,
+    DihedralGroup,
+    DirectProductGroup,
     SymmetricGroup,
+    cayley_table,
+    from_cayley_table,
     group_from_spec,
     nth_roots,
 )
@@ -19,12 +23,15 @@ from gnk.homsearch import (
     extend_g1_hom,
     g1_base_matrix,
     hom_image_matrix,
+    indexed_tables,
     lift_roots,
     orbit_count,
     orbit_partition,
     orbit_representatives,
     s24_witness_report,
+    sharded_search,
     structured_count,
+    _row_locator,
     _Check,
     _Free,
     _Pin,
@@ -37,7 +44,14 @@ from gnk.presentations import (
 )
 from gnk.words import GeneratorTable, evaluate, parse_word
 
-from oracle_utils import brute_force_homs, scalar_lifts, scalar_property_t
+from oracle_utils import (
+    brute_force_homs,
+    burnside_orbit_count,
+    naive_index_tables,
+    scalar_lifts,
+    scalar_property_t,
+    union_find_partition,
+)
 
 S3 = SymmetricGroup(3)
 S4 = SymmetricGroup(4)
@@ -195,6 +209,19 @@ def test_sharding_applies_to_pinned_first_generator():
     assert np.array_equal(full, merged[order])
 
 
+def test_sharded_search_validates_and_sums():
+    pres = knot_presentation("SK", 2)
+    for bad in (0, -2):
+        with pytest.raises(ValueError, match="shards >= 1"):
+            sharded_search(pres, S3, bad)
+    sl23 = group_from_spec("SL2_3")
+    count, _ = count_homs(pres, sl23)
+    for jobs in (1, 2):
+        matrix, stats = sharded_search(pres, sl23, 3, jobs=jobs, collect=False)
+        assert matrix is None
+        assert stats["homs"] == count and stats["shards"] == 3
+
+
 def test_capability_error_propagates():
     with pytest.raises(CapabilityError):
         count_homs(knot_presentation("SK", 2), SymmetricGroup(24))
@@ -251,6 +278,56 @@ def test_orbit_counts_match_naive_conjugation():
             assert conj in rows
             seen.add(conj)
     assert orbit_count(mat, S4) == orbits
+
+
+STANDARD_TARGETS = (
+    "S3 S4 S5 S6 A4 A5 D4 D5 D6 D7 D8 "
+    "SL2_3 SL2_5 PSL2_7 Z2 Z3 Z4 Z5 Z6 Z7 Z2xZ4"
+).split()
+
+
+@pytest.mark.parametrize(
+    "group",
+    [group_from_spec(spec) for spec in STANDARD_TARGETS]
+    + [
+        from_cayley_table(cayley_table(DihedralGroup(5)), name="D5-table"),
+        DirectProductGroup(SymmetricGroup(3), CyclicGroup(4)),
+    ],
+    ids=lambda g: g.name,
+)
+def test_index_tables_match_naive_oracle(group):
+    idx = indexed_tables(group)
+    mul, inv, ident = naive_index_tables(group)
+    assert np.array_equal(idx.mul, mul)
+    assert np.array_equal(idx.inv, inv)
+    assert idx.ident == ident
+
+
+@pytest.mark.parametrize("target", ["S4", "SL2_3", "A5", "PSL2_7"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("knot", ["SK", "GK"])
+def test_orbit_partition_matches_union_find_and_burnside(knot, n, target):
+    group = group_from_spec(target)
+    mat, _ = hom_image_matrix(knot_presentation(knot, n), group)
+    part = orbit_partition(mat, group)
+    assert part == union_find_partition(mat, group)
+    assert len(set(part)) == burnside_orbit_count(mat, group)
+
+
+def test_row_locator_matches_dict_oracle():
+    # 6 columns of 12 bits each do not fit one 64-bit key
+    rng = np.random.default_rng(7)
+    matrix = np.unique(rng.integers(0, 2184, size=(3000, 6)), axis=0)
+    matrix = matrix[rng.permutation(len(matrix))].astype(np.int32)
+    lookup = {tuple(row): i for i, row in enumerate(matrix.tolist())}
+    locate = _row_locator(matrix)
+    block = matrix[rng.integers(0, len(matrix), size=500)]
+    want = [lookup[tuple(row)] for row in block.tolist()]
+    assert locate(block).tolist() == want
+    missing = np.array([[2183, 0, 0, 0, 0, 1]], dtype=np.int32)
+    assert tuple(missing[0].tolist()) not in lookup
+    with pytest.raises(ValueError, match="left the homomorphism set"):
+        locate(np.vstack([block[:3], missing]))
 
 
 # -- extensions of base homomorphisms ---------------------------------------------

@@ -270,6 +270,20 @@ def test_knot_presentation_registry():
             assert len(P.gens) == want
 
 
+def test_knot_presentation_cache_keys():
+    raw = knot_presentation("SK", 2, raw=True)
+    reduced = knot_presentation("SK", 2)
+    assert raw is knot_presentation("SK", 2, raw=True)
+    assert reduced is knot_presentation("SK", 2)
+    assert raw != reduced and len(raw.gens) == 6 and len(reduced.gens) == 3
+    assert knot_presentation("SK", 3) != reduced
+    for _ in range(2):
+        with pytest.raises(ValueError):
+            knot_presentation("SK", 0)
+        with pytest.raises(KeyError):
+            knot_presentation("figure8", 2)
+
+
 def test_unknot_diagram():
     P = gn_from_diagram(KnotDiagram(1, ()), 5)
     assert len(P.gens) == 1 and not P.relators
