@@ -32,6 +32,7 @@ from .fingroups import (
 )
 from .homsearch import (
     Homomorphism,
+    _row_locator,
     check_property_t,
     indexed_tables,
     orbit_partition,
@@ -181,27 +182,63 @@ def _count_buckets(matrix: np.ndarray, group: FiniteGroup, classes: int) -> dict
 
 
 def _representation_builder(group: FiniteGroup):
+    """(representation builder, diagonal twin map or None) for a matrix target."""
     if isinstance(group, PSL2Group) and group.p == 7:
-        return representation_from_psl27_hom
+        # PSL2_7 is all of GL_3(F_2), so every conjugation is inner; its
+        # outer automorphism dualizes the representation, not a conjugation
+        return representation_from_psl27_hom, None
     if isinstance(group, SL2Group) and not isinstance(group, PSL2Group):
-        return representation_from_sl2_hom
+        return representation_from_sl2_hom, _diagonal_twin(group)
     raise CapabilityError(f"no matrix representation route for {group.name}")
 
 
-def _talex_lines(
-    pres, group, builder, reps: np.ndarray, sizes: np.ndarray
-) -> list[tuple[str, int]]:
-    """(invariant line, orbit size) for each conjugation orbit.
+def _diagonal_twin(group: SL2Group) -> np.ndarray | None:
+    """Element index of P x P^-1 for each element x, P = diag(1, r).
 
-    The normalized invariant is a class function of the representation
-    (Wada 1994; Kirk and Livingston 1999), so it is evaluated once, on the
-    lex-least row of each orbit, and stands for every member.
+    r is the least quadratic non-residue mod p.  Conjugation by P is not
+    inner for odd p, and together with the inner automorphisms it gives
+    every conjugation by GL_2(F_p).  None for p = 2, where every unit is a
+    square and GL_2(F_2) = SL_2(F_2).
     """
+    p = group.p
+    if p == 2:
+        return None
+    r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+    r_inv = pow(r, -1, p)
+    return np.array(
+        [
+            group.index_of((a, b * r_inv % p, c * r % p, d))
+            for a, b, c, d in group.elements()
+        ],
+        dtype=np.int64,
+    )
+
+
+def _talex_lines(
+    pres, group, builder, twin, matrix, roots, reps, sizes
+) -> list[tuple[str, int]]:
+    """(invariant line, orbit size) for each conjugation orbit, in lex order.
+
+    roots[i] is the row of the lex-least member of row i's orbit, reps the
+    distinct roots in lex order and sizes their orbit sizes.  The
+    normalized invariant is unchanged when the representation is conjugated
+    by any matrix in GL_k(F_p) (Wada 1994; Kirk and Livingston 1999).  So
+    it is evaluated once per GL_k(F_p) class, on the class's lex-least row,
+    and that line stands for every member of every orbit in the class.
+    With a twin map an orbit's class is itself and the orbit of its
+    conjugates by diag(1, r); without one it is the orbit alone.
+    """
+    keys = reps
+    if twin is not None:
+        twins = roots[_row_locator(matrix)(twin[matrix[reps]])]
+        keys = np.minimum(reps, twins)
+    lines: dict[int, str] = {}
     out = []
-    for row, size in zip(reps, sizes):
-        hom = Homomorphism(pres, group, tuple(int(v) for v in row))
-        rep = builder(pres, hom)
-        out.append((twisted_alexander(pres, rep).line(), int(size)))
+    for key, size in zip(keys.tolist(), sizes.tolist()):
+        if key not in lines:
+            hom = Homomorphism(pres, group, tuple(int(v) for v in matrix[key]))
+            lines[key] = twisted_alexander(pres, builder(pres, hom)).line()
+        out.append((lines[key], size))
     return out
 
 
@@ -219,11 +256,14 @@ def run_cell(
         return cache["matrix"], cache["stats"]
 
     def orbits():
-        """(row index of each orbit's lex-least member, orbit size), lex order."""
+        """(each row's orbit root, the distinct roots in lex order, sizes).
+
+        An orbit's root is the row index of its lex-least member.
+        """
         if "orbits" not in cache:
             matrix, _ = matrix_and_stats()
             roots = np.asarray(orbit_partition(matrix, group), dtype=np.int64)
-            cache["orbits"] = np.unique(roots, return_counts=True)
+            cache["orbits"] = (roots, *np.unique(roots, return_counts=True))
         return cache["orbits"]
 
     records = []
@@ -234,11 +274,11 @@ def run_cell(
             if task == "count":
                 matrix, stats = matrix_and_stats()
                 stats = dict(stats)
-                stats["buckets"] = _count_buckets(matrix, group, len(orbits()[0]))
+                stats["buckets"] = _count_buckets(matrix, group, len(orbits()[1]))
                 value, status = int(matrix.shape[0]), "ok"
             elif task == "classes":
                 matrix, _ = matrix_and_stats()
-                value, status = len(orbits()[0]), "ok"
+                value, status = len(orbits()[1]), "ok"
                 stats = {"homs": int(matrix.shape[0])}
             elif task == "property_t":
                 report = check_property_t(group, n, knot)
@@ -257,9 +297,8 @@ def run_cell(
                 stats = {}
             elif task == "talex":
                 matrix, _ = matrix_and_stats()
-                builder = _representation_builder(group)
-                reps, sizes = orbits()
-                weighted = _talex_lines(pres, group, builder, matrix[reps], sizes)
+                builder, twin = _representation_builder(group)
+                weighted = _talex_lines(pres, group, builder, twin, matrix, *orbits())
                 lines = sorted(line for line, size in weighted for _ in range(size))
                 digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
                 value, status = digest, "ok"

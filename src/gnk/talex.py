@@ -13,13 +13,19 @@ matrix (diagonalization over F_p[t]), which agrees with the minors gcd;
 the test suite recomputes small cases by enumerating minors directly, and
 rebuilds the block matrix from Fox derivatives.
 
-Every matrix construction replays the chain-rule identity
-sum_j  Phi(dr/dx_j) (Phi(x_j) - 1) = 0  and refuses to hand back a matrix
-that violates it.
+The block matrix is built in one prefix walk per relator, as integer
+k x k coefficient matrices by degree.  The same walk checks that the
+relator lands on the identity at degree 0, and the finished blocks must
+satisfy the chain-rule identity sum_j Phi(dr/dx_j) (Phi(x_j) - 1) = 0,
+degree by degree, before any invariant is computed from them.  The deleted
+matrix and the denominator are then filled directly as plain F_p[t]
+elements under one common power of t; a LaurentPoly is built only for the
+two normalized results.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from math import gcd as int_gcd
@@ -32,7 +38,7 @@ from .presentations import (
     exponent_matrix,
     smith_normal_form,
 )
-from .words import GeneratorTable, Word
+from .words import GeneratorTable
 
 # -- Laurent polynomials -------------------------------------------------------
 
@@ -281,35 +287,16 @@ def _ring_for(p: int):
     return _GF2Ring if p == 2 else _GFpRing(p)
 
 
-def _plainify(p: int, entries: Sequence[LaurentPoly]):
-    """Common-shift a batch of Laurent entries into plain ring elements."""
-    ring = _ring_for(p)
-    lows = [e.low for e in entries if not e.is_zero]
-    shift = min(lows) if lows else 0
-    plain = []
-    for e in entries:
-        if e.is_zero:
-            plain.append(ring.zero)
-        else:
-            plain.append(
-                ring.from_coeffs((0,) * (e.low - shift) + e.coeffs)
-            )
-    return ring, shift, plain
-
-
 def _from_plain(p: int, ring, a, low: int = 0) -> LaurentPoly:
     return laurent(p, ring.to_coeffs(a), low)
 
 
-def poly_det(p: int, rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
-    """Exact determinant of a square Laurent-polynomial matrix."""
-    n = len(rows)
+def _plain_det(ring, A: list[list]):
+    """Exact determinant of a square matrix over F_p[t] (fraction-free)."""
+    n = len(A)
     if n == 0:
-        return laurent(p, (1,))
-    if any(len(r) != n for r in rows):
-        raise ValueError("matrix is not square")
-    ring, shift, flat = _plainify(p, [e for row in rows for e in row])
-    A = [flat[i * n : (i + 1) * n] for i in range(n)]
+        return ring.one
+    A = [list(row) for row in A]
     negate = False
     prev = ring.one
     for k in range(n - 1):
@@ -320,7 +307,7 @@ def poly_det(p: int, rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
                     negate = not negate
                     break
             else:
-                return laurent(p, ())
+                return ring.zero
         for i in range(k + 1, n):
             for j in range(k + 1, n):
                 num = ring.sub(
@@ -332,9 +319,7 @@ def poly_det(p: int, rows: Sequence[Sequence[LaurentPoly]]) -> LaurentPoly:
                 A[i][j] = q
         prev = A[k][k]
     det = A[n - 1][n - 1]
-    if negate:
-        det = ring.neg(det)
-    return _from_plain(p, ring, det, n * shift)
+    return ring.neg(det) if negate else det
 
 
 def poly_gcd(p: int, polys: Sequence[LaurentPoly]) -> LaurentPoly:
@@ -451,12 +436,10 @@ def _mat_id(k: int) -> tuple:
 
 
 def _mat_mul(p: int, a: tuple, b: tuple) -> tuple:
-    k = len(a)
+    cols = tuple(zip(*b))
     return tuple(
-        tuple(
-            sum(a[i][l] * b[l][j] for l in range(k)) % p for j in range(k)
-        )
-        for i in range(k)
+        tuple(sum(map(operator.mul, row, col)) % p for col in cols)
+        for row in a
     )
 
 
@@ -514,149 +497,123 @@ class Representation:
             fixed.append(reduced)
         object.__setattr__(self, "images", tuple(fixed))
 
-    def apply(self, w: Word) -> tuple[tuple, int]:
-        """(matrix, degree) of a word."""
-        mat = _mat_id(self.dim)
-        deg = 0
-        for g, e in w.syllables:
-            base = (
-                self.images[g] if e > 0 else _mat_inv(self.p, self.images[g])
-            )
-            for _ in range(abs(e)):
-                mat = _mat_mul(self.p, mat, base)
-            deg += self.alpha[g] * e
-        return mat, deg
-
-
-def validate_representation(pres: Presentation, rep: Representation) -> None:
-    if rep.table != pres.gens:
-        raise ValueError("representation is over different generators")
-    for r in pres.relators:
-        mat, deg = rep.apply(r)
-        if mat != _mat_id(rep.dim) or deg != 0:
-            raise ValueError(f"relator {r.syllables} is not respected")
-
 
 @dataclass(frozen=True)
 class WadaMatrix:
-    """Blocks[i][j] = dim x dim Laurent matrix for relator i, generator j."""
+    """The block matrix as integer coefficient matrices by degree.
+
+    blocks[i][j] is the block of relator i and generator j: a tuple of
+    (degree, k x k matrix) pairs in ascending degree, with entries reduced
+    mod p and zero matrices left out.
+    """
 
     pres: Presentation
     rep: Representation
     blocks: tuple
 
 
-def _poly_mat_mul(p, a, b):
-    k = len(a)
-    return [
-        [
-            sum((a[i][l] * b[l][j] for l in range(k)), laurent(p, ()))
-            for j in range(k)
-        ]
-        for i in range(k)
-    ]
-
-
-def _generator_block(rep: Representation, j: int, minus_identity: bool):
-    p, k = rep.p, rep.dim
-    out = []
-    for u in range(k):
-        row = []
-        for v in range(k):
-            poly = laurent(p, (rep.images[j][u][v],), rep.alpha[j])
-            if minus_identity and u == v:
-                poly = poly - laurent(p, (1,))
-            row.append(poly)
-        out.append(row)
-    return out
+def _bump(acc: dict, deg: int, mat: tuple, sign: int) -> None:
+    """acc[deg] += sign * mat, entry by entry, over the integers."""
+    cell = acc.get(deg)
+    if cell is None:
+        acc[deg] = [[sign * v for v in row] for row in mat]
+        return
+    for crow, mrow in zip(cell, mat):
+        for v, x in enumerate(mrow):
+            crow[v] += sign * x
 
 
 def wada_matrix(pres: Presentation, rep: Representation) -> WadaMatrix:
-    validate_representation(pres, rep)
+    """Check rep against pres and build its blocks, one walk per relator.
+
+    Walking relator r letter by letter with prefix w, a letter x_j adds
+    Phi(w) t^deg(w) to block j and a letter x_j^-1 subtracts
+    Phi(w x_j^-1) t^deg(w x_j^-1): the Fox derivative dr/dx_j pushed
+    through the representation.  The walk must end on the identity at
+    degree 0, and the blocks must pass the chain-rule check.
+    """
+    if rep.table != pres.gens:
+        raise ValueError("representation is over different generators")
     p, k = rep.p, rep.dim
+    ident = _mat_id(k)
     inverses = [_mat_inv(p, m) for m in rep.images]
-    zero = laurent(p, ())
     blocks = []
     for rel in pres.relators:
-        acc: list[dict[int, list[list[int]]]] = [
-            {} for _ in range(len(pres.gens))
-        ]
-
-        def bump(g: int, deg: int, mat: tuple, sign: int) -> None:
-            cell = acc[g].setdefault(deg, [[0] * k for _ in range(k)])
-            for u in range(k):
-                for v in range(k):
-                    cell[u][v] = (cell[u][v] + sign * mat[u][v]) % p
-
-        prefix = _mat_id(k)
-        deg = 0
+        acc: list[dict] = [{} for _ in range(len(pres.gens))]
+        prefix, deg = ident, 0
         for g, e in rel.syllables:
             if e > 0:
                 for _ in range(e):
-                    bump(g, deg, prefix, 1)
+                    _bump(acc[g], deg, prefix, 1)
                     prefix = _mat_mul(p, prefix, rep.images[g])
                     deg += rep.alpha[g]
             else:
                 for _ in range(-e):
                     prefix = _mat_mul(p, prefix, inverses[g])
                     deg -= rep.alpha[g]
-                    bump(g, deg, prefix, -1)
-        row_blocks = []
-        for g in range(len(pres.gens)):
-            entries = []
-            for u in range(k):
-                row = []
-                for v in range(k):
-                    pieces = sorted(acc[g].items())
-                    if pieces:
-                        low = pieces[0][0]
-                        span = pieces[-1][0] - low + 1
-                        cs = [0] * span
-                        for d, cell in pieces:
-                            cs[d - low] = cell[u][v]
-                        row.append(laurent(p, cs, low))
-                    else:
-                        row.append(zero)
-                entries.append(tuple(row))
-            row_blocks.append(tuple(entries))
-        blocks.append(tuple(row_blocks))
-
-    result = WadaMatrix(pres, rep, tuple(blocks))
-    _check_chain_rule(result)
-    return result
+                    _bump(acc[g], deg, prefix, -1)
+        if prefix != ident or deg != 0:
+            raise ValueError(f"relator {rel.syllables} is not respected")
+        row = []
+        for by_deg in acc:
+            terms = []
+            for d in sorted(by_deg):
+                mat = tuple(tuple(v % p for v in r) for r in by_deg[d])
+                if any(any(r) for r in mat):
+                    terms.append((d, mat))
+            row.append(tuple(terms))
+        blocks.append(tuple(row))
+    wm = WadaMatrix(pres, rep, tuple(blocks))
+    _check_chain_rule(wm)
+    return wm
 
 
 def _check_chain_rule(wm: WadaMatrix) -> None:
-    p, k = wm.rep.p, wm.rep.dim
-    for i in range(len(wm.pres.relators)):
-        total = [[laurent(p, ()) for _ in range(k)] for _ in range(k)]
-        for j in range(len(wm.pres.gens)):
-            prod = _poly_mat_mul(
-                p, wm.blocks[i][j], _generator_block(wm.rep, j, True)
+    """sum_j C_ij(t) (A_j t^alpha_j - 1) = 0 for each relator i, by degree."""
+    p = wm.rep.p
+    for row in wm.blocks:
+        total: dict = {}
+        for j, terms in enumerate(row):
+            image, alpha = wm.rep.images[j], wm.rep.alpha[j]
+            for d, mat in terms:
+                _bump(total, d + alpha, _mat_mul(p, mat, image), 1)
+                _bump(total, d, mat, -1)
+        if any(v % p for cell in total.values() for r in cell for v in r):
+            raise RuntimeError(
+                "free-calculus identity failed; the matrix is wrong"
             )
-            for u in range(k):
+
+
+def _plain_grid(ring, k: int, block_rows) -> list[list]:
+    """A matrix of k x k blocks in (degree, matrix) form, as ring elements.
+
+    Entry (u, v) of the block in block row i and block column j lands in
+    row i*k + u and column j*k + v.  Every entry is multiplied by the same
+    power of t, so that no degree is negative.
+    """
+    degrees = [d for row in block_rows for terms in row for d, _ in terms]
+    shift = min(degrees, default=0)
+    span = max(degrees, default=0) - shift + 1
+    grid = []
+    for row in block_rows:
+        for u in range(k):
+            line = []
+            for terms in row:
                 for v in range(k):
-                    total[u][v] = total[u][v] + prod[u][v]
-        for u in range(k):
-            for v in range(k):
-                if not total[u][v].is_zero:
-                    raise RuntimeError(
-                        "free-calculus identity failed; the matrix is wrong"
-                    )
+                    coeffs = [0] * span
+                    for d, mat in terms:
+                        coeffs[d - shift] += mat[u][v]
+                    line.append(ring.from_coeffs(coeffs))
+            grid.append(line)
+    return grid
 
 
-def _deleted_flat(wm: WadaMatrix, column: int) -> list[list[LaurentPoly]]:
-    k = wm.rep.dim
-    rows = []
-    for i in range(len(wm.pres.relators)):
-        for u in range(k):
-            row = []
-            for j in range(len(wm.pres.gens)):
-                if j == column:
-                    continue
-                row.extend(wm.blocks[i][j][u])
-            rows.append(row)
-    return rows
+def _denominator(ring, rep: Representation, j: int):
+    """det(A_j t^alpha_j - 1) in the plain ring, up to a power of t."""
+    k = rep.dim
+    minus_one = tuple(tuple(-int(u == v) for v in range(k)) for u in range(k))
+    block = ((rep.alpha[j], rep.images[j]), (0, minus_one))
+    return _plain_det(ring, _plain_grid(ring, k, [[block]]))
 
 
 @dataclass(frozen=True)
@@ -676,43 +633,46 @@ def twisted_alexander(
 ) -> TwistedAlexander:
     wm = wada_matrix(pres, rep)
     p = rep.p
+    ring = _ring_for(p)
     if column is None:
-        chosen = None
-        for j in range(len(pres.gens)):
-            den = poly_det(p, _generator_block(rep, j, True))
-            if not den.is_zero:
-                chosen = (j, den)
+        for column in range(len(pres.gens)):
+            den = _denominator(ring, rep, column)
+            if den != ring.zero:
                 break
-        if chosen is None:
+        else:
             raise ValueError("det(Phi(x_j) - 1) vanishes for every generator")
-        column, den = chosen
     else:
-        den = poly_det(p, _generator_block(rep, column, True))
-        if den.is_zero:
+        den = _denominator(ring, rep, column)
+        if den == ring.zero:
             raise ValueError(f"column {column} has vanishing denominator")
 
-    flat = _deleted_flat(wm, column)
-    ncols = len(flat[0]) if flat else 0
+    grid = _plain_grid(
+        ring, rep.dim, [row[:column] + row[column + 1 :] for row in wm.blocks]
+    )
+    ncols = len(grid[0]) if grid else 0
     if ncols == 0:
-        num = laurent(p, (1,))
+        num = ring.one
     else:
-        ring, _, plain = _plainify(p, [e for row in flat for e in row])
-        grid = [
-            plain[i * ncols : (i + 1) * ncols] for i in range(len(flat))
-        ]
         prod, rank = _invariant_factor_product(ring, grid)
-        if rank < ncols:
-            num = laurent(p, ())
-        else:
-            num = _from_plain(p, ring, prod)
-    return TwistedAlexander(num.normalized(), den.normalized(), column)
+        num = prod if rank == ncols else ring.zero
+    return TwistedAlexander(
+        _from_plain(p, ring, num).normalized(),
+        _from_plain(p, ring, den).normalized(),
+        column,
+    )
 
 
 # -- degree maps and representation builders -------------------------------------
 
 
+@lru_cache(maxsize=None)
 def abelianization_degrees(pres: Presentation) -> tuple[int, ...]:
-    """Generator degrees under the map onto the infinite cyclic quotient."""
+    """Generator degrees under the map onto the infinite cyclic quotient.
+
+    Cached per presentation.  Presentations that are equal up to relator
+    order share an entry, which is sound: the map onto Z is unique up to
+    sign, and the sign is fixed by making the first nonzero degree positive.
+    """
     if abelianization_invariants(pres).factors != (0,):
         raise ValueError("abelianization is not infinite cyclic")
     g = len(pres.gens)

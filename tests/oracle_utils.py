@@ -3,10 +3,13 @@
 Everything here is deliberately naive: straightforward algorithms whose
 correctness is easy to see, used to cross-check the fast paths in the
 package.  Fox derivatives rebuild the twisted Alexander block matrix term by
-term, the per-homomorphism talex loop checks the orbit-weighted one, the
+term, a relator replay matrix by matrix checks the kernel's relator check,
+the per-homomorphism talex loop checks the class-weighted one, the
 scalar root lift checks the array kernel behind property T and `gnk extend`,
 and entry-by-entry index tables and a union-find orbit partition check the
-breadth-first table build and the label-propagation orbits.
+breadth-first table build and the label-propagation orbits.  `poly_det`
+is the Laurent front end of the package's plain-ring determinant, checked
+against cofactor expansion and used by the minors oracle.
 """
 
 import hashlib
@@ -73,6 +76,26 @@ def poly_cofactor_det(p, rows):
         term = rows[0][j] * poly_cofactor_det(p, minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def poly_det(p, rows):
+    """Laurent-matrix determinant through the package's plain-ring kernel.
+
+    Every entry is multiplied by one common power of t, the determinant is
+    taken over F_p[t], and the power is divided back out.
+    """
+    from gnk.talex import _from_plain, _plain_det, _ring_for
+
+    n = len(rows)
+    if any(len(r) != n for r in rows):
+        raise ValueError("matrix is not square")
+    ring = _ring_for(p)
+    shift = min((e.low for row in rows for e in row if not e.is_zero), default=0)
+    plain = [
+        [ring.from_coeffs((0,) * (e.low - shift) + e.coeffs) for e in row]
+        for row in rows
+    ]
+    return _from_plain(p, ring, _plain_det(ring, plain), n * shift)
 
 
 def poly_minors_gcd(p, rows, k):
@@ -329,6 +352,20 @@ def fox_derivative(w, gen):
     return group_ring(table, terms)
 
 
+def apply_word(rep, w):
+    """(matrix, degree) of a word under a representation, letter by letter."""
+    from gnk.talex import _mat_id, _mat_inv, _mat_mul
+
+    mat = _mat_id(rep.dim)
+    deg = 0
+    for g, e in w.syllables:
+        base = rep.images[g] if e > 0 else _mat_inv(rep.p, rep.images[g])
+        for _ in range(abs(e)):
+            mat = _mat_mul(rep.p, mat, base)
+        deg += rep.alpha[g] * e
+    return mat, deg
+
+
 def fox_block(rep, elem):
     """The image of a group-ring element: sum of c * rep(word) * t^deg(word)."""
     from gnk.talex import laurent
@@ -336,11 +373,65 @@ def fox_block(rep, elem):
     k, p = rep.dim, rep.p
     block = [[laurent(p, ()) for _ in range(k)] for _ in range(k)]
     for word, c in elem.terms:
-        mat, deg = rep.apply(word)
+        mat, deg = apply_word(rep, word)
         for u in range(k):
             for v in range(k):
                 block[u][v] = block[u][v] + laurent(p, (c * mat[u][v],), deg)
     return tuple(tuple(row) for row in block)
+
+
+def degree_terms(block):
+    """A Laurent block as (degree, coefficient matrix) pairs, the kernel's form."""
+    degrees = sorted(
+        {e.low + i for row in block for e in row for i, c in enumerate(e.coeffs) if c}
+    )
+    return tuple(
+        (
+            d,
+            tuple(
+                tuple(
+                    e.coeffs[d - e.low] if 0 <= d - e.low < len(e.coeffs) else 0
+                    for e in row
+                )
+                for row in block
+            ),
+        )
+        for d in degrees
+    )
+
+
+def laurent_block(p, k, terms):
+    """The k x k Laurent block of a kernel block's (degree, matrix) pairs."""
+    from gnk.talex import laurent
+
+    block = [[laurent(p, ()) for _ in range(k)] for _ in range(k)]
+    for d, mat in terms:
+        for u in range(k):
+            for v in range(k):
+                block[u][v] = block[u][v] + laurent(p, (mat[u][v],), d)
+    return block
+
+
+def deleted_flat(wm, column):
+    """The Wada matrix without one generator's column block, as Laurent rows."""
+    k, p = wm.rep.dim, wm.rep.p
+    rows = []
+    for row in wm.blocks:
+        blocks = [laurent_block(p, k, terms) for j, terms in enumerate(row) if j != column]
+        for u in range(k):
+            rows.append([e for block in blocks for e in block[u]])
+    return rows
+
+
+def validate_representation(pres, rep):
+    """Replay every relator through the representation, matrix by matrix."""
+    if rep.table != pres.gens:
+        raise ValueError("representation is over different generators")
+    ident = tuple(tuple(int(i == j) for j in range(rep.dim)) for i in range(rep.dim))
+    for r in pres.relators:
+        mat, deg = apply_word(rep, r)
+        if mat != ident or deg != 0:
+            raise ValueError(f"relator {r.syllables} is not respected")
 
 
 # -- twisted Alexander, one evaluation per homomorphism -----------------------------

@@ -278,7 +278,7 @@ def test_criterion_10_property_suites(suite_records):
 
     # the free-calculus identity is enforced on every Wada matrix built
     from gnk.homsearch import enumerate_homs
-    from gnk.talex import _check_chain_rule, laurent, representation_from_sl2_hom
+    from gnk.talex import _check_chain_rule, representation_from_sl2_hom
 
     trefoil = knot_presentation("trefoil_r", 1)
     wm = wada_matrix(trefoil, trivial_representation(trefoil, 5))
@@ -289,12 +289,14 @@ def test_criterion_10_property_suites(suite_records):
     for built, p in ((wm, 5), (wm2, 3)):
         # adding the identity to one block shifts that row's telescoping
         # sum by Phi(x_0) - 1, which is never zero
-        one = laurent(p, (1,))
-        block = built.blocks[0][0]
-        bumped = tuple(
-            tuple(e + one if i == j else e for j, e in enumerate(row))
-            for i, row in enumerate(block)
+        k = built.rep.dim
+        terms = dict(built.blocks[0][0])
+        constant = terms.get(0, ((0,) * k,) * k)
+        terms[0] = tuple(
+            tuple((e + (i == j)) % p for j, e in enumerate(row))
+            for i, row in enumerate(constant)
         )
+        bumped = tuple(sorted(terms.items()))
         rows0 = (bumped,) + built.blocks[0][1:]
         broken = dataclasses.replace(built, blocks=(rows0,) + built.blocks[1:])
         with pytest.raises(RuntimeError, match="identity failed"):

@@ -18,7 +18,12 @@ from gnk.harness import (
     write_records,
 )
 
-from oracle_utils import per_hom_talex
+from gnk.fingroups import group_from_spec
+from gnk.homsearch import Homomorphism, enumerate_homs
+from gnk.presentations import knot_presentation
+from gnk.talex import representation_from_sl2_hom, twisted_alexander
+
+from oracle_utils import per_hom_talex, union_find_partition
 
 
 def make_record(knot="SK", n=2, target="S3", task="count", status="ok",
@@ -186,6 +191,60 @@ def test_cell_talex_matches_per_hom_oracle(knot, n, target, monkeypatch):
     (weighted,) = evaluated
     assert len(weighted) == classes.value  # one evaluation per orbit
     assert sum(size for _, size in weighted) == homs
+
+
+# GL_2(F_p) classes of homomorphisms: inner orbits merged with their twins
+GL_CLASSES = {("SL2_3", 1): 15, ("SL2_3", 2): 15, ("SL2_3", 3): 5, ("SL2_5", 3): 27}
+
+
+@pytest.mark.parametrize(
+    "knot,n,target",
+    [(knot, n, "SL2_3") for knot in ("SK", "GK") for n in (1, 2, 3)]
+    + [("SK", 3, "SL2_5"), ("SK", 2, "PSL2_7")],
+)
+def test_talex_evaluates_once_per_gl_class(knot, n, target, monkeypatch):
+    evaluated = []
+    real = harness.twisted_alexander
+
+    def spy(pres, rep):
+        evaluated.append(rep)
+        return real(pres, rep)
+
+    monkeypatch.setattr(harness, "twisted_alexander", spy)
+    classes, _ = run_cell(knot, n, target, ("classes", "talex"))
+    if target == "PSL2_7":
+        # its outer automorphism dualizes the representation: no merging
+        assert len(evaluated) == classes.value
+        return
+    assert len(evaluated) == GL_CLASSES[target, n]
+
+    # independently: conjugate each inner orbit's least row by diag(1, r)
+    # for the largest non-residue r, compare the two lines, count classes
+    group = group_from_spec(target)
+    pres = knot_presentation(knot, n)
+    p, els = group.p, group.elements()
+    r = max(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+    rows = [hom.image_indices for hom in enumerate_homs(pres, group)]
+    lookup = {row: i for i, row in enumerate(rows)}
+    roots = union_find_partition(rows, group)
+    twin_of = {}
+    for i in sorted(set(roots)):
+        twin = tuple(
+            group.index_of((a, b * pow(r, -1, p) % p, c * r % p, d))
+            for a, b, c, d in (els[v] for v in rows[i])
+        )
+        lines = [
+            twisted_alexander(
+                pres, representation_from_sl2_hom(pres, Homomorphism(pres, group, row))
+            ).line()
+            for row in (rows[i], twin)
+        ]
+        assert lines[0] == lines[1]
+        twin_of[i] = roots[lookup[twin]]
+    # diag(1, r^2) acts as an inner automorphism, so twins come in pairs
+    assert all(twin_of[twin_of[i]] == i for i in twin_of)
+    assert len({frozenset((i, j)) for i, j in twin_of.items()}) == len(evaluated)
+    assert len(twin_of) == classes.value
 
 
 def test_cell_rejects_unknown_task():

@@ -15,29 +15,34 @@ from gnk.presentations import (
 from gnk.talex import (
     LaurentPoly,
     Representation,
-    _deleted_flat,
+    _check_chain_rule,
     _gl32_elements,
     _mat3_order,
+    _plain_grid,
+    _ring_for,
     abelianization_degrees,
     laurent,
-    poly_det,
     poly_gcd,
     psl27_matrix_dictionary,
     representation_from_psl27_hom,
     representation_from_sl2_hom,
     trivial_representation,
     twisted_alexander,
-    validate_representation,
     wada_matrix,
 )
 from gnk.words import GeneratorTable, Word, parse_word, word_product
 
 from oracle_utils import (
+    apply_word,
+    degree_terms,
+    deleted_flat,
     fox_block,
     fox_derivative,
     group_ring,
     poly_cofactor_det,
+    poly_det,
     poly_minors_gcd,
+    validate_representation,
 )
 
 AB = GeneratorTable(("a", "b"))
@@ -275,6 +280,23 @@ def test_degrees_sign_and_errors():
         abelianization_degrees(finite)
 
 
+def test_degrees_cache_ignores_relator_order():
+    # presentations equal up to relator order share one cache entry, so each
+    # order must give the cached degrees when computed afresh
+    tab = GeneratorTable(("x", "y", "z"))
+    words = tuple(parse_word(t, tab) for t in ("x y", "z x^-1", "y^2 z^2"))
+    raw = knot_presentation("SK", 2, raw=True)
+    for pres in (Presentation(tab, words), raw):
+        cached = abelianization_degrees(pres)
+        orders = itertools.islice(itertools.permutations(pres.relators), 0, None, 7)
+        for order in orders:
+            permuted = Presentation(pres.gens, order, pres.n)
+            assert permuted == pres
+            assert abelianization_degrees.__wrapped__(permuted) == cached
+            assert abelianization_degrees(permuted) == cached
+    assert abelianization_degrees(Presentation(tab, words)) == (1, -1, 1)
+
+
 # -- representations and the block matrix ------------------------------------------
 
 
@@ -282,16 +304,47 @@ def test_representation_validation():
     pres = trefoil_right_reduced(1)
     rep = trivial_representation(pres, 5)
     validate_representation(pres, rep)
+    wada_matrix(pres, rep)
     with pytest.raises(ValueError, match="singular"):
         Representation(pres.gens, 1, 5, (((0,),), ((1,),)), (1, 1))
     with pytest.raises(ValueError, match="per generator"):
         Representation(pres.gens, 1, 5, (((1,),),), (1, 1))
     bad_alpha = Representation(pres.gens, 1, 5, (((1,),), ((1,),)), (1, 2))
-    with pytest.raises(ValueError, match="not respected"):
-        validate_representation(pres, bad_alpha)
     other = Presentation(GeneratorTable(("x",)), ())
-    with pytest.raises(ValueError, match="different generators"):
-        validate_representation(other, rep)
+    # the replay oracle and the kernel's walk reject the same inputs
+    for check in (validate_representation, wada_matrix, twisted_alexander):
+        with pytest.raises(ValueError, match="not respected"):
+            check(pres, bad_alpha)
+        with pytest.raises(ValueError, match="different generators"):
+            check(other, rep)
+
+
+def test_relator_check_matches_replay_oracle():
+    # swapping one generator's image for another element breaks most homs
+    pres = knot_presentation("SK", 2)
+    group = SL2Group(3)
+    hom = next(iter(enumerate_homs(pres, group)))
+    verdicts = set()
+    for j in range(len(pres.gens)):
+        for x in group.elements():
+            images = list(hom.image_indices)
+            images[j] = group.index_of(x)
+            rep = representation_from_sl2_hom(
+                pres, Homomorphism(pres, group, tuple(images))
+            )
+            try:
+                validate_representation(pres, rep)
+                expected = True
+            except ValueError:
+                expected = False
+            try:
+                wada_matrix(pres, rep)
+                got = True
+            except ValueError:
+                got = False
+            assert got == expected
+            verdicts.add(got)
+    assert verdicts == {True, False}
 
 
 def test_representation_apply_inverse():
@@ -300,8 +353,8 @@ def test_representation_apply_inverse():
     hom = next(iter(enumerate_homs(pres, group)))
     rep = representation_from_sl2_hom(pres, hom)
     word = parse_word("d b^-2 e d^-1", pres.gens)
-    mat, deg = rep.apply(word)
-    imat, ideg = rep.apply(word.inverse())
+    mat, deg = apply_word(rep, word)
+    imat, ideg = apply_word(rep, word.inverse())
     k = rep.dim
     ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
     prod = tuple(
@@ -319,12 +372,28 @@ def test_chain_rule_check_rejects_tampering():
     pres = trefoil_right_reduced(1)
     wm = wada_matrix(pres, trivial_representation(pres, 5))
     blocks = [list(row) for row in wm.blocks]
-    blocks[0][0] = ((laurent(5, (1, 1)),),)
+    blocks[0][0] = ((0, ((1,),)), (1, ((1,),)))  # the block 1 + t
     broken = dataclasses.replace(wm, blocks=tuple(tuple(r) for r in blocks))
-    from gnk.talex import _check_chain_rule
-
     with pytest.raises(RuntimeError, match="identity failed"):
         _check_chain_rule(broken)
+
+
+def test_every_evaluation_checks_the_chain_rule(monkeypatch):
+    import gnk.talex
+
+    checked = []
+    real = gnk.talex._check_chain_rule
+
+    def spy(wm):
+        checked.append(wm)
+        real(wm)
+
+    monkeypatch.setattr(gnk.talex, "_check_chain_rule", spy)
+    pres = knot_presentation("SK", 2)
+    homs = list(enumerate_homs(pres, SL2Group(3)))[:5]
+    for hom in homs:
+        twisted_alexander(pres, representation_from_sl2_hom(pres, hom))
+    assert len(checked) == len(homs)
 
 
 def test_wada_shape():
@@ -334,8 +403,8 @@ def test_wada_shape():
     wm = wada_matrix(pres, representation_from_sl2_hom(pres, hom))
     assert len(wm.blocks) == 3
     assert all(len(row) == 3 for row in wm.blocks)
-    flat = _deleted_flat(wm, 0)
-    assert len(flat) == 6 and len(flat[0]) == 4
+    grid = _plain_grid(_ring_for(3), 2, [row[1:] for row in wm.blocks])
+    assert len(grid) == 6 and all(len(row) == 4 for row in grid)
 
 
 def test_wada_matches_fox_oracle():
@@ -354,7 +423,8 @@ def test_wada_matches_fox_oracle():
         wm = wada_matrix(pres, rep)
         for i, rel in enumerate(pres.relators):
             for j in range(len(pres.gens)):
-                assert wm.blocks[i][j] == fox_block(rep, fox_derivative(rel, j))
+                fox = fox_block(rep, fox_derivative(rel, j))
+                assert wm.blocks[i][j] == degree_terms(fox)
 
 
 # -- the invariant --------------------------------------------------------------
@@ -445,7 +515,7 @@ def test_numerator_matches_minors_oracle():
     cases.append((pres2, representation_from_sl2_hom(pres2, hom)))
     for pres, rep in cases:
         ta = twisted_alexander(pres, rep)
-        flat = _deleted_flat(wada_matrix(pres, rep), ta.column)
+        flat = deleted_flat(wada_matrix(pres, rep), ta.column)
         oracle = poly_minors_gcd(rep.p, flat, len(flat[0]))
         assert ta.numerator == oracle.normalized()
 
@@ -456,7 +526,7 @@ def test_psl27_numerator_matches_minors_oracle():
     hom = next(iter(enumerate_homs(pres, psl)))
     rep = representation_from_psl27_hom(pres, hom)
     ta = twisted_alexander(pres, rep)
-    flat = _deleted_flat(wada_matrix(pres, rep), ta.column)
+    flat = deleted_flat(wada_matrix(pres, rep), ta.column)
     minors = [
         poly_det(2, [flat[i] for i in rows])
         for rows in itertools.combinations(range(9), 6)
