@@ -24,8 +24,8 @@ from .homsearch import (
     check_property_t,
     count_homs,
     extend_g1_hom,
+    fiber_orbits,
     hom_image_matrix,
-    orbit_count,
     s24_witness_report,
     sharded_search,
 )
@@ -100,12 +100,12 @@ def cmd_count_homs(args) -> int:
 
 def cmd_count_classes(args) -> int:
     group, pres = _counted(args)
-    matrix, _ = hom_image_matrix(pres, group)
-    classes = orbit_count(matrix, group)
+    matrix, _ = hom_image_matrix(pres, group, fibers=True)
+    _, reps, sizes = fiber_orbits(pres, group, matrix)
     _emit(
         args,
-        {"classes": classes, "homs": int(matrix.shape[0])},
-        str(classes),
+        {"classes": len(reps), "homs": int(sizes.sum())},
+        str(len(reps)),
     )
     return 0
 

@@ -3,8 +3,11 @@
 A sweep walks the grid (knot, twist exponent, target group, task), runs
 each task once per cell, and appends one line-delimited JSON record per
 (knot, n, target, task) to the output file.  Records are append-only and
-canonically sorted before writing, so reruns and parallel runs produce
-byte-identical content for the same configuration.
+canonically sorted before writing, so reruns and parallel runs agree on
+every record's value and deterministic stats.  They are not byte-identical:
+each record carries its wall-clock `timestamp` (also in the sort key), and
+count records carry the search's `stats.wall_time`.  Moving those into a
+separate field is the deterministic-records item in ROADMAP.md.
 
 Tasks that a target cannot support (enumeration beyond the capability
 bound, or no matrix representation route for the invariant task) become
@@ -34,8 +37,9 @@ from .homsearch import (
     Homomorphism,
     _row_locator,
     check_property_t,
+    fiber_orbits,
     indexed_tables,
-    orbit_partition,
+    into_fibers,
     require_composite,
     sharded_search,
     structured_count,
@@ -121,7 +125,8 @@ class ResultRecord:
         return (self.knot, self.n, self.target, self.task)
 
     def to_json(self) -> str:
-        return json.dumps(asdict(self), sort_keys=True)
+        # vars, not asdict: the same JSON without deep-copying stats
+        return json.dumps(vars(self), sort_keys=True)
 
     @classmethod
     def from_json(cls, line: str) -> "ResultRecord":
@@ -165,19 +170,20 @@ def _now() -> str:
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
 
-def _count_buckets(matrix: np.ndarray, group: FiniteGroup, classes: int) -> dict:
-    """The three counting buckets read off one image matrix."""
-    total = int(matrix.shape[0])
+def _count_buckets(group: FiniteGroup, reps: np.ndarray, sizes: np.ndarray) -> dict:
+    """The three counting buckets, from one row per conjugation orbit and
+    the orbits' sizes (commuting images are a class function)."""
     idx = indexed_tables(group)
-    commuting = np.ones(total, dtype=bool)
-    for a in range(matrix.shape[1]):
-        for b in range(a + 1, matrix.shape[1]):
-            x, y = matrix[:, a], matrix[:, b]
+    commuting = np.ones(len(reps), dtype=bool)
+    for a in range(reps.shape[1]):
+        for b in range(a + 1, reps.shape[1]):
+            x, y = reps[:, a], reps[:, b]
             commuting &= idx.mul[x, y] == idx.mul[y, x]
+    total = int(sizes.sum())
     return {
         "all_homs": total,
-        "nonabelian_image": total - int(commuting.sum()),
-        "class_representatives": classes,
+        "nonabelian_image": total - int(sizes[commuting].sum()),
+        "class_representatives": len(reps),
     }
 
 
@@ -219,19 +225,21 @@ def _talex_lines(
 ) -> list[tuple[str, int]]:
     """(invariant line, orbit size) for each conjugation orbit, in lex order.
 
-    roots[i] is the row of the lex-least member of row i's orbit, reps the
-    distinct roots in lex order and sizes their orbit sizes.  The
-    normalized invariant is unchanged when the representation is conjugated
-    by any matrix in GL_k(F_p) (Wada 1994; Kirk and Livingston 1999).  So
-    it is evaluated once per GL_k(F_p) class, on the class's lex-least row,
-    and that line stands for every member of every orbit in the class.
-    With a twin map an orbit's class is itself and the orbit of its
-    conjugates by diag(1, r); without one it is the orbit alone.
+    matrix is the fiber matrix, roots[i] the row of the lex-least member of
+    row i's orbit, reps the distinct roots in lex order and sizes their
+    orbit sizes.  The normalized invariant is unchanged when the
+    representation is conjugated by any matrix in GL_k(F_p) (Wada 1994;
+    Kirk and Livingston 1999).  So it is evaluated once per GL_k(F_p)
+    class, on the class's lex-least fiber row, and that line stands for
+    every member of every orbit in the class.  With a twin map an orbit's
+    class is itself and the orbit of its conjugates by diag(1, r), whose
+    rows are conjugated back into the fibers to be found; without one it
+    is the orbit alone.
     """
     keys = reps
     if twin is not None:
-        twins = roots[_row_locator(matrix)(twin[matrix[reps]])]
-        keys = np.minimum(reps, twins)
+        twins = into_fibers(pres, group, twin[matrix[reps]])
+        keys = np.minimum(reps, roots[_row_locator(matrix)(twins)])
     lines: dict[int, str] = {}
     out = []
     for key, size in zip(keys.tolist(), sizes.tolist()):
@@ -245,26 +253,22 @@ def _talex_lines(
 def run_cell(
     knot: str, n: int, target: str, tasks, shards: int = 1
 ) -> list[ResultRecord]:
-    """All task records for one (knot, n, target) grid cell."""
+    """All task records for one (knot, n, target) grid cell.
+
+    count, classes and talex read one fiber search: the homomorphisms whose
+    first free generator maps to a conjugacy class representative.
+    """
     group = group_from_spec(target)
     pres = knot_presentation(knot, n)
     cache: dict[str, object] = {}
 
-    def matrix_and_stats():
-        if "matrix" not in cache:
-            cache["matrix"], cache["stats"] = sharded_search(pres, group, shards)
-        return cache["matrix"], cache["stats"]
-
-    def orbits():
-        """(each row's orbit root, the distinct roots in lex order, sizes).
-
-        An orbit's root is the row index of its lex-least member.
-        """
-        if "orbits" not in cache:
-            matrix, _ = matrix_and_stats()
-            roots = np.asarray(orbit_partition(matrix, group), dtype=np.int64)
-            cache["orbits"] = (roots, *np.unique(roots, return_counts=True))
-        return cache["orbits"]
+    def fibers():
+        """(search stats, fiber matrix, each row's orbit root, the distinct
+        roots in lex order, the orbits' sizes)."""
+        if "fibers" not in cache:
+            matrix, stats = sharded_search(pres, group, shards)
+            cache["fibers"] = (stats, matrix, *fiber_orbits(pres, group, matrix))
+        return cache["fibers"]
 
     records = []
     for task in tasks:
@@ -272,14 +276,14 @@ def run_cell(
             if task in ("property_t", "structured", "talex"):
                 require_composite(task, knot)
             if task == "count":
-                matrix, stats = matrix_and_stats()
+                stats, matrix, _, reps, sizes = fibers()
+                value, status = int(sizes.sum()), "ok"
                 stats = dict(stats)
-                stats["buckets"] = _count_buckets(matrix, group, len(orbits()[1]))
-                value, status = int(matrix.shape[0]), "ok"
+                stats["buckets"] = _count_buckets(group, matrix[reps], sizes)
             elif task == "classes":
-                matrix, _ = matrix_and_stats()
-                value, status = len(orbits()[1]), "ok"
-                stats = {"homs": int(matrix.shape[0])}
+                _, _, _, reps, sizes = fibers()
+                value, status = len(reps), "ok"
+                stats = {"homs": int(sizes.sum())}
             elif task == "property_t":
                 report = check_property_t(group, n, knot)
                 value, status = bool(report.holds), "ok"
@@ -296,9 +300,9 @@ def run_cell(
                 value, status = int(structured_count(group, n)), "ok"
                 stats = {}
             elif task == "talex":
-                matrix, _ = matrix_and_stats()
+                _, *found = fibers()  # oversized targets skip here
                 builder, twin = _representation_builder(group)
-                weighted = _talex_lines(pres, group, builder, twin, matrix, *orbits())
+                weighted = _talex_lines(pres, group, builder, twin, *found)
                 lines = sorted(line for line, size in weighted for _ in range(size))
                 digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
                 value, status = digest, "ok"

@@ -4,10 +4,19 @@ The search assigns generator images in a compiled order rather than plain
 presentation order: whenever an unused relator mentions exactly one
 still-unknown generator, exactly once, with exponent +-1, that generator's
 image is forced and gets computed instead of enumerated.  Remaining
-generators are enumerated ("free"), most-constrained first.  The observable
-output is unchanged: the image matrix always comes back sorted
-lexicographically by the presentation's own generator order, so shard
-outputs merge deterministically.
+generators are enumerated ("free"), most-constrained first; the first step
+is always free.  Its values are a seed column, so one descent covers every
+seed value, and the image matrix comes back sorted lexicographically by the
+presentation's own generator order, so shard outputs merge
+deterministically.
+
+The full search seeds every element.  The fiber search seeds one
+representative c of each conjugacy class: its rows are the fibers F_c, the
+homomorphisms whose first free generator maps to c.  The paper's two
+invariants follow from them, |Hom| = sum_c [H : C_H(c)] |F_c|, and the
+conjugation orbits of homomorphisms are the C_H(c)-orbits on each F_c
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+Shards split the seed.
 
 All group arithmetic runs on precomputed index tables (numpy int32).  The
 enumeration bound in fingroups keeps every index product below 2**31, so
@@ -139,6 +148,99 @@ def indexed_tables(group: FiniteGroup) -> _Indexed:
     return tables
 
 
+def _min_labels(rows: int, targets) -> np.ndarray:
+    """The least index reachable from each of range(rows) along the target
+    maps, which are permutations: each round takes the least label over the
+    targets and then jumps label = label[label], until nothing changes."""
+    label = np.arange(rows)
+    while True:
+        new = label
+        for target in targets:
+            new = np.minimum(new, new[target])
+        new = new[new]
+        if np.array_equal(new, label):
+            return label
+        label = new
+
+
+def _conjugate(idx: _Indexed, rows: np.ndarray, by: np.ndarray) -> np.ndarray:
+    """by^-1 x by for each entry x of rows; by broadcasts against rows."""
+    return idx.mul[idx.mul[idx.inv[by], rows], by]
+
+
+def _generators_over(
+    idx: _Indexed, members: np.ndarray, start: np.ndarray
+) -> list[int]:
+    """Greedy generators of the subgroup with this membership mask, over
+    its subgroup start: repeatedly adjoin the least member not generated."""
+    got = start.copy()
+    gens: list[int] = []
+    while not got[members].all():
+        gens.append(int(np.flatnonzero(members & ~got)[0]))
+        elems = np.append(np.flatnonzero(got), gens[-1])
+        while True:  # closure by squaring: A <- A A until A is a subgroup
+            got[idx.mul[np.ix_(elems, elems)]] = True
+            if got.sum() == len(elems):
+                break
+            elems = np.flatnonzero(got)
+    return gens
+
+
+class _Classes:
+    """Conjugacy classes of a group, read off its index tables.
+
+    reps          the least element index of each class, ascending
+    label[x]      the position in reps of x's class
+    sizes[i]      |class(c)| = [H : C_H(c)] for c = reps[i]
+    centralizers  row i generates C_H(reps[i]) modulo the centre Z(H),
+                  padded with the identity; Z(H) conjugates trivially
+    transversal   transversal[x] = t with t^-1 x t = reps[label[x]]
+    """
+
+    def __init__(self, group: FiniteGroup) -> None:
+        idx = indexed_tables(group)
+        gens = np.array(
+            [group.index_of(g) for g in generating_set(group)], dtype=np.int32
+        )
+        moves = _conjugate(idx, np.arange(idx.n)[None, :], gens[:, None])
+        least = _min_labels(idx.n, moves)
+        self.reps = np.flatnonzero(least == np.arange(idx.n)).astype(np.int32)
+        self.label = np.searchsorted(self.reps, least)
+        self.sizes = np.bincount(self.label)
+        # t_y = k t_x when x = k^-1 y k; grown outwards from the reps
+        t = np.full(idx.n, -1, dtype=np.int32)
+        t[self.reps] = idx.ident
+        while (t < 0).any():
+            for k, move in zip(gens, moves):
+                todo = (t < 0) & (t[move] >= 0)
+                t[todo] = idx.mul[k, t[move[todo]]]
+        self.transversal = t
+        centre = self.sizes[self.label] == 1
+        found: dict[bytes, list[int]] = {}
+        cents = []
+        for c, size in zip(self.reps, self.sizes):
+            if size == 1:  # C_H(c) is the whole group
+                cents.append(gens[~centre[gens]].tolist())
+                continue
+            members = idx.mul[:, c] == idx.mul[c, :]
+            key = members.tobytes()
+            if key not in found:
+                found[key] = _generators_over(idx, members, centre)
+            cents.append(found[key])
+        width = max(map(len, cents))
+        self.centralizers = np.full((len(cents), width), idx.ident, dtype=np.int32)
+        for row, cent in zip(self.centralizers, cents):
+            row[: len(cent)] = cent
+
+
+def class_data(group: FiniteGroup) -> _Classes:
+    cached = getattr(group, "_class_data", None)
+    if cached is None:
+        cached = _Classes(group)
+        group._class_data = cached
+    return cached
+
+
 # -- assignment plans ---------------------------------------------------------
 
 
@@ -203,7 +305,7 @@ def _compile_plan(gens: GeneratorTable, relators: tuple[Word, ...]) -> tuple:
                 for pos, (g, e) in enumerate(r.syllables)
                 if g not in known
             ]
-            if len(unknown) == 1 and abs(unknown[0][2]) == 1:
+            if known and len(unknown) == 1 and abs(unknown[0][2]) == 1:
                 pos, g, _ = unknown[0]
                 used.add(ri)
                 steps.append(_Pin(g, _solve_for(r, pos), ri))
@@ -264,11 +366,29 @@ def _search(
     group: FiniteGroup,
     shards: int,
     shard_id: int,
+    fibers: bool,
     collect: bool,
 ) -> tuple[np.ndarray | None, SearchStats]:
+    """Every homomorphism, or with fibers every one whose first free
+    generator maps to a class representative.
+
+    Plan step 0 is always a _Free.  A seed column takes its place: every
+    element, or the class representatives.  So one descent covers every
+    seed value, and shard s of k takes every k-th seed value from the s-th
+    on.  A found row counts weight[x] towards stats.homs, x its first free
+    generator's image: 1, or with fibers the size of x's class.
+    """
     _check_shards(shards, shard_id)
     idx = indexed_tables(group)
+    if fibers:
+        classes = class_data(group)
+        seed, weight = classes.reps, classes.sizes[classes.label]
+    else:
+        seed = np.arange(idx.n, dtype=np.int32)
+        weight = np.ones(idx.n, dtype=np.int64)
+    seed = seed[shard_id::shards]
     steps = compile_plan(pres)
+    first = steps[0].gen
     stats = SearchStats(shards=shards, shard_id=shard_id)
     started = time.perf_counter()
     gen_count = len(pres.gens)
@@ -278,7 +398,7 @@ def _search(
         if length == 0:
             return
         if i == len(steps):
-            stats.homs += length
+            stats.homs += int(weight[cols[first]].sum())
             if collect:
                 blocks.append(
                     np.stack([cols[g] for g in range(gen_count)], axis=1)
@@ -290,25 +410,15 @@ def _search(
             for lo in range(0, total, BLOCK_ROWS):
                 rows = np.arange(lo, min(lo + BLOCK_ROWS, total), dtype=np.int64)
                 base = rows // idx.n
-                vals = (rows % idx.n).astype(np.int32)
                 sub = {g: arr[base] for g, arr in cols.items()}
-                if step.gen == 0 and shards > 1:
-                    keep = vals % shards == shard_id
-                    vals = vals[keep]
-                    sub = {g: arr[keep] for g, arr in sub.items()}
-                sub[step.gen] = vals
-                stats.nodes += len(vals)
-                descend(i + 1, sub, len(vals))
+                sub[step.gen] = (rows % idx.n).astype(np.int32)
+                stats.nodes += len(rows)
+                descend(i + 1, sub, len(rows))
         elif isinstance(step, _Pin):
-            vals = _eval_on_columns(step.expr, cols, idx, length)
-            if step.gen == 0 and shards > 1:
-                keep = vals % shards == shard_id
-                vals = vals[keep]
-                cols = {g: arr[keep] for g, arr in cols.items()}
             sub = dict(cols)
-            sub[step.gen] = vals
-            stats.nodes += len(vals)
-            descend(i + 1, sub, len(vals))
+            sub[step.gen] = _eval_on_columns(step.expr, cols, idx, length)
+            stats.nodes += length
+            descend(i + 1, sub, length)
         else:
             vals = _eval_on_columns(
                 pres.relators[step.relator_index], cols, idx, length
@@ -321,7 +431,8 @@ def _search(
             elif kept:
                 descend(i + 1, {g: arr[keep] for g, arr in cols.items()}, kept)
 
-    descend(0, {}, 1)
+    stats.nodes += len(seed)
+    descend(1, {first: seed}, len(seed))
     matrix = None
     if collect:
         if blocks:
@@ -334,10 +445,19 @@ def _search(
 
 
 def hom_image_matrix(
-    pres: Presentation, group: FiniteGroup, shards: int = 1, shard_id: int = 0
+    pres: Presentation,
+    group: FiniteGroup,
+    shards: int = 1,
+    shard_id: int = 0,
+    fibers: bool = False,
 ) -> tuple[np.ndarray, SearchStats]:
-    """All homomorphism image rows, lex-sorted in presentation gen order."""
-    matrix, stats = _search(pres, group, shards, shard_id, collect=True)
+    """All homomorphism image rows, lex-sorted in presentation gen order.
+
+    With fibers, only the rows whose first free generator maps to a class
+    representative (see class_data); stats.homs still counts every
+    homomorphism.  Shards split the first free generator's values.
+    """
+    matrix, stats = _search(pres, group, shards, shard_id, fibers, collect=True)
     assert matrix is not None
     return matrix, stats
 
@@ -345,14 +465,17 @@ def hom_image_matrix(
 def count_homs(
     pres: Presentation, group: FiniteGroup, shards: int = 1, shard_id: int = 0
 ) -> tuple[int, SearchStats]:
-    _, stats = _search(pres, group, shards, shard_id, collect=False)
+    """|Hom(pres, group)| = sum over class representatives c of
+    [H : C_H(c)] times the size of c's fiber; shards split the classes."""
+    _, stats = _search(pres, group, shards, shard_id, fibers=True, collect=False)
     return stats.homs, stats
 
 
 def _run_shard(args: tuple):
     pres, group, shards, shard_id, collect = args
-    search = hom_image_matrix if collect else count_homs
-    return search(pres, group, shards, shard_id)
+    if collect:
+        return hom_image_matrix(pres, group, shards, shard_id, fibers=True)
+    return count_homs(pres, group, shards, shard_id)
 
 
 def sharded_search(
@@ -362,9 +485,9 @@ def sharded_search(
     jobs: int = 1,
     collect: bool = True,
 ) -> tuple[np.ndarray | None, dict]:
-    """Every shard of one search, in turn or on a pool of jobs processes.
+    """Every shard of one fiber search, in turn or on a pool of jobs processes.
 
-    Returns the merged, lex-sorted image matrix (None unless collect) and
+    Returns the merged, lex-sorted fiber matrix (None unless collect) and
     the shards' stats summed; a single shard reports its own stats.
     """
     _check_shards(shards)
@@ -439,34 +562,36 @@ def _row_locator(matrix: np.ndarray):
     return locate
 
 
-def orbit_partition(homs, group: FiniteGroup | None = None) -> list[int]:
+def orbit_partition(
+    homs, group: FiniteGroup | None = None, conjugators: np.ndarray | None = None
+) -> list[int]:
     """The least row index of each input row's conjugation orbit.
 
-    For a lex-sorted image matrix that is the orbit's lex-least row.  Labels
-    start as row indices; each round takes the least label over the
-    conjugates by every generator and then jumps label = label[label],
-    until nothing changes.
+    For a lex-sorted image matrix that is the orbit's lex-least row.  Row i
+    is conjugated by each entry of conjugators[i] (default: the group's
+    generating set), and the orbits are those of the group they generate:
+    labels start as row indices and propagate as in _min_labels.  Identity
+    entries pad rows with fewer conjugators and cost no lookup.
     """
     matrix, group = _as_matrix(homs, group)
     idx = indexed_tables(group)
     rows = matrix.shape[0]
     if rows == 0:
         return []
-    locate = _row_locator(matrix)
+    if conjugators is None:
+        gens = [group.index_of(g) for g in generating_set(group)]
+        gens = np.array(gens, dtype=np.int32)
+        conjugators = np.broadcast_to(gens, (rows, len(gens)))
+    slots = [(by, np.flatnonzero(by != idx.ident)) for by in conjugators.T]
+    slots = [(by, moved) for by, moved in slots if len(moved)]
     targets = []
-    for g in generating_set(group):
-        k = group.index_of(g)
-        pre = idx.mul_flat[idx.inv[k] * idx.n + matrix]
-        targets.append(locate(idx.mul_flat[pre * idx.n + k]))
-    label = np.arange(rows)
-    while True:
-        new = label
-        for target in targets:
-            new = np.minimum(new, new[target])
-        new = new[new]
-        if np.array_equal(new, label):
-            return label.tolist()
-        label = new
+    if slots:
+        locate = _row_locator(matrix)
+    for by, moved in slots:
+        target = np.arange(rows)
+        target[moved] = locate(_conjugate(idx, matrix[moved], by[moved, None]))
+        targets.append(target)
+    return _min_labels(rows, targets).tolist()
 
 
 def orbit_count(homs, group: FiniteGroup | None = None) -> int:
@@ -479,6 +604,39 @@ def orbit_representatives(homs, group: FiniteGroup | None = None) -> np.ndarray:
     matrix, group = _as_matrix(homs, group)
     roots = orbit_partition(matrix, group)
     return matrix[sorted(set(roots))]
+
+
+# -- fibers: one class representative per first free generator -----------------
+
+
+def into_fibers(
+    pres: Presentation, group: FiniteGroup, rows: np.ndarray
+) -> np.ndarray:
+    """Each row conjugated so its first free generator maps to its class's
+    representative: by transversal[x], x that generator's image."""
+    gen = compile_plan(pres)[0].gen
+    by = class_data(group).transversal[rows[:, gen]]
+    return _conjugate(indexed_tables(group), rows, by[:, None])
+
+
+def fiber_orbits(
+    pres: Presentation, group: FiniteGroup, matrix: np.ndarray
+) -> tuple[np.ndarray, ...]:
+    """(each row's orbit root, the distinct roots in lex order, orbit sizes)
+    for a fiber matrix.
+
+    The conjugation orbits of homomorphisms meet the fiber of c in the
+    orbits of C_H(c), so each row is conjugated by its c's centralizer
+    generators.  A root is the row of the orbit's lex-least member; an
+    orbit's size counts all its homomorphisms, [H : C_H(c)] times its
+    C_H(c)-orbit size.
+    """
+    classes = class_data(group)
+    row_class = classes.label[matrix[:, compile_plan(pres)[0].gen]]
+    roots = orbit_partition(matrix, group, classes.centralizers[row_class])
+    roots = np.asarray(roots, dtype=np.int64)
+    reps, counts = np.unique(roots, return_counts=True)
+    return roots, reps, counts * classes.sizes[row_class[reps]]
 
 
 # -- n = 1 base homomorphisms and their twisted extensions ----------------------

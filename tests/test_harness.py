@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -79,6 +80,23 @@ def test_record_json_roundtrip():
     rec = make_record(stats={"nodes": 3, "buckets": {"all_homs": 6}})
     again = ResultRecord.from_json(rec.to_json())
     assert again == rec
+
+
+def test_record_to_json_matches_asdict():
+    nested = {
+        "nodes": 3,
+        "buckets": {"all_homs": 6, "nonabelian_image": 0},
+        "counterexample_base": ["(1,2)", "()", "(1,2,3)"],
+    }
+    records = [
+        make_record(stats=nested),
+        make_record(task="talex", value="ab" * 32, stats={"homs": 6, "distinct": 2}),
+        make_record(status="skip", value=None, stats={"reason": "too big"}),
+        make_record(task="property_t", value=False, stats={}),
+    ]
+    records += run_cell("SK", 2, "SL2_3", ("count", "classes", "property_t", "talex"))
+    for rec in records:
+        assert rec.to_json() == json.dumps(dataclasses.asdict(rec), sort_keys=True)
 
 
 def test_write_read_append(tmp_path):

@@ -10,20 +10,25 @@ from gnk.fingroups import (
     DirectProductGroup,
     SymmetricGroup,
     cayley_table,
+    format_cayley_table,
     from_cayley_table,
     group_from_spec,
     nth_roots,
 )
+from gnk.harness import _count_buckets
 from gnk.homsearch import (
     Homomorphism,
     check_property_t,
+    class_data,
     compile_plan,
     count_homs,
     enumerate_homs,
     extend_g1_hom,
+    fiber_orbits,
     g1_base_matrix,
     hom_image_matrix,
     indexed_tables,
+    into_fibers,
     lift_roots,
     orbit_count,
     orbit_partition,
@@ -47,6 +52,7 @@ from gnk.words import GeneratorTable, evaluate, parse_word
 from oracle_utils import (
     brute_force_homs,
     burnside_orbit_count,
+    conjugacy_classes,
     naive_index_tables,
     scalar_lifts,
     scalar_property_t,
@@ -312,6 +318,112 @@ def test_orbit_partition_matches_union_find_and_burnside(knot, n, target):
     part = orbit_partition(mat, group)
     assert part == union_find_partition(mat, group)
     assert len(set(part)) == burnside_orbit_count(mat, group)
+
+
+def _cayley_d5(tmp_path):
+    path = tmp_path / "d5.table"
+    path.write_text(format_cayley_table(DihedralGroup(5)))
+    return group_from_spec(f"cayley:{path}")
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda _, spec=spec: group_from_spec(spec) for spec in STANDARD_TARGETS]
+    + [_cayley_d5, lambda _: DirectProductGroup(SymmetricGroup(3), CyclicGroup(4))],
+    ids=STANDARD_TARGETS + ["cayley-D5", "S3xZ4"],
+)
+def test_class_data_matches_oracle(make, tmp_path):
+    group = make(tmp_path)
+    data = class_data(group)
+    els = group.elements()
+    oracle = conjugacy_classes(group)
+    assert data.reps.tolist() == [members[0] for members in oracle]
+    assert data.sizes.tolist() == [len(members) for members in oracle]
+    assert int(data.sizes.sum()) == group.order
+    for i, members in enumerate(oracle):
+        assert (data.label[list(members)] == i).all()
+
+    def commute(x, y):
+        return group.mul(x, y) == group.mul(y, x)
+
+    centre = {x for x in els if all(commute(x, y) for y in els)}
+    for c, gens in zip(data.reps.tolist(), data.centralizers.tolist()):
+        rep = els[c]
+        centralizer = {x for x in els if commute(x, rep)}
+        gens = [els[g] for g in gens]
+        assert set(gens) <= centralizer
+        # with the centre, which conjugates trivially, they generate C_H(c)
+        closure, frontier = set(centre), list(centre)
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = group.mul(x, g)
+                if y not in closure:
+                    closure.add(y)
+                    frontier.append(y)
+        assert closure == centralizer
+    for x, t in enumerate(data.transversal.tolist()):
+        rep = els[data.reps[data.label[x]]]
+        assert group.conjugate(els[x], els[t]) == rep
+
+
+def _buckets_of(matrix, group):
+    """The counting buckets of a full image matrix, entry by entry."""
+    els = group.elements()
+    abelian = 0
+    for row in matrix.tolist():
+        images = [els[v] for v in row]
+        abelian += all(
+            group.mul(x, y) == group.mul(y, x)
+            for x, y in itertools.combinations(images, 2)
+        )
+    return {"all_homs": len(matrix), "nonabelian_image": len(matrix) - abelian}
+
+
+@pytest.mark.parametrize(
+    "target", ["S3", "S4", "S5", "A5", "D4", "Z2xZ4", "SL2_3", "SL2_5", "PSL2_7"]
+)
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize(
+    "knot,raw", [("SK", False), ("GK", False), ("trefoil_r", False), ("SK", True)]
+)
+def test_fibers_match_full_search(knot, raw, n, target):
+    """Counts, buckets, classes and orbit sizes from the fibers equal those
+    of the full image matrix partitioned under the whole group."""
+    group = group_from_spec(target)
+    pres = knot_presentation(knot, n, raw=raw)
+    full, _ = hom_image_matrix(pres, group)
+    full_roots = np.array(orbit_partition(full, group))
+    full_reps, full_sizes = np.unique(full_roots, return_counts=True)
+    want = _buckets_of(full, group)
+    for shards in (1, 3):
+        fibers, stats = sharded_search(pres, group, shards)
+        roots, reps, sizes = fiber_orbits(pres, group, fibers)
+        assert stats["homs"] == len(full)
+        parts = [count_homs(pres, group, shards, s)[0] for s in range(shards)]
+        assert sum(parts) == len(full)
+        buckets = _count_buckets(group, fibers[reps], sizes)
+        assert buckets == {**want, "class_representatives": len(full_reps)}
+        # each fiber orbit lies in one full orbit of the same size, and
+        # every full orbit is met exactly once
+        hit = full_roots[_row_locator(full)(fibers)]
+        assert (hit == hit[roots]).all()
+        assert sorted(hit[reps].tolist()) == full_reps.tolist()
+        assert dict(zip(hit[reps].tolist(), sizes.tolist())) == dict(
+            zip(full_reps.tolist(), full_sizes.tolist())
+        )
+
+
+def test_into_fibers_lands_on_class_representatives():
+    group = group_from_spec("S4")
+    pres = knot_presentation("SK", 2, raw=True)  # first free generator is not gen 0
+    full, _ = hom_image_matrix(pres, group)
+    fibers, _ = hom_image_matrix(pres, group, fibers=True)
+    moved = into_fibers(pres, group, full)
+    gen = compile_plan(pres)[0].gen
+    data = class_data(group)
+    assert (moved[:, gen] == data.reps[data.label[full[:, gen]]]).all()
+    assert len(_row_locator(fibers)(moved)) == len(full)  # every row is found
 
 
 def test_row_locator_matches_dict_oracle():
