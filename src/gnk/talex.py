@@ -8,10 +8,12 @@ column block leaves the numerator matrix; the invariant is the pair
     (gcd of maximal minors of the deleted matrix, det(Phi(x_j) - 1))
 
 with both entries normalized to lowest degree 0 and lowest coefficient 1.
-The gcd is computed as the product of invariant factors of the deleted
-matrix (diagonalization over F_p[t]), which agrees with the minors gcd;
-the test suite recomputes small cases by enumerating minors directly, and
-rebuilds the block matrix from Fox derivatives.
+The gcd is the product of the pivots of a row-only echelon form of the
+deleted matrix over F_p[t], and the same kernel gives the denominator as
+a determinant.  The test suite checks the kernel against a Smith
+diagonalization and cofactor determinants, recomputes small cases by
+enumerating minors directly, and rebuilds the block matrix from Fox
+derivatives.
 
 The block matrix is built in one prefix walk per relator, as integer
 k x k coefficient matrices by degree.  The same walk checks that the
@@ -197,10 +199,6 @@ class _GF2Ring:
         return q, a
 
     @staticmethod
-    def monic(a: int) -> int:
-        return a
-
-    @staticmethod
     def from_coeffs(coeffs: Sequence[int]) -> int:
         out = 0
         for i, c in enumerate(coeffs):
@@ -269,12 +267,6 @@ class _GFpRing:
                     rem[shift + i] = (rem[shift + i] - c * bc) % self.p
         return self._trim(q), self._trim(rem)
 
-    def monic(self, a: tuple) -> tuple:
-        if not a:
-            return a
-        inv_lead = pow(a[-1], -1, self.p)
-        return tuple(c * inv_lead % self.p for c in a)
-
     def from_coeffs(self, coeffs: Sequence[int]) -> tuple:
         return self._trim([c % self.p for c in coeffs])
 
@@ -291,53 +283,6 @@ def _from_plain(p: int, ring, a, low: int = 0) -> LaurentPoly:
     return laurent(p, ring.to_coeffs(a), low)
 
 
-def _plain_det(ring, A: list[list]):
-    """Exact determinant of a square matrix over F_p[t] (fraction-free)."""
-    n = len(A)
-    if n == 0:
-        return ring.one
-    A = [list(row) for row in A]
-    negate = False
-    prev = ring.one
-    for k in range(n - 1):
-        if A[k][k] == ring.zero:
-            for i in range(k + 1, n):
-                if A[i][k] != ring.zero:
-                    A[k], A[i] = A[i], A[k]
-                    negate = not negate
-                    break
-            else:
-                return ring.zero
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = ring.sub(
-                    ring.mul(A[i][j], A[k][k]), ring.mul(A[i][k], A[k][j])
-                )
-                q, r = ring.divmod(num, prev)
-                if r != ring.zero:
-                    raise RuntimeError("inexact division in determinant")
-                A[i][j] = q
-        prev = A[k][k]
-    det = A[n - 1][n - 1]
-    return ring.neg(det) if negate else det
-
-
-def poly_gcd(p: int, polys: Sequence[LaurentPoly]) -> LaurentPoly:
-    """Normalized gcd; zero when every input is zero."""
-    ring = _ring_for(p)
-    acc = ring.zero
-    for poly in polys:
-        if poly.p != p:
-            raise ValueError("modulus mismatch")
-        if poly.is_zero:
-            continue
-        b = ring.from_coeffs(poly.coeffs)
-        while b != ring.zero:
-            _, r = ring.divmod(acc, b)
-            acc, b = b, r
-    return _from_plain(p, ring, ring.monic(acc)).normalized()
-
-
 def _gcdex(ring, a, b):
     """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
     r0, r1 = a, b
@@ -351,79 +296,46 @@ def _gcdex(ring, a, b):
     return r0, s0, t0
 
 
-def _invariant_factor_product(ring, grid: list[list]) -> tuple[object, int]:
-    """(product of diagonal entries, rank) after diagonalizing over F_p[t].
+def _pivot_product(ring, grid: list[list]):
+    """Product of the pivots of a row-only echelon form over F_p[t].
 
-    Off-diagonal entries are killed with a single unimodular 2x2 transform
-    built from the extended gcd, so each pass over a row or column costs
-    one block of multiplications and the pivot degree never increases.
+    Rows are only swapped, reduced by a multiple of the pivot row, or
+    mixed by the 2x2 transform [[u, v], [-b/g, a/g]] of determinant 1 built
+    from the extended gcd.  These keep the ideal of maximal minors, and in
+    echelon form the only nonzero maximal minor is the pivot product.  So
+    for rows >= columns this is the gcd of the maximal minors up to a unit,
+    and for a square grid it is the determinant exactly: the sign is
+    flipped once per row swap.  Zero when a column has no pivot.  The grid
+    is reduced in place.
     """
-    m = len(grid)
-    n = len(grid[0]) if m else 0
-    t = 0
-    prod = ring.one
-    while t < min(m, n):
-        piv = None
-        for i in range(t, m):
-            for j in range(t, n):
-                if grid[i][j] != ring.zero and (
-                    piv is None
-                    or ring.deg(grid[i][j]) < ring.deg(grid[piv[0]][piv[1]])
-                ):
-                    piv = (i, j)
-        if piv is None:
-            break
-        if piv[0] != t:
-            grid[t], grid[piv[0]] = grid[piv[0]], grid[t]
-        if piv[1] != t:
-            for row in grid:
-                row[t], row[piv[1]] = row[piv[1]], row[t]
-        while True:
-            for i in range(t + 1, m):
-                b = grid[i][t]
-                if b == ring.zero:
-                    continue
-                a = grid[t][t]
-                q, r = ring.divmod(b, a)
-                if r == ring.zero:
-                    for j in range(t, n):
-                        grid[i][j] = ring.sub(
-                            grid[i][j], ring.mul(q, grid[t][j])
-                        )
-                else:
-                    g, u, v = _gcdex(ring, a, b)
-                    qa, _ = ring.divmod(a, g)
-                    qb, _ = ring.divmod(b, g)
-                    for j in range(t, n):
-                        x, y = grid[t][j], grid[i][j]
-                        grid[t][j] = ring.add(ring.mul(u, x), ring.mul(v, y))
-                        grid[i][j] = ring.sub(ring.mul(qa, y), ring.mul(qb, x))
-            col_dirty = False
-            for j in range(t + 1, n):
-                b = grid[t][j]
-                if b == ring.zero:
-                    continue
-                a = grid[t][t]
-                q, r = ring.divmod(b, a)
-                if r == ring.zero:
-                    for i in range(t, m):
-                        grid[i][j] = ring.sub(
-                            grid[i][j], ring.mul(q, grid[i][t])
-                        )
-                else:
-                    g, u, v = _gcdex(ring, a, b)
-                    qa, _ = ring.divmod(a, g)
-                    qb, _ = ring.divmod(b, g)
-                    for i in range(t, m):
-                        x, y = grid[i][t], grid[i][j]
-                        grid[i][t] = ring.add(ring.mul(u, x), ring.mul(v, y))
-                        grid[i][j] = ring.sub(ring.mul(qa, y), ring.mul(qb, x))
-                    col_dirty = True  # column t picked up new entries
-            if not col_dirty:
-                break
-        prod = ring.mul(prod, grid[t][t])
-        t += 1
-    return prod, t
+    m, n = len(grid), len(grid[0]) if grid else 0
+    prod, negate = ring.one, False
+    for t in range(n):
+        live = [i for i in range(t, m) if grid[i][t] != ring.zero]
+        if not live:
+            return ring.zero
+        piv = min(live, key=lambda i: ring.deg(grid[i][t]))
+        if piv != t:
+            grid[t], grid[piv] = grid[piv], grid[t]
+            negate = not negate
+        top = grid[t]
+        for row in grid[t + 1 :]:
+            b = row[t]
+            if b == ring.zero:
+                continue
+            q, r = ring.divmod(b, top[t])
+            if r == ring.zero:
+                for j in range(t, n):
+                    row[j] = ring.sub(row[j], ring.mul(q, top[j]))
+            else:
+                g, u, v = _gcdex(ring, top[t], b)
+                qa, qb = ring.divmod(top[t], g)[0], ring.divmod(b, g)[0]
+                for j in range(t, n):
+                    x, y = top[j], row[j]
+                    top[j] = ring.add(ring.mul(u, x), ring.mul(v, y))
+                    row[j] = ring.sub(ring.mul(qa, y), ring.mul(qb, x))
+        prod = ring.mul(prod, top[t])
+    return ring.neg(prod) if negate else prod
 
 
 # -- representations and the block matrix --------------------------------------------
@@ -613,7 +525,7 @@ def _denominator(ring, rep: Representation, j: int):
     k = rep.dim
     minus_one = tuple(tuple(-int(u == v) for v in range(k)) for u in range(k))
     block = ((rep.alpha[j], rep.images[j]), (0, minus_one))
-    return _plain_det(ring, _plain_grid(ring, k, [[block]]))
+    return _pivot_product(ring, _plain_grid(ring, k, [[block]]))
 
 
 @dataclass(frozen=True)
@@ -631,6 +543,10 @@ class TwistedAlexander:
 def twisted_alexander(
     pres: Presentation, rep: Representation, column: int | None = None
 ) -> TwistedAlexander:
+    if column is not None and not 0 <= column < len(pres.gens):
+        raise ValueError(
+            f"column {column} is out of range for {len(pres.gens)} generators"
+        )
     wm = wada_matrix(pres, rep)
     p = rep.p
     ring = _ring_for(p)
@@ -649,12 +565,7 @@ def twisted_alexander(
     grid = _plain_grid(
         ring, rep.dim, [row[:column] + row[column + 1 :] for row in wm.blocks]
     )
-    ncols = len(grid[0]) if grid else 0
-    if ncols == 0:
-        num = ring.one
-    else:
-        prod, rank = _invariant_factor_product(ring, grid)
-        num = prod if rank == ncols else ring.zero
+    num = _pivot_product(ring, grid)
     return TwistedAlexander(
         _from_plain(p, ring, num).normalized(),
         _from_plain(p, ring, den).normalized(),

@@ -7,9 +7,11 @@ term, a relator replay matrix by matrix checks the kernel's relator check,
 the per-homomorphism talex loop checks the class-weighted one, the
 scalar root lift checks the array kernel behind property T and `gnk extend`,
 and entry-by-entry index tables and a union-find orbit partition check the
-breadth-first table build and the label-propagation orbits.  `poly_det`
-is the Laurent front end of the package's plain-ring determinant, checked
-against cofactor expansion and used by the minors oracle.
+breadth-first table build and the label-propagation orbits.  A Smith
+diagonalization over F_p[t] checks the package's row-echelon pivot
+product, and `poly_gcd` with cofactor expansion gives the gcd of maximal
+minors directly.  `poly_det` is the Laurent front end of the pivot
+product, checked against cofactor expansion and used by the minors oracle.
 """
 
 import hashlib
@@ -84,7 +86,7 @@ def poly_det(p, rows):
     Every entry is multiplied by one common power of t, the determinant is
     taken over F_p[t], and the power is divided back out.
     """
-    from gnk.talex import _from_plain, _plain_det, _ring_for
+    from gnk.talex import _from_plain, _pivot_product, _ring_for
 
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -95,19 +97,114 @@ def poly_det(p, rows):
         [ring.from_coeffs((0,) * (e.low - shift) + e.coeffs) for e in row]
         for row in rows
     ]
-    return _from_plain(p, ring, _plain_det(ring, plain), n * shift)
+    return _from_plain(p, ring, _pivot_product(ring, plain), n * shift)
+
+
+def poly_gcd(p, polys):
+    """Normalized gcd; zero when every input is zero."""
+    from gnk.talex import _from_plain, _ring_for
+
+    ring = _ring_for(p)
+    acc = ring.zero
+    for poly in polys:
+        if poly.p != p:
+            raise ValueError("modulus mismatch")
+        if poly.is_zero:
+            continue
+        b = ring.from_coeffs(poly.coeffs)
+        while b != ring.zero:
+            _, r = ring.divmod(acc, b)
+            acc, b = b, r
+    return _from_plain(p, ring, acc).normalized()
 
 
 def poly_minors_gcd(p, rows, k):
     """gcd of all k-by-k minors of a Laurent-polynomial matrix."""
-    from gnk.talex import poly_gcd
-
     minors = []
     for rr in itertools.combinations(range(len(rows)), k):
         for cc in itertools.combinations(range(len(rows[0])), k):
             sub = [[rows[i][j] for j in cc] for i in rr]
             minors.append(poly_cofactor_det(p, sub))
     return poly_gcd(p, minors)
+
+
+def invariant_factor_product(ring, grid):
+    """(product of diagonal entries, rank) after diagonalizing over F_p[t].
+
+    Row and column sweeps, each entry killed by a unimodular 2x2 transform
+    from the extended gcd, repeated until the pivot column stays clean.  For
+    a grid with at least as many rows as columns and full column rank the
+    product is the gcd of the maximal minors, up to a unit.  The grid is
+    reduced in place.
+    """
+    from gnk.talex import _gcdex
+
+    m = len(grid)
+    n = len(grid[0]) if m else 0
+    t = 0
+    prod = ring.one
+    while t < min(m, n):
+        piv = None
+        for i in range(t, m):
+            for j in range(t, n):
+                if grid[i][j] != ring.zero and (
+                    piv is None
+                    or ring.deg(grid[i][j]) < ring.deg(grid[piv[0]][piv[1]])
+                ):
+                    piv = (i, j)
+        if piv is None:
+            break
+        if piv[0] != t:
+            grid[t], grid[piv[0]] = grid[piv[0]], grid[t]
+        if piv[1] != t:
+            for row in grid:
+                row[t], row[piv[1]] = row[piv[1]], row[t]
+        while True:
+            for i in range(t + 1, m):
+                b = grid[i][t]
+                if b == ring.zero:
+                    continue
+                a = grid[t][t]
+                q, r = ring.divmod(b, a)
+                if r == ring.zero:
+                    for j in range(t, n):
+                        grid[i][j] = ring.sub(
+                            grid[i][j], ring.mul(q, grid[t][j])
+                        )
+                else:
+                    g, u, v = _gcdex(ring, a, b)
+                    qa, _ = ring.divmod(a, g)
+                    qb, _ = ring.divmod(b, g)
+                    for j in range(t, n):
+                        x, y = grid[t][j], grid[i][j]
+                        grid[t][j] = ring.add(ring.mul(u, x), ring.mul(v, y))
+                        grid[i][j] = ring.sub(ring.mul(qa, y), ring.mul(qb, x))
+            col_dirty = False
+            for j in range(t + 1, n):
+                b = grid[t][j]
+                if b == ring.zero:
+                    continue
+                a = grid[t][t]
+                q, r = ring.divmod(b, a)
+                if r == ring.zero:
+                    for i in range(t, m):
+                        grid[i][j] = ring.sub(
+                            grid[i][j], ring.mul(q, grid[i][t])
+                        )
+                else:
+                    g, u, v = _gcdex(ring, a, b)
+                    qa, _ = ring.divmod(a, g)
+                    qb, _ = ring.divmod(b, g)
+                    for i in range(t, m):
+                        x, y = grid[i][t], grid[i][j]
+                        grid[i][t] = ring.add(ring.mul(u, x), ring.mul(v, y))
+                        grid[i][j] = ring.sub(ring.mul(qa, y), ring.mul(qb, x))
+                    col_dirty = True  # column t picked up new entries
+            if not col_dirty:
+                break
+        prod = ring.mul(prod, grid[t][t])
+        t += 1
+    return prod, t
 
 
 def brute_force_homs(pres, group):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -16,13 +17,14 @@ from gnk.talex import (
     LaurentPoly,
     Representation,
     _check_chain_rule,
+    _from_plain,
     _gl32_elements,
     _mat3_order,
+    _pivot_product,
     _plain_grid,
     _ring_for,
     abelianization_degrees,
     laurent,
-    poly_gcd,
     psl27_matrix_dictionary,
     representation_from_psl27_hom,
     representation_from_sl2_hom,
@@ -39,8 +41,10 @@ from oracle_utils import (
     fox_block,
     fox_derivative,
     group_ring,
+    invariant_factor_product,
     poly_cofactor_det,
     poly_det,
+    poly_gcd,
     poly_minors_gcd,
     validate_representation,
 )
@@ -180,6 +184,79 @@ def test_poly_gcd_divides_inputs(data, p):
     for poly in (a, b):
         if not poly.is_zero:
             assert poly_gcd(p, [poly, g]) == g  # g divides poly
+
+
+def _random_grid(rng, ring, rows, cols):
+    """Entries of degree below 4, a third of them zero; one column in three
+    grids is a polynomial combination of the others, so the rank drops."""
+    p = ring.p
+
+    def entry():
+        if rng.random() < 1 / 3:
+            return ring.zero
+        return ring.from_coeffs([rng.randrange(p) for _ in range(rng.randint(1, 4))])
+
+    grid = [[entry() for _ in range(cols)] for _ in range(rows)]
+    if rng.random() < 1 / 3:
+        weights = [entry() for _ in range(cols - 1)]
+        for row in grid:
+            acc = ring.zero
+            for x, c in zip(row, weights):
+                acc = ring.add(acc, ring.mul(x, c))
+            row[-1] = acc
+    return grid
+
+
+def _talex_grids(monkeypatch):
+    """Every grid the kernel reduces on the talex grid: SK and GK, n = 1..3,
+    into SL2_3, as (ring, grid) before reduction."""
+    import gnk.talex
+    from gnk.harness import run_cell
+
+    seen = []
+    real = gnk.talex._pivot_product
+
+    def spy(ring, grid):
+        seen.append((ring, [list(row) for row in grid]))
+        return real(ring, grid)
+
+    monkeypatch.setattr(gnk.talex, "_pivot_product", spy)
+    for knot in ("SK", "GK"):
+        for n in (1, 2, 3):
+            run_cell(knot, n, "SL2_3", ("talex",))
+    return seen
+
+
+def test_pivot_product_matches_smith_and_cofactor_oracles(monkeypatch):
+    # tall grids: the pivot product and the Smith diagonal product agree up
+    # to a unit, and are zero together; square grids: the pivot product is
+    # the determinant, sign included
+    rng = random.Random(20261018)
+    cases = _talex_grids(monkeypatch)
+    assert len(cases) > 100
+    for p in (2, 3, 5, 7):
+        ring = _ring_for(p)
+        for _ in range(150):
+            cols = rng.randint(1, 4)
+            rows = rng.randint(cols, 6)
+            cases.append((ring, _random_grid(rng, ring, rows, cols)))
+    deficient = square = 0
+    for ring, grid in cases:
+        p, cols = ring.p, len(grid[0])
+        got = _pivot_product(ring, [list(row) for row in grid])
+        prod, rank = invariant_factor_product(ring, [list(row) for row in grid])
+        if rank < cols:
+            deficient += 1
+            assert got == ring.zero
+        else:
+            assert _from_plain(p, ring, got).normalized() == (
+                _from_plain(p, ring, prod).normalized()
+            )
+        if len(grid) == cols:
+            square += 1
+            laurents = [[_from_plain(p, ring, e) for e in row] for row in grid]
+            assert _from_plain(p, ring, got) == poly_cofactor_det(p, laurents)
+    assert deficient > 100 and square > 100
 
 
 # -- Fox calculus ----------------------------------------------------------------
@@ -501,6 +578,14 @@ def test_forced_column_with_vanishing_denominator():
     assert auto.column == 0
     with pytest.raises(ValueError, match="vanishing"):
         twisted_alexander(pres, rep, column=1)
+    # out-of-range columns are refused, not wrapped around or left to index
+    sk = knot_presentation("SK", 1)
+    rep = trivial_representation(sk, 5)
+    line = "1 + 3*t + 3*t^2 + 3*t^3 + t^4 | 1 + 4*t"
+    assert {twisted_alexander(sk, rep, column=j).line() for j in range(3)} == {line}
+    for column in (-1, 3):
+        with pytest.raises(ValueError, match="out of range"):
+            twisted_alexander(sk, rep, column=column)
 
 
 def test_numerator_matches_minors_oracle():
