@@ -20,7 +20,6 @@ import hashlib
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import asdict, dataclass
 
 import numpy as np
@@ -349,6 +348,8 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[ResultRecord]:
         group_from_spec(target)  # unconstructible targets fail before work
     cells = _cell_args(cfg)
     if jobs > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             batches = list(pool.map(_run_cell_star, cells))
     else:

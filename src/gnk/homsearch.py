@@ -16,7 +16,8 @@ homomorphisms whose first free generator maps to c.  The paper's two
 invariants follow from them, |Hom| = sum_c [H : C_H(c)] |F_c|, and the
 conjugation orbits of homomorphisms are the C_H(c)-orbits on each F_c
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
-Shards split the seed.
+Property T and structured counts lift the fibers of the n = 1 base, each
+row weighted by [H : C_H(c)].  Shards split the seed.
 
 All group arithmetic runs on precomputed index tables (numpy int32).  The
 enumeration bound in fingroups keeps every index product below 2**31, so
@@ -26,7 +27,6 @@ int32 is safe throughout.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -493,6 +493,8 @@ def sharded_search(
     _check_shards(shards)
     work = [(pres, group, shards, sid, collect) for sid in range(shards)]
     if jobs > 1 and shards > 1:
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             results = list(pool.map(_run_shard, work))
     else:
@@ -642,12 +644,17 @@ def fiber_orbits(
 # -- n = 1 base homomorphisms and their twisted extensions ----------------------
 
 
-def g1_base_matrix(group: FiniteGroup) -> np.ndarray:
-    """Images (D, B, E) of the shared n = 1 group, cached per group."""
-    cached = getattr(group, "_g1_base_matrix", None)
+def g1_base_fibers(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """(rows, weights): the fibers of the shared n = 1 group, images
+    (D, B, E), each row weighted by the size of the class its first free
+    generator maps to; cached per group."""
+    cached = getattr(group, "_g1_base_fibers", None)
     if cached is None:
-        cached, _ = hom_image_matrix(g1_braid_presentation(), group)
-        group._g1_base_matrix = cached
+        pres = g1_braid_presentation()
+        rows, _ = hom_image_matrix(pres, group, fibers=True)
+        classes = class_data(group)
+        weights = classes.sizes[classes.label[rows[:, compile_plan(pres)[0].gen]]]
+        cached = group._g1_base_fibers = (rows, weights)
     return cached
 
 
@@ -772,7 +779,15 @@ class PropertyTReport:
 
 
 def check_property_t(group: FiniteGroup, n: int, knot: str) -> PropertyTReport:
-    base = g1_base_matrix(group)
+    """Property T on the base fibers, each row weighted by its class size:
+    the lifts of a conjugate base row are the conjugate lifts.
+
+    The search seeds D, so a fiber holds every base row whose D is a class
+    representative, its class's least element.  Failing rows are closed
+    under conjugation, so the first failing base row has such a D; the
+    fiber rows, lex-sorted like the full base, meet its pairs first.
+    """
+    base, weights = g1_base_fibers(group)
     row, d_hat, _, _, third_ok = lift_roots(group, base, n, knot)
     bad = np.flatnonzero(~third_ok)
     report = PropertyTReport(
@@ -780,8 +795,8 @@ def check_property_t(group: FiniteGroup, n: int, knot: str) -> PropertyTReport:
         n=n,
         knot=knot,
         holds=not len(bad),
-        bases=len(base),
-        pairs=len(row),
+        bases=int(weights.sum()),
+        pairs=int(weights[row].sum()),
     )
     if len(bad):
         els = group.elements()
@@ -801,7 +816,8 @@ def structured_count(group: FiniteGroup, n: int) -> int:
     valid; when lifts can fail, the difference is data worth recording.
     """
     _, _, counts = root_buckets(group, n)
-    return int(counts[g1_base_matrix(group)[:, 0]].sum())
+    base, weights = g1_base_fibers(group)
+    return int((counts[base[:, 0]] * weights).sum())
 
 
 # -- a concrete degree-24 certificate -------------------------------------------

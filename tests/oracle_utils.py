@@ -6,12 +6,14 @@ package.  Fox derivatives rebuild the twisted Alexander block matrix term by
 term, a relator replay matrix by matrix checks the kernel's relator check,
 the per-homomorphism talex loop checks the class-weighted one, the
 scalar root lift checks the array kernel behind property T and `gnk extend`,
-and entry-by-entry index tables and a union-find orbit partition check the
-breadth-first table build and the label-propagation orbits.  A Smith
-diagonalization over F_p[t] checks the package's row-echelon pivot
-product, and `poly_gcd` with cofactor expansion gives the gcd of maximal
-minors directly.  `poly_det` is the Laurent front end of the pivot
-product, checked against cofactor expansion and used by the minors oracle.
+the full n = 1 base checks the class-weighted fiber rows behind property T
+and structured counts, and entry-by-entry index tables and a union-find
+orbit partition check the breadth-first table build and the
+label-propagation orbits.  A Smith diagonalization over F_p[t] checks the
+package's row-echelon pivot product, and `poly_gcd` with cofactor
+expansion gives the gcd of maximal minors directly.  `poly_det` is the
+Laurent front end of the pivot product, checked against cofactor
+expansion and used by the minors oracle.
 """
 
 import hashlib
@@ -20,8 +22,11 @@ import random
 from dataclasses import dataclass
 from math import gcd
 
+import numpy as np
+
 from gnk.fingroups import generating_set, nth_roots
-from gnk.presentations import knot_presentation
+from gnk.homsearch import hom_image_matrix, lift_roots
+from gnk.presentations import g1_braid_presentation, knot_presentation
 from gnk.words import GeneratorTable, Word, evaluate, word_power, word_product
 
 
@@ -366,6 +371,26 @@ def scalar_lifts(group, base, n, knot):
         ok = evaluate(third, [d_hat, b_hat, e_hat], group) == group.identity
         out.append((d_hat, b_hat, e_hat, ok))
     return out
+
+
+def g1_base_matrix(group):
+    """Every n = 1 base row (D, B, E), lex-sorted: the full base that the
+    package's fiber rows stand for."""
+    rows, _ = hom_image_matrix(g1_braid_presentation(), group)
+    return rows
+
+
+def full_base_property_t(group, base_rows, n, knot):
+    """(holds, bases, pairs, first failing (base, root) or None) from every
+    row of base_rows, each lifted once; pairs is also the structured count."""
+    els = group.elements()
+    row, d_hat, _, _, third_ok = lift_roots(group, base_rows, n, knot)
+    bad = np.flatnonzero(~third_ok)
+    first_fail = None
+    if len(bad):
+        j = bad[0]
+        first_fail = (tuple(els[i] for i in base_rows[row[j]]), els[d_hat[j]])
+    return not len(bad), len(base_rows), len(row), first_fail
 
 
 def scalar_property_t(group, base_rows, n, knot):

@@ -1,7 +1,11 @@
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import gnk
 from gnk.cli import main
 from gnk.harness import ENGINE, ResultRecord, write_records
 
@@ -10,6 +14,18 @@ def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_import_does_not_load_process_pools():
+    # a pool starts only with --jobs above 1, so importing it waits till then
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gnk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    probe = "import sys, gnk.cli; print('concurrent.futures' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
 
 
 # -- present ----------------------------------------------------------------------

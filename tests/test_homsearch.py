@@ -25,7 +25,7 @@ from gnk.homsearch import (
     enumerate_homs,
     extend_g1_hom,
     fiber_orbits,
-    g1_base_matrix,
+    g1_base_fibers,
     hom_image_matrix,
     indexed_tables,
     into_fibers,
@@ -53,6 +53,8 @@ from oracle_utils import (
     brute_force_homs,
     burnside_orbit_count,
     conjugacy_classes,
+    full_base_property_t,
+    g1_base_matrix,
     naive_index_tables,
     scalar_lifts,
     scalar_property_t,
@@ -559,10 +561,35 @@ def test_lift_kernel_matches_scalar_oracle(knot, n):
     assert not all(ok for *_, ok in got)  # lifts do fail off the braid rows
 
 
+def conjugation_closure(group, rows):
+    """Every conjugate of every row, lex-sorted and without repeats."""
+    idx = indexed_tables(group)
+    every = np.arange(group.order)[None, :, None]
+    conj = idx.mul[idx.mul[idx.inv[every], rows[:, None, :]], every]
+    return np.unique(conj.reshape(-1, rows.shape[1]), axis=0)
+
+
+def with_orbits_of(group, extra):
+    """The lex-sorted full n = 1 base with the conjugation orbits of extra."""
+    orbits = conjugation_closure(group, extra)
+    return np.unique(np.concatenate([g1_base_matrix(group), orbits]), axis=0)
+
+
+def fiber_form(group, base):
+    """(rows, weights) of a conjugation-closed base, as g1_base_fibers gives
+    them: the rows whose first free generator maps to a class
+    representative, weighted by that class's size."""
+    classes = class_data(group)
+    first = base[:, compile_plan(g1_braid_presentation())[0].gen]
+    keep = classes.reps[classes.label[first]] == first
+    return base[keep], classes.sizes[classes.label[first[keep]]]
+
+
 def test_property_t_failure_counts_every_pair(monkeypatch):
     extra = non_braid_rows(S4, 12, seed=7)
-    base = np.concatenate([g1_base_matrix(S4)[:20], extra, g1_base_matrix(S4)])
-    monkeypatch.setattr("gnk.homsearch.g1_base_matrix", lambda group: base)
+    base = with_orbits_of(S4, extra)
+    fibers = fiber_form(S4, base)
+    monkeypatch.setattr("gnk.homsearch.g1_base_fibers", lambda group: fibers)
     report = check_property_t(S4, 2, "SK")
     holds, first_fail, pairs = scalar_property_t(S4, base, 2, "SK")
     assert not report.holds and not holds
@@ -571,6 +598,43 @@ def test_property_t_failure_counts_every_pair(monkeypatch):
     root_counts = [len(nth_roots(S4, els[int(d)], 2)) for d in base[:, 0]]
     assert report.pairs == pairs == sum(root_counts)
     assert report.bases == len(base)
+
+
+def assert_fibers_match_full_base(group, base, n, knot):
+    report = check_property_t(group, n, knot)
+    holds, bases, pairs, first_fail = full_base_property_t(group, base, n, knot)
+    assert (report.holds, report.bases, report.pairs) == (holds, bases, pairs)
+    got = (report.counterexample_base, report.counterexample_root)
+    assert got == (first_fail or (None, None))
+    assert structured_count(group, n) == pairs
+    return holds
+
+
+@pytest.mark.parametrize("spec", STANDARD_TARGETS)
+def test_property_t_on_fibers_matches_full_base(spec):
+    group = group_from_spec(spec)
+    base = g1_base_matrix(group)
+    rows, weights = g1_base_fibers(group)
+    want_rows, want_weights = fiber_form(group, base)
+    assert np.array_equal(rows, want_rows)
+    assert np.array_equal(weights, want_weights)
+    for n in (1, 2, 3):
+        for knot in ("SK", "GK"):
+            assert_fibers_match_full_base(group, base, n, knot)
+
+
+@pytest.mark.parametrize("spec", ["S4", "A5", "SL2_3", "D5"])
+def test_property_t_on_fibers_matches_full_base_when_it_fails(spec, monkeypatch):
+    group = group_from_spec(spec)
+    failing = 0
+    for seed in range(8):
+        base = with_orbits_of(group, non_braid_rows(group, 3, seed))
+        fibers = fiber_form(group, base)
+        monkeypatch.setattr("gnk.homsearch.g1_base_fibers", lambda group: fibers)
+        for n in (2, 3):
+            for knot in ("SK", "GK"):
+                failing += not assert_fibers_match_full_base(group, base, n, knot)
+    assert failing >= 16
 
 
 @pytest.mark.parametrize("spec", ["S3", "D4", "Z6"])
