@@ -47,7 +47,7 @@ from .presentations import KNOT_NAMES, knot_presentation
 from .talex import (
     representation_from_psl27_hom,
     representation_from_sl2_hom,
-    twisted_alexander,
+    twisted_alexanders,
 )
 
 TASKS = ("count", "classes", "property_t", "structured", "talex")
@@ -233,20 +233,21 @@ def _talex_lines(
     every member of every orbit in the class.  With a twin map an orbit's
     class is itself and the orbit of its conjugates by diag(1, r), whose
     rows are conjugated back into the fibers to be found; without one it
-    is the orbit alone.
+    is the orbit alone.  The classes' rows are one twisted_alexanders batch.
     """
     keys = reps
     if twin is not None:
         twins = into_fibers(pres, group, twin[matrix[reps]])
         keys = np.minimum(reps, roots[_row_locator(matrix)(twins)])
-    lines: dict[int, str] = {}
-    out = []
-    for key, size in zip(keys.tolist(), sizes.tolist()):
-        if key not in lines:
-            hom = Homomorphism(pres, group, tuple(int(v) for v in matrix[key]))
-            lines[key] = twisted_alexander(pres, builder(pres, hom)).line()
-        out.append((lines[key], size))
-    return out
+    keys = keys.tolist()
+    distinct = list(dict.fromkeys(keys))
+    batch = [
+        builder(pres, Homomorphism(pres, group, tuple(matrix[key].tolist())))
+        for key in distinct
+    ]
+    invariants = twisted_alexanders(pres, batch)
+    lines = {key: ta.line() for key, ta in zip(distinct, invariants)}
+    return [(lines[key], size) for key, size in zip(keys, sizes.tolist())]
 
 
 def run_cell(

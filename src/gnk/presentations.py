@@ -73,27 +73,33 @@ def cyclic_reduce(w: Word) -> Word:
 
 
 def canonical_relator(w: Word) -> Word:
-    """Least rotation of the cyclically reduced relator or its inverse."""
+    """Least rotation of the cyclically reduced relator or its inverse.
+
+    Syllable tuples compare on the generator, then the exponent.  So the
+    least rotation starts on the least generator g with the most negative
+    exponent possible: at the front of a syllable g^e with e < 0, which
+    the relator or its inverse has.  A start inside a syllable would give a
+    smaller |e|, and a start on g^e with e > 0 a positive exponent.
+    """
     w = cyclic_reduce(w)
-    letters: list[tuple[int, int]] = []
-    for gen, exp in w.syllables:
-        step = 1 if exp > 0 else -1
-        letters.extend([(gen, step)] * abs(exp))
-    if not letters:
+    if not w.syllables:
         return w
-    flipped = [(g, -s) for g, s in reversed(letters)]
-    best: tuple | None = None
-    for base in (letters, flipped):
-        for r in range(len(base)):
-            cand = reduce(w.table, base[r:] + base[:r]).syllables
-            if best is None or cand < best:
-                best = cand
-    return Word(w.table, best)
+    least = min(g for g, _ in w.syllables)
+    return Word(
+        w.table,
+        min(
+            base[i:] + base[:i]
+            for base in (w.syllables, word_inverse(w).syllables)
+            for i, (g, e) in enumerate(base)
+            if g == least and e < 0
+        ),
+    )
 
 
 def equality_relator(lhs: Word, rhs: Word) -> Word:
-    """Relator expressing lhs = rhs."""
-    return canonical_relator(word_product(lhs, word_inverse(rhs)))
+    """Relator expressing lhs = rhs, as lhs rhs^-1; a Presentation
+    canonicalizes it."""
+    return word_product(lhs, word_inverse(rhs))
 
 
 @dataclass(frozen=True, eq=False)

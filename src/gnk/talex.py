@@ -15,23 +15,29 @@ diagonalization and cofactor determinants, recomputes small cases by
 enumerating minors directly, and rebuilds the block matrix from Fox
 derivatives.
 
-The block matrix is built in one prefix walk per relator, as integer
-k x k coefficient matrices by degree.  The same walk checks that the
-relator lands on the identity at degree 0, and the finished blocks must
+The block matrices are built for a batch of representations at once,
+such as one sweep cell's class representatives: they share p, the
+dimension and the degrees, so one walk per relator serves every member,
+each letter one stacked matrix product into an integer array of
+coefficients by degree.  The same walk checks that the relator lands on
+the identity at degree 0 for every member, and the finished blocks must
 satisfy the chain-rule identity sum_j Phi(dr/dx_j) (Phi(x_j) - 1) = 0,
-degree by degree, before any invariant is computed from them.  The deleted
-matrix and the denominator are then filled directly as plain F_p[t]
-elements under one common power of t; a LaurentPoly is built only for the
-two normalized results.
+degree by degree, before any invariant is computed from them.  Each
+member's deleted matrix and denominator are then read off the array as
+plain F_p[t] elements under one common power of t; a LaurentPoly is built
+only for the two normalized results.
 """
 
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
+from itertools import accumulate
 from math import gcd as int_gcd
 from typing import Iterable, Sequence
+
+import numpy as np
 
 from .fingroups import PSL2Group
 from .presentations import (
@@ -199,14 +205,6 @@ class _GF2Ring:
         return q, a
 
     @staticmethod
-    def from_coeffs(coeffs: Sequence[int]) -> int:
-        out = 0
-        for i, c in enumerate(coeffs):
-            if c % 2:
-                out |= 1 << i
-        return out
-
-    @staticmethod
     def to_coeffs(a: int) -> tuple[int, ...]:
         return tuple((a >> i) & 1 for i in range(a.bit_length()))
 
@@ -266,9 +264,6 @@ class _GFpRing:
                 for i, bc in enumerate(b):
                     rem[shift + i] = (rem[shift + i] - c * bc) % self.p
         return self._trim(q), self._trim(rem)
-
-    def from_coeffs(self, coeffs: Sequence[int]) -> tuple:
-        return self._trim([c % self.p for c in coeffs])
 
     @staticmethod
     def to_coeffs(a: tuple) -> tuple:
@@ -392,140 +387,127 @@ class Representation:
     p: int
     images: tuple
     alpha: tuple[int, ...]
+    inverses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if len(self.images) != len(self.table) or len(self.alpha) != len(
-            self.table
-        ):
+        if not len(self.images) == len(self.alpha) == len(self.table):
             raise ValueError("one image and one degree per generator")
         fixed = []
         for m in self.images:
             if len(m) != self.dim or any(len(row) != self.dim for row in m):
                 raise ValueError("image has the wrong shape")
-            reduced = tuple(
-                tuple(v % self.p for v in row) for row in m
-            )
-            _mat_inv(self.p, reduced)  # raises when singular
-            fixed.append(reduced)
+            fixed.append(tuple(tuple(v % self.p for v in row) for row in m))
         object.__setattr__(self, "images", tuple(fixed))
+        # raises when an image is singular
+        object.__setattr__(self, "inverses", tuple(_mat_inv(self.p, m) for m in fixed))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class WadaMatrix:
-    """The block matrix as integer coefficient matrices by degree.
+    """The block matrices of a batch of representations, by degree.
 
-    blocks[i][j] is the block of relator i and generator j: a tuple of
-    (degree, k x k matrix) pairs in ascending degree, with entries reduced
-    mod p and zero matrices left out.
+    coeffs[r, i, j, d] is the k x k coefficient matrix of t^(low + d) in
+    the block of relator i and generator j for member r, reduced mod p.
     """
 
     pres: Presentation
-    rep: Representation
-    blocks: tuple
+    reps: tuple[Representation, ...]
+    low: int
+    coeffs: np.ndarray
 
 
-def _bump(acc: dict, deg: int, mat: tuple, sign: int) -> None:
-    """acc[deg] += sign * mat, entry by entry, over the integers."""
-    cell = acc.get(deg)
-    if cell is None:
-        acc[deg] = [[sign * v for v in row] for row in mat]
-        return
-    for crow, mrow in zip(cell, mat):
-        for v, x in enumerate(mrow):
-            crow[v] += sign * x
+def _stack(reps, attr: str) -> np.ndarray:
+    """Each generator's images (or inverses) over the batch, (gens, R, k, k)."""
+    return np.array([getattr(r, attr) for r in reps], np.int64).swapaxes(0, 1)
 
 
-def wada_matrix(pres: Presentation, rep: Representation) -> WadaMatrix:
-    """Check rep against pres and build its blocks, one walk per relator.
+def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatrix:
+    """Check a batch against pres and build its blocks, one walk per relator.
 
-    Walking relator r letter by letter with prefix w, a letter x_j adds
-    Phi(w) t^deg(w) to block j and a letter x_j^-1 subtracts
-    Phi(w x_j^-1) t^deg(w x_j^-1): the Fox derivative dr/dx_j pushed
-    through the representation.  The walk must end on the identity at
-    degree 0, and the blocks must pass the chain-rule check.
+    The members must share p, dim and alpha, so every prefix has one degree
+    for the whole batch.  Walking relator r letter by letter with prefix w,
+    a letter x_j adds Phi(w) t^deg(w) to block j and a letter x_j^-1
+    subtracts Phi(w x_j^-1) t^deg(w x_j^-1): the Fox derivative dr/dx_j
+    pushed through the representation.  Each letter is one stacked product
+    over the batch.  Every member's walk must end on the identity at degree
+    0, and the blocks must pass the chain-rule check.
     """
-    if rep.table != pres.gens:
+    reps = tuple(reps)
+    if not reps:
+        raise ValueError("a batch needs at least one representation")
+    if any(rep.table != pres.gens for rep in reps):
         raise ValueError("representation is over different generators")
-    p, k = rep.p, rep.dim
-    ident = _mat_id(k)
-    inverses = [_mat_inv(p, m) for m in rep.images]
-    blocks = []
+    p, k, alpha = reps[0].p, reps[0].dim, reps[0].alpha
+    if any((rep.p, rep.dim, rep.alpha) != (p, k, alpha) for rep in reps):
+        raise ValueError("a batch must share p, dim and alpha")
+    walks = []
     for rel in pres.relators:
-        acc: list[dict] = [{} for _ in range(len(pres.gens))]
-        prefix, deg = ident, 0
-        for g, e in rel.syllables:
-            if e > 0:
-                for _ in range(e):
-                    _bump(acc[g], deg, prefix, 1)
-                    prefix = _mat_mul(p, prefix, rep.images[g])
-                    deg += rep.alpha[g]
+        letters = [(g, e // abs(e)) for g, e in rel.syllables for _ in range(abs(e))]
+        degs = accumulate((s * alpha[g] for g, s in letters), initial=0)
+        walks.append((rel, letters, list(degs)))
+    low = min((d for *_, degs in walks for d in degs), default=0)
+    span = max((d for *_, degs in walks for d in degs), default=0) - low + 1
+    images, inverses = _stack(reps, "images"), _stack(reps, "inverses")
+    ident = np.broadcast_to(np.eye(k, dtype=np.int64), (len(reps), k, k))
+    acc = np.zeros((len(walks), len(pres.gens), span, len(reps), k, k), np.int64)
+    for i, (rel, letters, degs) in enumerate(walks):
+        prefix = ident
+        for n, (g, s) in enumerate(letters):
+            if s > 0:
+                acc[i, g, degs[n] - low] += prefix
+                prefix = prefix @ images[g] % p
             else:
-                for _ in range(-e):
-                    prefix = _mat_mul(p, prefix, inverses[g])
-                    deg -= rep.alpha[g]
-                    _bump(acc[g], deg, prefix, -1)
-        if prefix != ident or deg != 0:
+                prefix = prefix @ inverses[g] % p
+                acc[i, g, degs[n + 1] - low] -= prefix
+        if degs[-1] != 0 or (prefix != ident).any():
             raise ValueError(f"relator {rel.syllables} is not respected")
-        row = []
-        for by_deg in acc:
-            terms = []
-            for d in sorted(by_deg):
-                mat = tuple(tuple(v % p for v in r) for r in by_deg[d])
-                if any(any(r) for r in mat):
-                    terms.append((d, mat))
-            row.append(tuple(terms))
-        blocks.append(tuple(row))
-    wm = WadaMatrix(pres, rep, tuple(blocks))
+    wm = WadaMatrix(pres, reps, low, np.moveaxis(acc, 3, 0) % p)
     _check_chain_rule(wm)
     return wm
 
 
 def _check_chain_rule(wm: WadaMatrix) -> None:
-    """sum_j C_ij(t) (A_j t^alpha_j - 1) = 0 for each relator i, by degree."""
-    p = wm.rep.p
-    for row in wm.blocks:
-        total: dict = {}
-        for j, terms in enumerate(row):
-            image, alpha = wm.rep.images[j], wm.rep.alpha[j]
-            for d, mat in terms:
-                _bump(total, d + alpha, _mat_mul(p, mat, image), 1)
-                _bump(total, d, mat, -1)
-        if any(v % p for cell in total.values() for r in cell for v in r):
-            raise RuntimeError(
-                "free-calculus identity failed; the matrix is wrong"
-            )
+    """sum_j C_ij(t) (A_j t^alpha_j - 1) = 0 for each member and relator i,
+    degree by degree."""
+    images, alpha = _stack(wm.reps, "images"), wm.reps[0].alpha
+    members, rels, _, span, k, _ = wm.coeffs.shape
+    lo = min(0, *alpha)
+    total = np.zeros((members, rels, span + max(0, *alpha) - lo, k, k), np.int64)
+    for j, a in enumerate(alpha):
+        block = wm.coeffs[:, :, j]
+        total[:, :, a - lo : a - lo + span] += block @ images[j][:, None, None]
+        total[:, :, -lo : span - lo] -= block
+    if (total % wm.reps[0].p).any():
+        raise RuntimeError("free-calculus identity failed; the matrix is wrong")
 
 
-def _plain_grid(ring, k: int, block_rows) -> list[list]:
-    """A matrix of k x k blocks in (degree, matrix) form, as ring elements.
+def _grid(ring, coeffs: np.ndarray) -> list[list]:
+    """A matrix of k x k blocks as ring elements.
 
-    Entry (u, v) of the block in block row i and block column j lands in
-    row i*k + u and column j*k + v.  Every entry is multiplied by the same
-    power of t, so that no degree is negative.
+    coeffs[i, j, d] is the coefficient matrix of t^d in block (i, j),
+    reduced mod p.  Entry (u, v) of that block lands in row i*k + u and
+    column j*k + v.  Every entry is divided by the same power of t, the
+    least one with a nonzero coefficient.
     """
-    degrees = [d for row in block_rows for terms in row for d, _ in terms]
-    shift = min(degrees, default=0)
-    span = max(degrees, default=0) - shift + 1
-    grid = []
-    for row in block_rows:
-        for u in range(k):
-            line = []
-            for terms in row:
-                for v in range(k):
-                    coeffs = [0] * span
-                    for d, mat in terms:
-                        coeffs[d - shift] += mat[u][v]
-                    line.append(ring.from_coeffs(coeffs))
-            grid.append(line)
-    return grid
+    live = np.flatnonzero(coeffs.any(axis=(0, 1, 3, 4)))
+    lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
+    rows, cols, _, k, _ = coeffs.shape
+    flat = coeffs[:, :, lo:hi].transpose(0, 3, 1, 4, 2)
+    flat = flat.reshape(rows * k, cols * k, hi - lo)
+    if ring is _GF2Ring:
+        bits = [1 << d for d in range(hi - lo)]
+        return (flat @ np.array(bits, np.int64 if hi - lo < 63 else object)).tolist()
+    return [[ring._trim(e) for e in row] for row in flat.tolist()]
 
 
 def _denominator(ring, rep: Representation, j: int):
     """det(A_j t^alpha_j - 1) in the plain ring, up to a power of t."""
-    k = rep.dim
-    minus_one = tuple(tuple(-int(u == v) for v in range(k)) for u in range(k))
-    block = ((rep.alpha[j], rep.images[j]), (0, minus_one))
-    return _pivot_product(ring, _plain_grid(ring, k, [[block]]))
+    a, k = rep.alpha[j], rep.dim
+    lo = min(a, 0)
+    block = np.zeros((1, 1, abs(a) + 1, k, k), np.int64)
+    block[0, 0, a - lo] += rep.images[j]
+    block[0, 0, -lo] -= np.eye(k, dtype=np.int64)
+    return _pivot_product(ring, _grid(ring, block % rep.p))
 
 
 @dataclass(frozen=True)
@@ -540,37 +522,50 @@ class TwistedAlexander:
         return f"{self.numerator.text()} | {self.denominator.text()}"
 
 
+def twisted_alexanders(
+    pres: Presentation,
+    reps: Sequence[Representation],
+    column: int | None = None,
+) -> list[TwistedAlexander]:
+    """The invariant of each member of a batch, from one wada_matrix call.
+
+    The column defaults, per member, to the first generator whose
+    denominator does not vanish.
+    """
+    gens = len(pres.gens)
+    if column is not None and not 0 <= column < gens:
+        raise ValueError(f"column {column} is out of range for {gens} generators")
+    wm = wada_matrix(pres, reps)
+    ring = _ring_for(wm.reps[0].p)
+    out = []
+    for rep, coeffs in zip(wm.reps, wm.coeffs):
+        if column is None:
+            for col in range(gens):
+                den = _denominator(ring, rep, col)
+                if den != ring.zero:
+                    break
+            else:
+                raise ValueError("det(Phi(x_j) - 1) vanishes for every generator")
+        else:
+            col, den = column, _denominator(ring, rep, column)
+            if den == ring.zero:
+                raise ValueError(f"column {column} has vanishing denominator")
+        num = _pivot_product(ring, _grid(ring, np.delete(coeffs, col, axis=1)))
+        out.append(
+            TwistedAlexander(
+                _from_plain(rep.p, ring, num).normalized(),
+                _from_plain(rep.p, ring, den).normalized(),
+                col,
+            )
+        )
+    return out
+
+
 def twisted_alexander(
     pres: Presentation, rep: Representation, column: int | None = None
 ) -> TwistedAlexander:
-    if column is not None and not 0 <= column < len(pres.gens):
-        raise ValueError(
-            f"column {column} is out of range for {len(pres.gens)} generators"
-        )
-    wm = wada_matrix(pres, rep)
-    p = rep.p
-    ring = _ring_for(p)
-    if column is None:
-        for column in range(len(pres.gens)):
-            den = _denominator(ring, rep, column)
-            if den != ring.zero:
-                break
-        else:
-            raise ValueError("det(Phi(x_j) - 1) vanishes for every generator")
-    else:
-        den = _denominator(ring, rep, column)
-        if den == ring.zero:
-            raise ValueError(f"column {column} has vanishing denominator")
-
-    grid = _plain_grid(
-        ring, rep.dim, [row[:column] + row[column + 1 :] for row in wm.blocks]
-    )
-    num = _pivot_product(ring, grid)
-    return TwistedAlexander(
-        _from_plain(p, ring, num).normalized(),
-        _from_plain(p, ring, den).normalized(),
-        column,
-    )
+    """The invariant of one representation: a batch of one."""
+    return twisted_alexanders(pres, (rep,), column)[0]
 
 
 # -- degree maps and representation builders -------------------------------------
@@ -596,10 +591,7 @@ def abelianization_degrees(pres: Presentation) -> tuple[int, ...]:
     assert len(free) == 1
     j0 = free[0]
     col = [vmat[i][j0] for i in range(g)]
-    total = 0
-    for v in col:
-        total = int_gcd(total, v)
-    if total != 1:
+    if int_gcd(*col) != 1:
         raise RuntimeError("degree map is not onto")
     first = next(v for v in col if v)
     if first < 0:

@@ -3,7 +3,8 @@
 Everything here is deliberately naive: straightforward algorithms whose
 correctness is easy to see, used to cross-check the fast paths in the
 package.  Fox derivatives rebuild the twisted Alexander block matrix term by
-term, a relator replay matrix by matrix checks the kernel's relator check,
+term (`wada_blocks` reads one member of a batched block array in the same
+form), a relator replay matrix by matrix checks the kernel's relator check,
 the per-homomorphism talex loop checks the class-weighted one, the
 scalar root lift checks the array kernel behind property T and `gnk extend`,
 the full n = 1 base checks the class-weighted fiber rows behind property T
@@ -13,7 +14,8 @@ label-propagation orbits.  A Smith diagonalization over F_p[t] checks the
 package's row-echelon pivot product, and `poly_gcd` with cofactor
 expansion gives the gcd of maximal minors directly.  `poly_det` is the
 Laurent front end of the pivot product, checked against cofactor
-expansion and used by the minors oracle.
+expansion and used by the minors oracle.  Every rotation of a relator and
+of its inverse, each reduced afresh, checks the canonical relator.
 """
 
 import hashlib
@@ -26,8 +28,35 @@ import numpy as np
 
 from gnk.fingroups import generating_set, nth_roots
 from gnk.homsearch import hom_image_matrix, lift_roots
-from gnk.presentations import g1_braid_presentation, knot_presentation
-from gnk.words import GeneratorTable, Word, evaluate, word_power, word_product
+from gnk.presentations import cyclic_reduce, g1_braid_presentation, knot_presentation
+from gnk.words import (
+    GeneratorTable,
+    Word,
+    evaluate,
+    reduce,
+    word_power,
+    word_product,
+)
+
+
+def rotation_canonical_relator(w):
+    """Least syllable tuple over every rotation of the cyclically reduced
+    relator and of its inverse, each rotation reduced afresh."""
+    w = cyclic_reduce(w)
+    letters = []
+    for gen, exp in w.syllables:
+        step = 1 if exp > 0 else -1
+        letters.extend([(gen, step)] * abs(exp))
+    if not letters:
+        return w
+    flipped = [(g, -s) for g, s in reversed(letters)]
+    best = None
+    for base in (letters, flipped):
+        for r in range(len(base)):
+            cand = reduce(w.table, base[r:] + base[:r]).syllables
+            if best is None or cand < best:
+                best = cand
+    return Word(w.table, best)
 
 
 def int_det(mat):
@@ -85,6 +114,14 @@ def poly_cofactor_det(p, rows):
     return total
 
 
+def plain_poly(ring, coeffs):
+    """Coefficients from degree 0 upward as an element of a talex F_p[t]
+    ring: a bitmask over F_2, else a trimmed tuple."""
+    if ring.p == 2:
+        return sum(1 << i for i, c in enumerate(coeffs) if c % 2)
+    return ring._trim([c % ring.p for c in coeffs])
+
+
 def poly_det(p, rows):
     """Laurent-matrix determinant through the package's plain-ring kernel.
 
@@ -99,7 +136,7 @@ def poly_det(p, rows):
     ring = _ring_for(p)
     shift = min((e.low for row in rows for e in row if not e.is_zero), default=0)
     plain = [
-        [ring.from_coeffs((0,) * (e.low - shift) + e.coeffs) for e in row]
+        [plain_poly(ring, (0,) * (e.low - shift) + e.coeffs) for e in row]
         for row in rows
     ]
     return _from_plain(p, ring, _pivot_product(ring, plain), n * shift)
@@ -116,7 +153,7 @@ def poly_gcd(p, polys):
             raise ValueError("modulus mismatch")
         if poly.is_zero:
             continue
-        b = ring.from_coeffs(poly.coeffs)
+        b = plain_poly(ring, poly.coeffs)
         while b != ring.zero:
             _, r = ring.divmod(acc, b)
             acc, b = b, r
@@ -534,11 +571,28 @@ def laurent_block(p, k, terms):
     return block
 
 
-def deleted_flat(wm, column):
-    """The Wada matrix without one generator's column block, as Laurent rows."""
-    k, p = wm.rep.dim, wm.rep.p
+def wada_blocks(wm, member=0):
+    """One member's blocks[i][j] of a WadaMatrix batch as (degree, matrix)
+    pairs in ascending degree, zero matrices left out: the Fox oracle's form."""
+    return tuple(
+        tuple(
+            tuple(
+                (wm.low + d, tuple(map(tuple, mat)))
+                for d, mat in enumerate(by_deg.tolist())
+                if any(map(any, mat))
+            )
+            for by_deg in row
+        )
+        for row in wm.coeffs[member]
+    )
+
+
+def deleted_flat(wm, column, member=0):
+    """One member's Wada matrix without one generator's column block, as
+    Laurent rows."""
+    k, p = wm.reps[member].dim, wm.reps[member].p
     rows = []
-    for row in wm.blocks:
+    for row in wada_blocks(wm, member):
         blocks = [laurent_block(p, k, terms) for j, terms in enumerate(row) if j != column]
         for u in range(k):
             rows.append([e for block in blocks for e in block[u]])

@@ -11,6 +11,7 @@ import itertools
 import os
 import time
 
+import numpy as np
 import pytest
 
 from gnk.fingroups import group_from_spec, nth_roots
@@ -281,24 +282,18 @@ def test_criterion_10_property_suites(suite_records):
     from gnk.talex import _check_chain_rule, representation_from_sl2_hom
 
     trefoil = knot_presentation("trefoil_r", 1)
-    wm = wada_matrix(trefoil, trivial_representation(trefoil, 5))
+    wm = wada_matrix(trefoil, (trivial_representation(trefoil, 5),))
     sk = knot_presentation("SK", 2)
     sl23 = group_from_spec("SL2_3")
     hom = next(iter(enumerate_homs(sk, sl23)))
-    wm2 = wada_matrix(sk, representation_from_sl2_hom(sk, hom))
-    for built, p in ((wm, 5), (wm2, 3)):
+    wm2 = wada_matrix(sk, (representation_from_sl2_hom(sk, hom),))
+    for built in (wm, wm2):
         # adding the identity to one block shifts that row's telescoping
         # sum by Phi(x_0) - 1, which is never zero
-        k = built.rep.dim
-        terms = dict(built.blocks[0][0])
-        constant = terms.get(0, ((0,) * k,) * k)
-        terms[0] = tuple(
-            tuple((e + (i == j)) % p for j, e in enumerate(row))
-            for i, row in enumerate(constant)
-        )
-        bumped = tuple(sorted(terms.items()))
-        rows0 = (bumped,) + built.blocks[0][1:]
-        broken = dataclasses.replace(built, blocks=(rows0,) + built.blocks[1:])
+        k = built.reps[0].dim
+        coeffs = built.coeffs.copy()
+        coeffs[0, 0, 0, -built.low] += np.eye(k, dtype=coeffs.dtype)
+        broken = dataclasses.replace(built, coeffs=coeffs % built.reps[0].p)
         with pytest.raises(RuntimeError, match="identity failed"):
             _check_chain_rule(broken)
 

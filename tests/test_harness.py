@@ -211,6 +211,139 @@ def test_cell_talex_matches_per_hom_oracle(knot, n, target, monkeypatch):
     assert sum(size for _, size in weighted) == homs
 
 
+# talex (digest, homs, distinct) off the benchmark grid, whose talex cells are
+# all SL2_3: p = 2 and larger p and k, pinned before the batched Wada kernel
+TALEX_PINS = {
+    ("SK", 1, "SL2_2"): (
+        "e1c021de103f8adaca53b340004b424a364429fbdc8396ebe74799774185e321",
+        30,
+        4,
+    ),
+    ("SK", 1, "SL2_5"): (
+        "7c5e28c18811f020a2c3e167e84cf5893de5a2b296c05f7f4c37f4fbba6ae261",
+        4440,
+        15,
+    ),
+    ("SK", 1, "SL2_7"): (
+        "5dfa4b88ac31e16f910e5c04f5a33445d26d0b3c01af94bf4ae21c331ef0e5e0",
+        21840,
+        21,
+    ),
+    ("SK", 1, "PSL2_7"): (
+        "e8e3a772f2e6512a0300023e7c62e16ef1f5000f7f5e3050eaffbc56d4fcb0cf",
+        10920,
+        10,
+    ),
+    ("SK", 2, "SL2_2"): (
+        "1ce0f1898f2186bfcb89e09efe9b54a03be1e3eb4443b1b4ee4f55728b925691",
+        6,
+        2,
+    ),
+    ("SK", 2, "SL2_5"): (
+        "3b3aade2ba108b9c1a9e5b9adc72999cd9dc8207bc13631a0ab2480763d35f1a",
+        3720,
+        13,
+    ),
+    ("SK", 2, "SL2_7"): (
+        "0da54f815edce8976d424abd69139506d16e3bbe5f973c8d24486418092893e6",
+        18480,
+        19,
+    ),
+    ("SK", 2, "PSL2_7"): (
+        "952778835c6ff902d9a88c5f42a08ec67f97498d5cbf3d1c310e3a6248d54c55",
+        9240,
+        13,
+    ),
+    ("SK", 3, "SL2_2"): (
+        "9f9b62ccb6b72d582accbd19b72693081c9a88f4a41ccc076089bb05cbcc564c",
+        30,
+        4,
+    ),
+    ("SK", 3, "SL2_5"): (
+        "0f9be8558847f7b5e2efc5204e6d4653379b47fea16bc947d27e21fb7477602c",
+        2520,
+        11,
+    ),
+    ("SK", 3, "SL2_7"): (
+        "47215e562c30c5034fbf59d0ca35d79b033df2d31feeb073d189ac2f96958e92",
+        16464,
+        17,
+    ),
+    ("SK", 3, "PSL2_7"): (
+        "d7d68bb842c8bdce670a752f788c469bcd9223ce6580f8d6f334e80efbcccdca",
+        8232,
+        12,
+    ),
+    ("GK", 1, "SL2_2"): (
+        "e1c021de103f8adaca53b340004b424a364429fbdc8396ebe74799774185e321",
+        30,
+        4,
+    ),
+    ("GK", 1, "SL2_5"): (
+        "7c5e28c18811f020a2c3e167e84cf5893de5a2b296c05f7f4c37f4fbba6ae261",
+        4440,
+        15,
+    ),
+    ("GK", 1, "SL2_7"): (
+        "5dfa4b88ac31e16f910e5c04f5a33445d26d0b3c01af94bf4ae21c331ef0e5e0",
+        21840,
+        21,
+    ),
+    ("GK", 1, "PSL2_7"): (
+        "e8e3a772f2e6512a0300023e7c62e16ef1f5000f7f5e3050eaffbc56d4fcb0cf",
+        10920,
+        10,
+    ),
+    ("GK", 2, "SL2_2"): (
+        "1ce0f1898f2186bfcb89e09efe9b54a03be1e3eb4443b1b4ee4f55728b925691",
+        6,
+        2,
+    ),
+    ("GK", 2, "SL2_5"): (
+        "3b3aade2ba108b9c1a9e5b9adc72999cd9dc8207bc13631a0ab2480763d35f1a",
+        3720,
+        13,
+    ),
+    ("GK", 2, "SL2_7"): (
+        "0da54f815edce8976d424abd69139506d16e3bbe5f973c8d24486418092893e6",
+        18480,
+        19,
+    ),
+    ("GK", 2, "PSL2_7"): (
+        "952778835c6ff902d9a88c5f42a08ec67f97498d5cbf3d1c310e3a6248d54c55",
+        9240,
+        13,
+    ),
+    ("GK", 3, "SL2_2"): (
+        "9f9b62ccb6b72d582accbd19b72693081c9a88f4a41ccc076089bb05cbcc564c",
+        30,
+        4,
+    ),
+    ("GK", 3, "SL2_5"): (
+        "0f9be8558847f7b5e2efc5204e6d4653379b47fea16bc947d27e21fb7477602c",
+        2520,
+        11,
+    ),
+    ("GK", 3, "SL2_7"): (
+        "47215e562c30c5034fbf59d0ca35d79b033df2d31feeb073d189ac2f96958e92",
+        16464,
+        17,
+    ),
+    ("GK", 3, "PSL2_7"): (
+        "d7d68bb842c8bdce670a752f788c469bcd9223ce6580f8d6f334e80efbcccdca",
+        8232,
+        12,
+    ),
+}
+
+
+@pytest.mark.parametrize("knot,n,target", sorted(TALEX_PINS))
+def test_talex_pins_off_the_benchmark_grid(knot, n, target):
+    (rec,) = run_cell(knot, n, target, ("talex",))
+    digest, homs, distinct = TALEX_PINS[knot, n, target]
+    assert rec.status == "ok" and rec.value == digest
+    assert rec.stats == {"homs": homs, "distinct": distinct}
+
 # GL_2(F_p) classes of homomorphisms: inner orbits merged with their twins
 GL_CLASSES = {("SL2_3", 1): 15, ("SL2_3", 2): 15, ("SL2_3", 3): 5, ("SL2_5", 3): 27}
 
@@ -221,15 +354,16 @@ GL_CLASSES = {("SL2_3", 1): 15, ("SL2_3", 2): 15, ("SL2_3", 3): 5, ("SL2_5", 3):
     + [("SK", 3, "SL2_5"), ("SK", 2, "PSL2_7")],
 )
 def test_talex_evaluates_once_per_gl_class(knot, n, target, monkeypatch):
-    evaluated = []
-    real = harness.twisted_alexander
+    batches = []
+    real = harness.twisted_alexanders
 
-    def spy(pres, rep):
-        evaluated.append(rep)
-        return real(pres, rep)
+    def spy(pres, reps):
+        batches.append(reps)
+        return real(pres, reps)
 
-    monkeypatch.setattr(harness, "twisted_alexander", spy)
+    monkeypatch.setattr(harness, "twisted_alexanders", spy)
     classes, _ = run_cell(knot, n, target, ("classes", "talex"))
+    (evaluated,) = batches  # one batch per cell
     if target == "PSL2_7":
         # its outer automorphism dualizes the representation: no merging
         assert len(evaluated) == classes.value

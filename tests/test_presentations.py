@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -28,13 +30,15 @@ from gnk.presentations import (
 )
 from gnk.words import GeneratorTable, Word, parse_word, reduce, substitute
 
-from oracle_utils import int_det, minors_gcd
+from oracle_utils import int_det, minors_gcd, rotation_canonical_relator
 
 ABC = GeneratorTable(("a", "b", "c"))
 
 
 def rel(table, lhs, rhs):
-    return equality_relator(parse_word(lhs, table), parse_word(rhs, table))
+    return canonical_relator(
+        equality_relator(parse_word(lhs, table), parse_word(rhs, table))
+    )
 
 
 def relator_multiset(relators):
@@ -118,6 +122,50 @@ def test_canonical_relator_inversion_invariant(w):
 @given(words_abc)
 def test_equality_relator_of_equal_sides_is_trivial(w):
     assert equality_relator(w, w).is_identity
+
+
+def _letter_rotations(w):
+    """Syllable tuples of every letter rotation of a cyclically reduced word."""
+    letters = [(g, 1 if e > 0 else -1) for g, e in w.syllables for _ in range(abs(e))]
+    return {
+        reduce(w.table, letters[r:] + letters[:r]).syllables
+        for r in range(len(letters))
+    }
+
+
+def test_canonical_relator_matches_rotation_oracle():
+    # seeded random words over 2-4 generators, and rotations of each that
+    # split a syllable; some are won only by the inverse orientation
+    rng = random.Random(20261018)
+    inverse_wins = split_inputs = 0
+    for _ in range(3000):
+        table = GeneratorTable(("a", "b", "c", "d")[: rng.randint(2, 4)])
+        raw = [
+            (rng.randrange(len(table)), rng.choice((-3, -2, -1, 1, 2, 3)))
+            for _ in range(rng.randint(0, 10))
+        ]
+        w = reduce(table, raw)
+        got = canonical_relator(w)
+        assert got == rotation_canonical_relator(w)
+        cyc = cyclic_reduce(w)
+        inverse_wins += bool(cyc.syllables) and (
+            got.syllables not in _letter_rotations(cyc)
+        )
+        for syl in _letter_rotations(cyc):
+            word = Word(table, syl)
+            if len(syl) > len(cyc.syllables):  # a syllable was split
+                split_inputs += 1
+                assert canonical_relator(word) == got
+    assert inverse_wins > 500 and split_inputs > 1000
+    # every knot presentation, raw and reduced: stored relators are fixed
+    # points, and every rotation and inverse of one maps back to it
+    for knot in KNOT_NAMES:
+        for n in range(1, 5):
+            for raw in (False, True):
+                for r in knot_presentation(knot, n, raw=raw).relators:
+                    assert rotation_canonical_relator(r) == r
+                    for syl in _letter_rotations(r) | _letter_rotations(r.inverse()):
+                        assert canonical_relator(Word(r.table, syl)) == r
 
 
 # -- generalized knot group presentations ------------------------------------

@@ -1,6 +1,7 @@
 import itertools
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -19,9 +20,9 @@ from gnk.talex import (
     _check_chain_rule,
     _from_plain,
     _gl32_elements,
+    _grid,
     _mat3_order,
     _pivot_product,
-    _plain_grid,
     _ring_for,
     abelianization_degrees,
     laurent,
@@ -30,6 +31,7 @@ from gnk.talex import (
     representation_from_sl2_hom,
     trivial_representation,
     twisted_alexander,
+    twisted_alexanders,
     wada_matrix,
 )
 from gnk.words import GeneratorTable, Word, parse_word, word_product
@@ -42,11 +44,13 @@ from oracle_utils import (
     fox_derivative,
     group_ring,
     invariant_factor_product,
+    plain_poly,
     poly_cofactor_det,
     poly_det,
     poly_gcd,
     poly_minors_gcd,
     validate_representation,
+    wada_blocks,
 )
 
 AB = GeneratorTable(("a", "b"))
@@ -194,7 +198,7 @@ def _random_grid(rng, ring, rows, cols):
     def entry():
         if rng.random() < 1 / 3:
             return ring.zero
-        return ring.from_coeffs([rng.randrange(p) for _ in range(rng.randint(1, 4))])
+        return plain_poly(ring, [rng.randrange(p) for _ in range(rng.randint(1, 4))])
 
     grid = [[entry() for _ in range(cols)] for _ in range(rows)]
     if rng.random() < 1 / 3:
@@ -381,7 +385,7 @@ def test_representation_validation():
     pres = trefoil_right_reduced(1)
     rep = trivial_representation(pres, 5)
     validate_representation(pres, rep)
-    wada_matrix(pres, rep)
+    wada_matrix(pres, (rep,))
     with pytest.raises(ValueError, match="singular"):
         Representation(pres.gens, 1, 5, (((0,),), ((1,),)), (1, 1))
     with pytest.raises(ValueError, match="per generator"):
@@ -389,7 +393,10 @@ def test_representation_validation():
     bad_alpha = Representation(pres.gens, 1, 5, (((1,),), ((1,),)), (1, 2))
     other = Presentation(GeneratorTable(("x",)), ())
     # the replay oracle and the kernel's walk reject the same inputs
-    for check in (validate_representation, wada_matrix, twisted_alexander):
+    def batch_of_one(pres, rep):
+        return wada_matrix(pres, (rep,))
+
+    for check in (validate_representation, batch_of_one, twisted_alexander):
         with pytest.raises(ValueError, match="not respected"):
             check(pres, bad_alpha)
         with pytest.raises(ValueError, match="different generators"):
@@ -415,7 +422,7 @@ def test_relator_check_matches_replay_oracle():
             except ValueError:
                 expected = False
             try:
-                wada_matrix(pres, rep)
+                wada_matrix(pres, (rep,))
                 got = True
             except ValueError:
                 got = False
@@ -447,15 +454,17 @@ def test_chain_rule_check_rejects_tampering():
     import dataclasses
 
     pres = trefoil_right_reduced(1)
-    wm = wada_matrix(pres, trivial_representation(pres, 5))
-    blocks = [list(row) for row in wm.blocks]
-    blocks[0][0] = ((0, ((1,),)), (1, ((1,),)))  # the block 1 + t
-    broken = dataclasses.replace(wm, blocks=tuple(tuple(r) for r in blocks))
+    wm = wada_matrix(pres, (trivial_representation(pres, 5),))
+    coeffs = wm.coeffs.copy()
+    coeffs[0, 0, 0] = 0
+    coeffs[0, 0, 0, [-1 - wm.low, -wm.low]] = 1  # the block t^-1 + 1
+    broken = dataclasses.replace(wm, coeffs=coeffs)
     with pytest.raises(RuntimeError, match="identity failed"):
         _check_chain_rule(broken)
 
 
 def test_every_evaluation_checks_the_chain_rule(monkeypatch):
+    import gnk.harness
     import gnk.talex
 
     checked = []
@@ -472,16 +481,48 @@ def test_every_evaluation_checks_the_chain_rule(monkeypatch):
         twisted_alexander(pres, representation_from_sl2_hom(pres, hom))
     assert len(checked) == len(homs)
 
+    # a sweep cell evaluates one batch: every member is covered by a check
+    evaluated = []
+    real_batch = gnk.harness.twisted_alexanders
+
+    def batch_spy(pres, reps):
+        out = real_batch(pres, reps)
+        evaluated.extend(reps)
+        return out
+
+    monkeypatch.setattr(gnk.harness, "twisted_alexanders", batch_spy)
+    checked.clear()
+    (rec,) = gnk.harness.run_cell("GK", 3, "PSL2_7", ("talex",))
+    assert rec.status == "ok" and len(evaluated) == 54
+    covered = {id(rep) for wm in checked for rep in wm.reps}
+    assert all(id(rep) in covered for rep in evaluated)
+
 
 def test_wada_shape():
     pres = knot_presentation("GK", 2)
     group = SL2Group(3)
     hom = next(iter(enumerate_homs(pres, group)))
-    wm = wada_matrix(pres, representation_from_sl2_hom(pres, hom))
-    assert len(wm.blocks) == 3
-    assert all(len(row) == 3 for row in wm.blocks)
-    grid = _plain_grid(_ring_for(3), 2, [row[1:] for row in wm.blocks])
+    wm = wada_matrix(pres, (representation_from_sl2_hom(pres, hom),))
+    assert len(wada_blocks(wm)) == 3
+    assert all(len(row) == 3 for row in wada_blocks(wm))
+    grid = _grid(_ring_for(3), wm.coeffs[0][:, 1:])
     assert len(grid) == 6 and all(len(row) == 4 for row in grid)
+
+
+def test_grid_reads_entries_over_any_degree_span():
+    # GF(2) entries are packed as bitmasks, so spans past 62 degrees must
+    # not overflow; every entry must equal its coefficients read directly
+    rng = np.random.default_rng(20261018)
+    for p in (2, 5):
+        ring = _ring_for(p)
+        for span in (2, 3, 63, 64, 70):
+            coeffs = rng.integers(0, p, size=(2, 3, span, 2, 2))
+            coeffs[:, :, 0] = 0  # the common power of t is divided out
+            coeffs[0, 0, 1, 0, 0] = 1
+            grid = _grid(ring, coeffs)
+            for i, j, u, v in itertools.product(range(2), range(3), range(2), range(2)):
+                entry = plain_poly(ring, coeffs[i, j, 1:, u, v].tolist())
+                assert grid[i * 2 + u][j * 2 + v] == entry
 
 
 def test_wada_matches_fox_oracle():
@@ -497,11 +538,117 @@ def test_wada_matches_fox_oracle():
     hom = next(iter(enumerate_homs(gk, PSL2Group(7))))
     cases.append((gk, representation_from_psl27_hom(gk, hom)))
     for pres, rep in cases:
-        wm = wada_matrix(pres, rep)
+        wm = wada_matrix(pres, (rep,))
         for i, rel in enumerate(pres.relators):
             for j in range(len(pres.gens)):
                 fox = fox_block(rep, fox_derivative(rel, j))
-                assert wm.blocks[i][j] == degree_terms(fox)
+                assert wada_blocks(wm)[i][j] == degree_terms(fox)
+
+
+def _class_key_batches(monkeypatch, knots_ns, target):
+    """Every wada_matrix batch that run_cell builds for talex on the cells."""
+    import gnk.talex
+    from gnk.harness import run_cell
+
+    built = []
+    real = gnk.talex.wada_matrix
+
+    def spy(pres, reps):
+        wm = real(pres, reps)
+        built.append(wm)
+        return wm
+
+    monkeypatch.setattr(gnk.talex, "wada_matrix", spy)
+    for knot, n in knots_ns:
+        (rec,) = run_cell(knot, n, target, ("talex",))
+        assert rec.status == "ok"
+    return built
+
+
+def _assert_blocks_match_fox(wm):
+    fox = [
+        [fox_derivative(rel, j) for j in range(len(wm.pres.gens))]
+        for rel in wm.pres.relators
+    ]
+    for member, rep in enumerate(wm.reps):
+        blocks = wada_blocks(wm, member)
+        for i, row in enumerate(fox):
+            for j, elem in enumerate(row):
+                assert blocks[i][j] == degree_terms(fox_block(rep, elem))
+
+
+def _characters(pres, p):
+    """The 1-dimensional representations x -> u of a knot group, one per
+    unit u mod p; u = 1 is the trivial representation."""
+    trivial = trivial_representation(pres, p)
+    return [
+        Representation(pres.gens, 1, p, (((u,),),) * len(pres.gens), trivial.alpha)
+        for u in range(1, p)
+    ]
+
+
+KNOTS_NS = [(knot, n) for knot in ("SK", "GK") for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("target", ["SL2_2", "SL2_3", "SL2_5", "SL2_7", "PSL2_7"])
+def test_batched_blocks_match_fox_oracle(target, monkeypatch):
+    # every member of every cell's class-key batch, against Fox derivatives
+    batches = _class_key_batches(monkeypatch, KNOTS_NS, target)
+    assert len(batches) == len(KNOTS_NS)
+    assert all(len(wm.reps) > 1 for wm in batches)
+    for wm in batches:
+        _assert_blocks_match_fox(wm)
+
+
+def test_batched_characters_match_fox_oracle():
+    for knot, n in KNOTS_NS:
+        pres = knot_presentation(knot, n)
+        for p in (2, 5):
+            batch = _characters(pres, p)
+            wm = wada_matrix(pres, batch)
+            _assert_blocks_match_fox(wm)
+            got = [ta.line() for ta in twisted_alexanders(pres, batch)]
+            assert got == [twisted_alexander(pres, rep).line() for rep in batch]
+
+
+def test_batch_failures_name_the_member_fault(monkeypatch):
+    import dataclasses
+
+    pres = knot_presentation("SK", 2)
+    (wm,) = _class_key_batches(monkeypatch, [("SK", 2)], "SL2_5")
+    reps = list(wm.reps)
+    # one member with a generator image swapped breaks a relator
+    broken = reps[len(reps) // 2]
+    for a, b, c, d in SL2Group(5).elements():
+        images = list(broken.images)
+        images[1] = ((a, b), (c, d))
+        bad = Representation(pres.gens, 2, 5, tuple(images), broken.alpha)
+        try:
+            validate_representation(pres, bad)
+        except ValueError:
+            break
+    with pytest.raises(ValueError, match="not respected"):
+        wada_matrix(pres, reps[:3] + [bad] + reps[3:])
+    # a tampered block in one member fails the chain rule
+    _check_chain_rule(wm)
+    coeffs = wm.coeffs.copy()
+    coeffs[len(reps) - 1, 2, 1, -wm.low] += np.eye(2, dtype=coeffs.dtype)
+    with pytest.raises(RuntimeError, match="identity failed"):
+        _check_chain_rule(dataclasses.replace(wm, coeffs=coeffs % 5))
+    # members must share p, dim and alpha
+    mirrored = Representation(
+        pres.gens, 1, 5, (((1,),),) * 3, tuple(-a for a in reps[0].alpha)
+    )
+    for other in (
+        trivial_representation(pres, 3),
+        trivial_representation(pres, 5),
+        mirrored,
+    ):
+        with pytest.raises(ValueError, match="share"):
+            wada_matrix(pres, [reps[0], other])
+    wada_matrix(pres, [mirrored])  # valid on its own
+    with pytest.raises(ValueError, match="at least one"):
+        wada_matrix(pres, [])
 
 
 # -- the invariant --------------------------------------------------------------
@@ -600,7 +747,7 @@ def test_numerator_matches_minors_oracle():
     cases.append((pres2, representation_from_sl2_hom(pres2, hom)))
     for pres, rep in cases:
         ta = twisted_alexander(pres, rep)
-        flat = deleted_flat(wada_matrix(pres, rep), ta.column)
+        flat = deleted_flat(wada_matrix(pres, (rep,)), ta.column)
         oracle = poly_minors_gcd(rep.p, flat, len(flat[0]))
         assert ta.numerator == oracle.normalized()
 
@@ -611,7 +758,7 @@ def test_psl27_numerator_matches_minors_oracle():
     hom = next(iter(enumerate_homs(pres, psl)))
     rep = representation_from_psl27_hom(pres, hom)
     ta = twisted_alexander(pres, rep)
-    flat = deleted_flat(wada_matrix(pres, rep), ta.column)
+    flat = deleted_flat(wada_matrix(pres, (rep,)), ta.column)
     minors = [
         poly_det(2, [flat[i] for i in rows])
         for rows in itertools.combinations(range(9), 6)
