@@ -435,21 +435,6 @@ def from_cayley_table(rows, name: str = "cayley") -> CayleyGroup:
     return CayleyGroup(table, name)
 
 
-def cayley_table(group: FiniteGroup) -> tuple[tuple[int, ...], ...]:
-    els = group.elements()
-    idx = {e: i for i, e in enumerate(els)}
-    return tuple(
-        tuple(idx[group.mul(a, b)] for b in els) for a in els
-    )
-
-
-def format_cayley_table(group: FiniteGroup) -> str:
-    table = cayley_table(group)
-    lines = [str(len(table))]
-    lines.extend(" ".join(str(v) for v in row) for row in table)
-    return "\n".join(lines) + "\n"
-
-
 def parse_cayley_table(text: str, name: str = "cayley") -> CayleyGroup:
     lines = [ln for ln in (s.strip() for s in text.splitlines()) if ln]
     if not lines:

@@ -73,19 +73,6 @@ class Homomorphism:
         els = self.group.elements()
         return tuple(els[i] for i in self.image_indices)
 
-    def serialize(self) -> str:
-        return " ".join(
-            f"{name}={self.group.format_element(img)}"
-            for name, img in zip(self.presentation.gens.names, self.images())
-        )
-
-    def is_valid(self) -> bool:
-        images = self.images()
-        return all(
-            evaluate(r, images, self.group) == self.group.identity
-            for r in self.presentation.relators
-        )
-
 
 class _Indexed:
     """Multiplication, inverse, and power tables over element indices.
@@ -524,22 +511,6 @@ def enumerate_homs(pres: Presentation, group: FiniteGroup):
 # -- conjugation orbits ---------------------------------------------------------
 
 
-def _as_matrix(homs, group: FiniteGroup | None) -> tuple[np.ndarray, FiniteGroup]:
-    if isinstance(homs, np.ndarray):
-        if group is None:
-            raise ValueError("matrix input needs an explicit group")
-        return homs.astype(np.int32, copy=False), group
-    homs = list(homs)
-    if not homs:
-        raise ValueError("no homomorphisms given")
-    first = homs[0]
-    for h in homs:
-        if h.group is not first.group or h.presentation != first.presentation:
-            raise ValueError("homomorphisms come from different searches")
-    mat = np.array([h.image_indices for h in homs], dtype=np.int32)
-    return mat, first.group
-
-
 def _row_locator(matrix: np.ndarray):
     """locate(block)[i] is the row of matrix equal to block[i]."""
     rows = matrix.shape[0]
@@ -565,7 +536,7 @@ def _row_locator(matrix: np.ndarray):
 
 
 def orbit_partition(
-    homs, group: FiniteGroup | None = None, conjugators: np.ndarray | None = None
+    matrix: np.ndarray, group: FiniteGroup, conjugators: np.ndarray | None = None
 ) -> list[int]:
     """The least row index of each input row's conjugation orbit.
 
@@ -575,7 +546,6 @@ def orbit_partition(
     labels start as row indices and propagate as in _min_labels.  Identity
     entries pad rows with fewer conjugators and cost no lookup.
     """
-    matrix, group = _as_matrix(homs, group)
     idx = indexed_tables(group)
     rows = matrix.shape[0]
     if rows == 0:
@@ -596,14 +566,12 @@ def orbit_partition(
     return _min_labels(rows, targets).tolist()
 
 
-def orbit_count(homs, group: FiniteGroup | None = None) -> int:
-    roots = orbit_partition(homs, group)
-    return len(set(roots))
+def orbit_count(matrix: np.ndarray, group: FiniteGroup) -> int:
+    return len(set(orbit_partition(matrix, group)))
 
 
-def orbit_representatives(homs, group: FiniteGroup | None = None) -> np.ndarray:
+def orbit_representatives(matrix: np.ndarray, group: FiniteGroup) -> np.ndarray:
     """Lex-least row of each conjugation orbit, in lex order."""
-    matrix, group = _as_matrix(homs, group)
     roots = orbit_partition(matrix, group)
     return matrix[sorted(set(roots))]
 

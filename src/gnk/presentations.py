@@ -140,9 +140,6 @@ class Presentation:
     def __hash__(self) -> int:
         return hash(self._key())
 
-    def parse(self, text: str) -> Word:
-        return parse_word(text, self.gens)
-
 
 @dataclass(frozen=True)
 class AbelianInvariants:
@@ -161,10 +158,6 @@ class AbelianInvariants:
                 if prev != 0 and d != 0 and d % prev:
                     raise ValueError("factors must form a divisibility chain")
             prev = d
-
-    @property
-    def free_rank(self) -> int:
-        return sum(1 for d in self.factors if d == 0)
 
 
 def smith_normal_form(
@@ -393,15 +386,6 @@ def g1_braid_presentation() -> Presentation:
     return Presentation(t, rels, n=1, label="base")
 
 
-def sk_powered_third_relation(n: int) -> tuple[Word, Word]:
-    """Both sides of (e^n d^n)^3 d (e^n d^n)^-3 = (b^n d^n)^3 d (b^n d^n)^-3."""
-    t = GeneratorTable(("d", "b", "e"))
-    ed = parse_word(f"e^{n} d^{n}", t)
-    bd = parse_word(f"b^{n} d^{n}", t)
-    d = parse_word("d", t)
-    return (ed**3 * d * ed**-3, bd**3 * d * bd**-3)
-
-
 REDUCED_BUILDERS = {
     "trefoil_r": trefoil_right_reduced,
     "trefoil_l": trefoil_left_reduced,
@@ -424,12 +408,6 @@ def knot_presentation(knot: str, n: int, raw: bool = False) -> Presentation:
     return REDUCED_BUILDERS[knot](n)
 
 
-def knot_diagram(knot: str) -> KnotDiagram:
-    if knot not in DIAGRAMS:
-        raise KeyError(f"unknown knot {knot!r}")
-    return DIAGRAMS[knot]
-
-
 # -- text form ---------------------------------------------------------------
 
 
@@ -440,56 +418,3 @@ def format_presentation(pres: Presentation) -> str:
     for r in pres.relators:
         lines.append("rel: " + format_word(r))
     return "\n".join(lines) + "\n"
-
-
-def parse_presentation(text: str, label: str = "") -> Presentation:
-    gens: GeneratorTable | None = None
-    n = 1
-    relators: list[Word] = []
-    for raw_line in text.splitlines():
-        line = raw_line.strip()
-        if not line or line.startswith("#"):
-            continue
-        key, sep, rest = line.partition(":")
-        if not sep:
-            raise ValueError(f"bad line {line!r}")
-        key = key.strip()
-        rest = rest.strip()
-        if key == "gens":
-            if gens is not None:
-                raise ValueError("duplicate gens line")
-            gens = GeneratorTable(tuple(rest.split()))
-        elif key == "n":
-            n = int(rest)
-        elif key == "rel":
-            if gens is None:
-                raise ValueError("rel line before gens line")
-            relators.append(parse_word(rest, gens))
-        else:
-            raise ValueError(f"unknown key {key!r}")
-    if gens is None:
-        raise ValueError("missing gens line")
-    return Presentation(gens, tuple(relators), n=n, label=label)
-
-
-def format_diagram(diagram: KnotDiagram) -> str:
-    lines = [f"arcs {diagram.arc_count}"]
-    for sign, over, ui, uo in diagram.crossings:
-        lines.append(f"{'+' if sign > 0 else '-'} {over} {ui} {uo}")
-    return "\n".join(lines) + "\n"
-
-
-def parse_diagram(text: str) -> KnotDiagram:
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
-    if not lines or not lines[0].startswith("arcs "):
-        raise ValueError("first line must be 'arcs N'")
-    arc_count = int(lines[0].split()[1])
-    crossings = []
-    for line in lines[1:]:
-        parts = line.split()
-        if len(parts) != 4 or parts[0] not in "+-":
-            raise ValueError(f"bad crossing line {line!r}")
-        sign = 1 if parts[0] == "+" else -1
-        crossings.append((sign, int(parts[1]), int(parts[2]), int(parts[3])))
-    return KnotDiagram(arc_count, tuple(crossings))

@@ -24,8 +24,10 @@ the identity at degree 0 for every member, and the finished blocks must
 satisfy the chain-rule identity sum_j Phi(dr/dx_j) (Phi(x_j) - 1) = 0,
 degree by degree, before any invariant is computed from them.  Each
 member's deleted matrix and denominator are then read off the array as
-plain F_p[t] elements under one common power of t; a LaurentPoly is built
-only for the two normalized results.
+plain F_p[t] elements under one common power of t.  Members that send the
+denominator's generator to the same matrix share one denominator.  Both
+results are kept as coefficient tuples (c_0, ..., c_d) with c_0 = 1, and
+() for zero.
 """
 
 from __future__ import annotations
@@ -35,7 +37,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
 from math import gcd as int_gcd
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -47,116 +49,6 @@ from .presentations import (
     smith_normal_form,
 )
 from .words import GeneratorTable
-
-# -- Laurent polynomials -------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LaurentPoly:
-    """Coefficients over F_p from degree low upward; ends are nonzero."""
-
-    p: int
-    low: int
-    coeffs: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        if self.p < 2:
-            raise ValueError("modulus must be at least 2")
-        if self.coeffs:
-            if self.coeffs[0] == 0 or self.coeffs[-1] == 0:
-                raise ValueError("coefficient ends must be nonzero")
-            if any(not 0 <= c < self.p for c in self.coeffs):
-                raise ValueError("coefficients must be reduced")
-        elif self.low != 0:
-            raise ValueError("zero polynomial must have low 0")
-
-    @property
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    @property
-    def high(self) -> int:
-        return self.low + len(self.coeffs) - 1
-
-    def __add__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.p != other.p:
-            raise ValueError("modulus mismatch")
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        low = min(self.low, other.low)
-        high = max(self.high, other.high)
-        out = [0] * (high - low + 1)
-        for i, c in enumerate(self.coeffs):
-            out[self.low - low + i] = c
-        for i, c in enumerate(other.coeffs):
-            out[other.low - low + i] = (out[other.low - low + i] + c) % self.p
-        return laurent(self.p, out, low)
-
-    def __neg__(self) -> "LaurentPoly":
-        return laurent(self.p, [(-c) % self.p for c in self.coeffs], self.low)
-
-    def __sub__(self, other: "LaurentPoly") -> "LaurentPoly":
-        return self + (-other)
-
-    def __mul__(self, other: "LaurentPoly") -> "LaurentPoly":
-        if self.p != other.p:
-            raise ValueError("modulus mismatch")
-        if self.is_zero or other.is_zero:
-            return laurent(self.p, ())
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
-            if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] = (out[i + j] + a * b) % self.p
-        return laurent(self.p, out, self.low + other.low)
-
-    def scale(self, c: int) -> "LaurentPoly":
-        c %= self.p
-        return laurent(self.p, [a * c % self.p for a in self.coeffs], self.low)
-
-    def shift(self, k: int) -> "LaurentPoly":
-        if self.is_zero:
-            return self
-        return LaurentPoly(self.p, self.low + k, self.coeffs)
-
-    def normalized(self) -> "LaurentPoly":
-        """The associate with lowest degree 0 and lowest coefficient 1."""
-        if self.is_zero:
-            return self
-        unit = pow(self.coeffs[0], -1, self.p)
-        return laurent(self.p, [c * unit % self.p for c in self.coeffs], 0)
-
-    def text(self) -> str:
-        if self.is_zero:
-            return "0"
-        parts = []
-        for i, c in enumerate(self.coeffs):
-            if not c:
-                continue
-            deg = self.low + i
-            if deg == 0:
-                parts.append(str(c))
-            else:
-                var = "t" if deg == 1 else f"t^{deg}"
-                parts.append(var if c == 1 else f"{c}*{var}")
-        return " + ".join(parts)
-
-
-def laurent(p: int, coeffs: Iterable[int], low: int = 0) -> LaurentPoly:
-    """Build a LaurentPoly, reducing mod p and trimming zero ends."""
-    cs = [c % p for c in coeffs]
-    start = 0
-    while start < len(cs) and cs[start] == 0:
-        start += 1
-    end = len(cs)
-    while end > start and cs[end - 1] == 0:
-        end -= 1
-    if start == end:
-        return LaurentPoly(p, 0, ())
-    return LaurentPoly(p, low + start, tuple(cs[start:end]))
-
 
 # -- plain polynomial kernels ----------------------------------------------------
 
@@ -274,8 +166,26 @@ def _ring_for(p: int):
     return _GF2Ring if p == 2 else _GFpRing(p)
 
 
-def _from_plain(p: int, ring, a, low: int = 0) -> LaurentPoly:
-    return laurent(p, ring.to_coeffs(a), low)
+def _normalized(ring, a) -> tuple[int, ...]:
+    """The associate of a with lowest degree 0 and lowest coefficient 1, as
+    coefficients from degree 0 upward; () for zero."""
+    cs = ring.to_coeffs(a)
+    low = next((i for i, c in enumerate(cs) if c), len(cs))
+    if low == len(cs):
+        return ()
+    unit = pow(cs[low], -1, ring.p)
+    return tuple(c * unit % ring.p for c in cs[low:])
+
+
+def _poly_text(cs: tuple[int, ...]) -> str:
+    """c_0 + c_1*t + c_2*t^2 + ..., leaving out zero terms and unit
+    coefficients of powers of t."""
+    terms = []
+    for deg, c in enumerate(cs):
+        if c:
+            var = "t" if deg == 1 else f"t^{deg}"
+            terms.append(str(c) if deg == 0 else var if c == 1 else f"{c}*{var}")
+    return " + ".join(terms) or "0"
 
 
 def _gcdex(ring, a, b):
@@ -500,26 +410,29 @@ def _grid(ring, coeffs: np.ndarray) -> list[list]:
     return [[ring._trim(e) for e in row] for row in flat.tolist()]
 
 
-def _denominator(ring, rep: Representation, j: int):
-    """det(A_j t^alpha_j - 1) in the plain ring, up to a power of t."""
-    a, k = rep.alpha[j], rep.dim
+def _denominator(ring, image: tuple, a: int):
+    """det(image t^a - 1) in the plain ring, up to a power of t."""
+    k = len(image)
     lo = min(a, 0)
     block = np.zeros((1, 1, abs(a) + 1, k, k), np.int64)
-    block[0, 0, a - lo] += rep.images[j]
+    block[0, 0, a - lo] += image
     block[0, 0, -lo] -= np.eye(k, dtype=np.int64)
-    return _pivot_product(ring, _grid(ring, block % rep.p))
+    return _pivot_product(ring, _grid(ring, block % ring.p))
 
 
 @dataclass(frozen=True)
 class TwistedAlexander:
-    """Normalized numerator and denominator, and the column they came from."""
+    """Normalized numerator and denominator, and the column they came from.
 
-    numerator: LaurentPoly
-    denominator: LaurentPoly
+    Each is a coefficient tuple (c_0, ..., c_d) with c_0 = 1, or () for zero.
+    """
+
+    numerator: tuple[int, ...]
+    denominator: tuple[int, ...]
     column: int
 
     def line(self) -> str:
-        return f"{self.numerator.text()} | {self.denominator.text()}"
+        return f"{_poly_text(self.numerator)} | {_poly_text(self.denominator)}"
 
 
 def twisted_alexanders(
@@ -530,33 +443,34 @@ def twisted_alexanders(
     """The invariant of each member of a batch, from one wada_matrix call.
 
     The column defaults, per member, to the first generator whose
-    denominator does not vanish.
+    denominator does not vanish.  A denominator depends only on the column
+    and its generator's image, so members sharing both share one.
     """
     gens = len(pres.gens)
     if column is not None and not 0 <= column < gens:
         raise ValueError(f"column {column} is out of range for {gens} generators")
     wm = wada_matrix(pres, reps)
-    ring = _ring_for(wm.reps[0].p)
+    ring, alpha = _ring_for(wm.reps[0].p), wm.reps[0].alpha
+    dens: dict[tuple, tuple[int, ...]] = {}
+
+    def denominator(rep: Representation, j: int) -> tuple[int, ...]:
+        key = (j, rep.images[j])
+        if key not in dens:
+            den = _denominator(ring, rep.images[j], alpha[j])
+            dens[key] = _normalized(ring, den)
+        return dens[key]
+
     out = []
     for rep, coeffs in zip(wm.reps, wm.coeffs):
-        if column is None:
-            for col in range(gens):
-                den = _denominator(ring, rep, col)
-                if den != ring.zero:
-                    break
-            else:
-                raise ValueError("det(Phi(x_j) - 1) vanishes for every generator")
-        else:
-            col, den = column, _denominator(ring, rep, column)
-            if den == ring.zero:
-                raise ValueError(f"column {column} has vanishing denominator")
+        cols = range(gens) if column is None else (column,)
+        col = next((j for j in cols if denominator(rep, j)), None)
+        if col is None and column is None:
+            raise ValueError("det(Phi(x_j) - 1) vanishes for every generator")
+        if col is None:
+            raise ValueError(f"column {column} has vanishing denominator")
         num = _pivot_product(ring, _grid(ring, np.delete(coeffs, col, axis=1)))
         out.append(
-            TwistedAlexander(
-                _from_plain(rep.p, ring, num).normalized(),
-                _from_plain(rep.p, ring, den).normalized(),
-                col,
-            )
+            TwistedAlexander(_normalized(ring, num), denominator(rep, col), col)
         )
     return out
 
@@ -597,16 +511,6 @@ def abelianization_degrees(pres: Presentation) -> tuple[int, ...]:
     if first < 0:
         col = [-v for v in col]
     return tuple(col)
-
-
-def trivial_representation(pres: Presentation, p: int) -> Representation:
-    return Representation(
-        table=pres.gens,
-        dim=1,
-        p=p,
-        images=(((1,),),) * len(pres.gens),
-        alpha=abelianization_degrees(pres),
-    )
 
 
 def representation_from_sl2_hom(pres: Presentation, hom) -> Representation:

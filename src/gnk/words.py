@@ -151,25 +151,6 @@ def word_power(w: Word, k: int) -> Word:
     return out
 
 
-def substitute(u: Word, gen: int, replacement: Word) -> Word:
-    """Replace every occurrence of a generator by a word not mentioning it."""
-    if replacement.table != u.table:
-        raise ValueError("generator-table mismatch")
-    if replacement.mentions(gen):
-        raise ValueError("replacement mentions the substituted generator")
-    stream: list[Syllable] = []
-    for g, e in u.syllables:
-        if g == gen:
-            stream.extend(word_power(replacement, e).syllables)
-        else:
-            stream.append((g, e))
-    return reduce(u.table, stream)
-
-
-def generator_words(table: GeneratorTable) -> tuple[Word, ...]:
-    return tuple(Word(table, ((i, 1),)) for i in range(len(table)))
-
-
 def evaluate(w: Word, images: Sequence, group) -> object:
     """Image of a word under generator assignments, left to right.
 

@@ -14,8 +14,15 @@ label-propagation orbits.  A Smith diagonalization over F_p[t] checks the
 package's row-echelon pivot product, and `poly_gcd` with cofactor
 expansion gives the gcd of maximal minors directly.  `poly_det` is the
 Laurent front end of the pivot product, checked against cofactor
-expansion and used by the minors oracle.  Every rotation of a relator and
-of its inverse, each reduced afresh, checks the canonical relator.
+expansion and used by the minors oracle.  `LaurentPoly` is the polynomial
+type of these oracles; the package itself keeps only plain F_p[t] ring
+elements and normalized coefficient tuples.  Every rotation of a relator
+and of its inverse, each reduced afresh, checks the canonical relator.
+
+The helpers at the end are used only by tests, as fixtures or as oracles:
+the trivial representation, word substitution, the powered third
+relation, homomorphism checks, and text forms of presentations, diagrams
+and Cayley tables.
 """
 
 import hashlib
@@ -28,15 +35,138 @@ import numpy as np
 
 from gnk.fingroups import generating_set, nth_roots
 from gnk.homsearch import hom_image_matrix, lift_roots
-from gnk.presentations import cyclic_reduce, g1_braid_presentation, knot_presentation
+from gnk.presentations import (
+    KnotDiagram,
+    Presentation,
+    cyclic_reduce,
+    g1_braid_presentation,
+    knot_presentation,
+)
+from gnk.talex import Representation, abelianization_degrees
 from gnk.words import (
     GeneratorTable,
     Word,
     evaluate,
+    parse_word,
     reduce,
     word_power,
     word_product,
 )
+
+
+# -- Laurent polynomials over F_p -------------------------------------------------
+
+
+@dataclass(frozen=True)
+class LaurentPoly:
+    """Coefficients over F_p from degree low upward; ends are nonzero."""
+
+    p: int
+    low: int
+    coeffs: tuple
+
+    def __post_init__(self):
+        if self.p < 2:
+            raise ValueError("modulus must be at least 2")
+        if self.coeffs:
+            if self.coeffs[0] == 0 or self.coeffs[-1] == 0:
+                raise ValueError("coefficient ends must be nonzero")
+            if any(not 0 <= c < self.p for c in self.coeffs):
+                raise ValueError("coefficients must be reduced")
+        elif self.low != 0:
+            raise ValueError("zero polynomial must have low 0")
+
+    @property
+    def is_zero(self):
+        return not self.coeffs
+
+    @property
+    def high(self):
+        return self.low + len(self.coeffs) - 1
+
+    def __add__(self, other):
+        if self.p != other.p:
+            raise ValueError("modulus mismatch")
+        if self.is_zero:
+            return other
+        if other.is_zero:
+            return self
+        low = min(self.low, other.low)
+        high = max(self.high, other.high)
+        out = [0] * (high - low + 1)
+        for i, c in enumerate(self.coeffs):
+            out[self.low - low + i] = c
+        for i, c in enumerate(other.coeffs):
+            out[other.low - low + i] = (out[other.low - low + i] + c) % self.p
+        return laurent(self.p, out, low)
+
+    def __neg__(self):
+        return laurent(self.p, [(-c) % self.p for c in self.coeffs], self.low)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, other):
+        if self.p != other.p:
+            raise ValueError("modulus mismatch")
+        if self.is_zero or other.is_zero:
+            return laurent(self.p, ())
+        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
+        for i, a in enumerate(self.coeffs):
+            if a:
+                for j, b in enumerate(other.coeffs):
+                    out[i + j] = (out[i + j] + a * b) % self.p
+        return laurent(self.p, out, self.low + other.low)
+
+    def scale(self, c):
+        c %= self.p
+        return laurent(self.p, [a * c % self.p for a in self.coeffs], self.low)
+
+    def shift(self, k):
+        if self.is_zero:
+            return self
+        return LaurentPoly(self.p, self.low + k, self.coeffs)
+
+    def normalized(self):
+        """The associate with lowest degree 0 and lowest coefficient 1."""
+        if self.is_zero:
+            return self
+        unit = pow(self.coeffs[0], -1, self.p)
+        return laurent(self.p, [c * unit % self.p for c in self.coeffs], 0)
+
+    def text(self):
+        if self.is_zero:
+            return "0"
+        parts = []
+        for i, c in enumerate(self.coeffs):
+            if not c:
+                continue
+            deg = self.low + i
+            if deg == 0:
+                parts.append(str(c))
+            else:
+                var = "t" if deg == 1 else f"t^{deg}"
+                parts.append(var if c == 1 else f"{c}*{var}")
+        return " + ".join(parts)
+
+
+def laurent(p, coeffs, low=0):
+    """Build a LaurentPoly, reducing mod p and trimming zero ends."""
+    cs = [c % p for c in coeffs]
+    start = 0
+    while start < len(cs) and cs[start] == 0:
+        start += 1
+    end = len(cs)
+    while end > start and cs[end - 1] == 0:
+        end -= 1
+    if start == end:
+        return LaurentPoly(p, 0, ())
+    return LaurentPoly(p, low + start, tuple(cs[start:end]))
+
+
+def from_plain(ring, a, low=0):
+    """A talex F_p[t] ring element times t^low as a LaurentPoly."""
+    return laurent(ring.p, ring.to_coeffs(a), low)
 
 
 def rotation_canonical_relator(w):
@@ -97,8 +227,6 @@ def minors_gcd(mat, k):
 
 def poly_cofactor_det(p, rows):
     """Laurent-matrix determinant by first-row cofactor expansion."""
-    from gnk.talex import laurent
-
     n = len(rows)
     if n == 0:
         return laurent(p, (1,))
@@ -128,7 +256,7 @@ def poly_det(p, rows):
     Every entry is multiplied by one common power of t, the determinant is
     taken over F_p[t], and the power is divided back out.
     """
-    from gnk.talex import _from_plain, _pivot_product, _ring_for
+    from gnk.talex import _pivot_product, _ring_for
 
     n = len(rows)
     if any(len(r) != n for r in rows):
@@ -139,12 +267,12 @@ def poly_det(p, rows):
         [plain_poly(ring, (0,) * (e.low - shift) + e.coeffs) for e in row]
         for row in rows
     ]
-    return _from_plain(p, ring, _pivot_product(ring, plain), n * shift)
+    return from_plain(ring, _pivot_product(ring, plain), n * shift)
 
 
 def poly_gcd(p, polys):
     """Normalized gcd; zero when every input is zero."""
-    from gnk.talex import _from_plain, _ring_for
+    from gnk.talex import _ring_for
 
     ring = _ring_for(p)
     acc = ring.zero
@@ -157,7 +285,7 @@ def poly_gcd(p, polys):
         while b != ring.zero:
             _, r = ring.divmod(acc, b)
             acc, b = b, r
-    return _from_plain(p, ring, acc).normalized()
+    return from_plain(ring, acc).normalized()
 
 
 def poly_minors_gcd(p, rows, k):
@@ -527,8 +655,6 @@ def apply_word(rep, w):
 
 def fox_block(rep, elem):
     """The image of a group-ring element: sum of c * rep(word) * t^deg(word)."""
-    from gnk.talex import laurent
-
     k, p = rep.dim, rep.p
     block = [[laurent(p, ()) for _ in range(k)] for _ in range(k)]
     for word, c in elem.terms:
@@ -561,8 +687,6 @@ def degree_terms(block):
 
 def laurent_block(p, k, terms):
     """The k x k Laurent block of a kernel block's (degree, matrix) pairs."""
-    from gnk.talex import laurent
-
     block = [[laurent(p, ()) for _ in range(k)] for _ in range(k)]
     for d, mat in terms:
         for u in range(k):
@@ -637,3 +761,132 @@ def per_hom_talex(knot, n, target):
     ]
     digest = hashlib.sha256("\n".join(sorted(lines)).encode()).hexdigest()
     return digest, len(lines), len(set(lines))
+
+
+def trivial_representation(pres, p):
+    """Every generator to the 1 x 1 identity over F_p, with the
+    abelianization degrees: the classical Alexander polynomial."""
+    return Representation(
+        table=pres.gens,
+        dim=1,
+        p=p,
+        images=(((1,),),) * len(pres.gens),
+        alpha=abelianization_degrees(pres),
+    )
+
+
+# -- homomorphisms, words, presentations and tables as text -----------------------
+
+
+def hom_is_valid(hom):
+    """Every relator evaluates to the identity under the homomorphism."""
+    images = hom.images()
+    return all(
+        evaluate(r, images, hom.group) == hom.group.identity
+        for r in hom.presentation.relators
+    )
+
+
+def serialize_hom(hom):
+    """name=element for each generator, in generator order."""
+    return " ".join(
+        f"{name}={hom.group.format_element(img)}"
+        for name, img in zip(hom.presentation.gens.names, hom.images())
+    )
+
+
+def substitute(u, gen, replacement):
+    """Replace every occurrence of a generator by a word not mentioning it."""
+    if replacement.table != u.table:
+        raise ValueError("generator-table mismatch")
+    if replacement.mentions(gen):
+        raise ValueError("replacement mentions the substituted generator")
+    stream = []
+    for g, e in u.syllables:
+        if g == gen:
+            stream.extend(word_power(replacement, e).syllables)
+        else:
+            stream.append((g, e))
+    return reduce(u.table, stream)
+
+
+def generator_words(table):
+    return tuple(Word(table, ((i, 1),)) for i in range(len(table)))
+
+
+def sk_powered_third_relation(n):
+    """Both sides of (e^n d^n)^3 d (e^n d^n)^-3 = (b^n d^n)^3 d (b^n d^n)^-3."""
+    t = GeneratorTable(("d", "b", "e"))
+    ed = parse_word(f"e^{n} d^{n}", t)
+    bd = parse_word(f"b^{n} d^{n}", t)
+    d = parse_word("d", t)
+    return (ed**3 * d * ed**-3, bd**3 * d * bd**-3)
+
+
+def parse_presentation(text, label=""):
+    """The inverse of presentations.format_presentation."""
+    gens = None
+    n = 1
+    relators = []
+    for raw_line in text.splitlines():
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        key, sep, rest = line.partition(":")
+        if not sep:
+            raise ValueError(f"bad line {line!r}")
+        key = key.strip()
+        rest = rest.strip()
+        if key == "gens":
+            if gens is not None:
+                raise ValueError("duplicate gens line")
+            gens = GeneratorTable(tuple(rest.split()))
+        elif key == "n":
+            n = int(rest)
+        elif key == "rel":
+            if gens is None:
+                raise ValueError("rel line before gens line")
+            relators.append(parse_word(rest, gens))
+        else:
+            raise ValueError(f"unknown key {key!r}")
+    if gens is None:
+        raise ValueError("missing gens line")
+    return Presentation(gens, tuple(relators), n=n, label=label)
+
+
+def format_diagram(diagram):
+    lines = [f"arcs {diagram.arc_count}"]
+    for sign, over, ui, uo in diagram.crossings:
+        lines.append(f"{'+' if sign > 0 else '-'} {over} {ui} {uo}")
+    return "\n".join(lines) + "\n"
+
+
+def parse_diagram(text):
+    lines = [ln.strip() for ln in text.splitlines()]
+    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    if not lines or not lines[0].startswith("arcs "):
+        raise ValueError("first line must be 'arcs N'")
+    arc_count = int(lines[0].split()[1])
+    crossings = []
+    for line in lines[1:]:
+        parts = line.split()
+        if len(parts) != 4 or parts[0] not in "+-":
+            raise ValueError(f"bad crossing line {line!r}")
+        sign = 1 if parts[0] == "+" else -1
+        crossings.append((sign, int(parts[1]), int(parts[2]), int(parts[3])))
+    return KnotDiagram(arc_count, tuple(crossings))
+
+
+def cayley_table(group):
+    """Element-index multiplication table, in the group's element order."""
+    els = group.elements()
+    idx = {e: i for i, e in enumerate(els)}
+    return tuple(tuple(idx[group.mul(a, b)] for b in els) for a in els)
+
+
+def format_cayley_table(group):
+    """The text form that fingroups.parse_cayley_table and cayley: specs read."""
+    table = cayley_table(group)
+    lines = [str(len(table))]
+    lines.extend(" ".join(str(v) for v in row) for row in table)
+    return "\n".join(lines) + "\n"

@@ -25,7 +25,7 @@ from gnk.presentations import (
     knot_presentation,
     smith_normal_form,
 )
-from gnk.talex import trivial_representation, twisted_alexander, wada_matrix
+from gnk.talex import twisted_alexander, wada_matrix
 from gnk.words import (
     GeneratorTable,
     format_word,
@@ -34,7 +34,7 @@ from gnk.words import (
     word_power,
     word_product,
 )
-from oracle_utils import int_det
+from oracle_utils import int_det, trivial_representation
 
 WITNESS_BUDGET = 1.0          # seconds, criterion 1
 PSL_COUNT_BUDGET = 300.0      # seconds per knot, single shard, criterion 2
@@ -241,8 +241,7 @@ def test_criterion_09_classical_alexander_mod5():
             pres = knot_presentation(knot, 1, raw=raw)
             rep = trivial_representation(pres, 5)
             inv = twisted_alexander(pres, rep)
-            assert inv.numerator.text() == "1 + 4*t + t^2", (knot, raw)
-            assert inv.denominator.text() == "1 + 4*t", (knot, raw)
+            assert inv.line() == "1 + 4*t + t^2 | 1 + 4*t", (knot, raw)
     print("criterion 9 PASS: classical trefoil polynomial recovered mod 5")
 
 

@@ -14,8 +14,6 @@ from gnk.fingroups import (
     PSL2Group,
     SL2Group,
     SymmetricGroup,
-    cayley_table,
-    format_cayley_table,
     format_cycles,
     from_cayley_table,
     generating_set,
@@ -27,7 +25,12 @@ from gnk.fingroups import (
 )
 from gnk.homsearch import root_buckets
 
-from oracle_utils import conjugacy_classes, validate_group
+from oracle_utils import (
+    cayley_table,
+    conjugacy_classes,
+    format_cayley_table,
+    validate_group,
+)
 
 SUITE = (
     "S3 S4 S5 S6 A4 A5 D4 D5 D6 D7 D8 "

@@ -9,8 +9,6 @@ from gnk.fingroups import (
     DihedralGroup,
     DirectProductGroup,
     SymmetricGroup,
-    cayley_table,
-    format_cayley_table,
     from_cayley_table,
     group_from_spec,
     nth_roots,
@@ -45,19 +43,23 @@ from gnk.presentations import (
     Presentation,
     g1_braid_presentation,
     knot_presentation,
-    sk_powered_third_relation,
 )
 from gnk.words import GeneratorTable, evaluate, parse_word
 
 from oracle_utils import (
     brute_force_homs,
     burnside_orbit_count,
+    cayley_table,
     conjugacy_classes,
+    format_cayley_table,
     full_base_property_t,
     g1_base_matrix,
+    hom_is_valid,
     naive_index_tables,
     scalar_lifts,
     scalar_property_t,
+    serialize_hom,
+    sk_powered_third_relation,
     union_find_partition,
 )
 
@@ -175,9 +177,9 @@ def test_n1_reduced_equals_braid_homs():
 def test_matrix_rows_are_valid_homs():
     pres = knot_presentation("SK", 2)
     homs = list(enumerate_homs(pres, S4))
-    assert all(h.is_valid() for h in homs)
+    assert all(hom_is_valid(h) for h in homs)
     assert len(homs) == count_homs(pres, S4)[0]
-    text = homs[0].serialize()
+    text = serialize_hom(homs[0])
     assert text.startswith("d=") and " b=" in text and " e=" in text
 
 
@@ -251,13 +253,6 @@ def test_trefoil_orbits_in_s3():
     for root in set(part):
         members = [i for i, r in enumerate(part) if r == root]
         assert min(members) == root
-
-
-def test_orbit_count_accepts_hom_lists():
-    homs = list(enumerate_homs(knot_presentation("trefoil_r", 1), S3))
-    assert orbit_count(homs) == 4
-    with pytest.raises(ValueError):
-        orbit_count([])
 
 
 def test_orbit_rejects_non_closed_sets():

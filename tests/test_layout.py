@@ -1,0 +1,78 @@
+"""Layout guards: every public name in src/gnk is used, documented or traced,
+and every function the benchmark's tracer wraps exists."""
+
+import ast
+import importlib
+import importlib.util
+import os
+import re
+
+ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+SRC = os.path.join(ROOT, "src", "gnk")
+
+
+def _spans():
+    """bench/spans.py, loaded from its file (it imports only the stdlib)."""
+    path = os.path.join(ROOT, "bench", "spans.py")
+    spec = importlib.util.spec_from_file_location("bench_spans", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def _sources():
+    out = {}
+    for name in sorted(os.listdir(SRC)):
+        if name.endswith(".py"):
+            with open(os.path.join(SRC, name), encoding="utf-8") as fh:
+                out[name[:-3]] = ast.parse(fh.read())
+    return out
+
+
+def _referenced(node, skip=None):
+    """Every name and attribute a subtree reads or imports, not descending
+    into skip."""
+    names = set()
+    stack = [node]
+    while stack:
+        cur = stack.pop()
+        if cur is skip:
+            continue
+        if isinstance(cur, ast.Name):
+            names.add(cur.id)
+        elif isinstance(cur, ast.Attribute):
+            names.add(cur.attr)
+        elif isinstance(cur, ast.alias):
+            names.add(cur.name)
+        stack.extend(ast.iter_child_nodes(cur))
+    return names
+
+
+def test_wrapped_functions_resolve():
+    spans = _spans()
+    for module, function in spans.WRAPPED:
+        mod = importlib.import_module(f"gnk.{module}")
+        assert callable(getattr(mod, function, None)), (module, function)
+    wrapped = {function for _, function in spans.WRAPPED}
+    assert set(spans.ON_RESULT) <= wrapped
+
+
+def test_every_public_name_is_used_documented_or_traced():
+    trees = _sources()
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        readme = set(re.findall(r"\w+", fh.read()))
+    wrapped = {(module, function) for module, function in _spans().WRAPPED}
+    unused = []
+    for module, tree in trees.items():
+        for node in tree.body:
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            if node.name.startswith("_") or (module, node.name) in wrapped:
+                continue
+            used = any(
+                node.name in _referenced(other, skip=node)
+                for other in trees.values()
+            )
+            if not used and node.name not in readme:
+                unused.append(f"{module}.{node.name}")
+    assert unused == [], unused

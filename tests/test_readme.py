@@ -1,6 +1,8 @@
-"""Every `$ gnk ...` example in README.md prints what the README says."""
+"""Every `$ gnk ...` example in README.md prints what the README says, and
+the Library example runs."""
 
 import os
+import re
 import shlex
 
 import pytest
@@ -52,3 +54,20 @@ def test_readme_example_output(command, expected, capsys):
             assert line == want, command
         else:
             assert line.startswith(stem), command
+
+
+def library_block():
+    """The python block under the README's `## Library` heading."""
+    with open(README, encoding="utf-8") as fh:
+        text = fh.read()
+    section = text.split("\n## Library\n", 1)[1]
+    return section.split("```python\n", 1)[1].split("```", 1)[0]
+
+
+def test_readme_library_example(capsys):
+    scope = {}
+    exec(library_block(), scope)
+    assert scope["n"] == 264
+    line = scope["inv"].line()
+    assert re.fullmatch(r"[^|]+ \| [^|]+", line), line
+    assert capsys.readouterr().out == line + "\n"

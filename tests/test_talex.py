@@ -15,21 +15,19 @@ from gnk.presentations import (
     trefoil_right_reduced,
 )
 from gnk.talex import (
-    LaurentPoly,
     Representation,
     _check_chain_rule,
-    _from_plain,
     _gl32_elements,
     _grid,
     _mat3_order,
+    _normalized,
     _pivot_product,
+    _poly_text,
     _ring_for,
     abelianization_degrees,
-    laurent,
     psl27_matrix_dictionary,
     representation_from_psl27_hom,
     representation_from_sl2_hom,
-    trivial_representation,
     twisted_alexander,
     twisted_alexanders,
     wada_matrix,
@@ -37,18 +35,23 @@ from gnk.talex import (
 from gnk.words import GeneratorTable, Word, parse_word, word_product
 
 from oracle_utils import (
+    LaurentPoly,
     apply_word,
     degree_terms,
     deleted_flat,
     fox_block,
     fox_derivative,
+    from_plain,
     group_ring,
+    hom_is_valid,
     invariant_factor_product,
+    laurent,
     plain_poly,
     poly_cofactor_det,
     poly_det,
     poly_gcd,
     poly_minors_gcd,
+    trivial_representation,
     validate_representation,
     wada_blocks,
 )
@@ -60,7 +63,7 @@ def w(text, table=AB):
     return parse_word(text, table)
 
 
-# -- Laurent arithmetic -----------------------------------------------------------
+# -- Laurent arithmetic, the oracles' polynomial type ----------------------------
 
 
 def test_laurent_trims_and_reduces():
@@ -234,17 +237,18 @@ def _talex_grids(monkeypatch):
 def test_pivot_product_matches_smith_and_cofactor_oracles(monkeypatch):
     # tall grids: the pivot product and the Smith diagonal product agree up
     # to a unit, and are zero together; square grids: the pivot product is
-    # the determinant, sign included
+    # the determinant, sign included; every grid: the normalized tuple and
+    # its text are the Laurent oracle's
     rng = random.Random(20261018)
     cases = _talex_grids(monkeypatch)
-    assert len(cases) > 100
+    assert len(cases) == 100  # 70 numerators and 30 distinct denominators
     for p in (2, 3, 5, 7):
         ring = _ring_for(p)
         for _ in range(150):
             cols = rng.randint(1, 4)
             rows = rng.randint(cols, 6)
             cases.append((ring, _random_grid(rng, ring, rows, cols)))
-    deficient = square = 0
+    deficient = square = zero = 0
     for ring, grid in cases:
         p, cols = ring.p, len(grid[0])
         got = _pivot_product(ring, [list(row) for row in grid])
@@ -253,14 +257,18 @@ def test_pivot_product_matches_smith_and_cofactor_oracles(monkeypatch):
             deficient += 1
             assert got == ring.zero
         else:
-            assert _from_plain(p, ring, got).normalized() == (
-                _from_plain(p, ring, prod).normalized()
+            assert from_plain(ring, got).normalized() == (
+                from_plain(ring, prod).normalized()
             )
         if len(grid) == cols:
             square += 1
-            laurents = [[_from_plain(p, ring, e) for e in row] for row in grid]
-            assert _from_plain(p, ring, got) == poly_cofactor_det(p, laurents)
-    assert deficient > 100 and square > 100
+            laurents = [[from_plain(ring, e) for e in row] for row in grid]
+            assert from_plain(ring, got) == poly_cofactor_det(p, laurents)
+        oracle = from_plain(ring, got).normalized()
+        assert _normalized(ring, got) == oracle.coeffs
+        assert _poly_text(_normalized(ring, got)) == oracle.text()
+        zero += got == ring.zero
+    assert deficient > 100 and square > 100 and zero == deficient
 
 
 # -- Fox calculus ----------------------------------------------------------------
@@ -611,6 +619,40 @@ def test_batched_characters_match_fox_oracle():
             assert got == [twisted_alexander(pres, rep).line() for rep in batch]
 
 
+@pytest.mark.parametrize("target,distinct", [("SL2_3", 30), ("PSL2_7", 36)])
+def test_batch_computes_each_denominator_once(target, distinct, monkeypatch):
+    # a denominator depends only on its column and that generator's image,
+    # so a batch computes one per distinct pair, and its lines are those of
+    # evaluating every member alone
+    import gnk.talex
+
+    batches = _class_key_batches(monkeypatch, KNOTS_NS, target)
+    monkeypatch.undo()
+    calls = []
+    real = gnk.talex._denominator
+
+    def spy(ring, image, a):
+        calls.append(image)
+        return real(ring, image, a)
+
+    monkeypatch.setattr(gnk.talex, "_denominator", spy)
+    total = tried = 0
+    for wm in batches:
+        calls.clear()
+        got = twisted_alexanders(wm.pres, wm.reps)
+        pairs = {
+            (j, rep.images[j])
+            for rep, ta in zip(wm.reps, got)
+            for j in range(ta.column + 1)
+        }
+        assert len(calls) == len(pairs)
+        total += len(calls)
+        tried += sum(ta.column + 1 for ta in got)
+        alone = [twisted_alexander(wm.pres, rep).line() for rep in wm.reps]
+        assert [ta.line() for ta in got] == alone
+    assert total == distinct < tried
+
+
 def test_batch_failures_name_the_member_fault(monkeypatch):
     import dataclasses
 
@@ -662,7 +704,7 @@ def test_trefoil_classical_values():
         (7, "1 + 6*t + t^2", "1 + 6*t"),
     ):
         ta = twisted_alexander(pres, trivial_representation(pres, p))
-        assert (ta.numerator.text(), ta.denominator.text()) == (num, den)
+        assert ta.line() == f"{num} | {den}"
         assert ta.column == 0
 
 
@@ -672,8 +714,8 @@ def test_composite_knots_square_the_trefoil():
     for knot in ("SK", "GK"):
         pres = knot_presentation(knot, 1, raw=True)
         ta = twisted_alexander(pres, trivial_representation(pres, 5))
-        assert ta.numerator == square
-        assert ta.denominator.text() == "1 + 4*t"
+        assert ta.numerator == square.coeffs
+        assert ta.denominator == (1, 4)
 
 
 def test_invariant_survives_presentation_change():
@@ -712,8 +754,8 @@ def test_column_choice_is_immaterial():
     rep = representation_from_sl2_hom(pres, homs[len(homs) // 2])
     results = [twisted_alexander(pres, rep, column=j) for j in range(3)]
     for a, b in itertools.combinations(results, 2):
-        lhs = (a.numerator * b.denominator).normalized()
-        rhs = (b.numerator * a.denominator).normalized()
+        lhs = (laurent(3, a.numerator) * laurent(3, b.denominator)).normalized()
+        rhs = (laurent(3, b.numerator) * laurent(3, a.denominator)).normalized()
         assert lhs == rhs
 
 
@@ -749,7 +791,7 @@ def test_numerator_matches_minors_oracle():
         ta = twisted_alexander(pres, rep)
         flat = deleted_flat(wada_matrix(pres, (rep,)), ta.column)
         oracle = poly_minors_gcd(rep.p, flat, len(flat[0]))
-        assert ta.numerator == oracle.normalized()
+        assert ta.numerator == oracle.normalized().coeffs
 
 
 def test_psl27_numerator_matches_minors_oracle():
@@ -763,7 +805,7 @@ def test_psl27_numerator_matches_minors_oracle():
         poly_det(2, [flat[i] for i in rows])
         for rows in itertools.combinations(range(9), 6)
     ]
-    assert poly_gcd(2, minors) == ta.numerator
+    assert poly_gcd(2, minors).coeffs == ta.numerator
 
 
 def test_invariant_is_conjugation_invariant():
@@ -778,7 +820,7 @@ def test_invariant_is_conjugation_invariant():
             psl.index_of(psl.conjugate(els[i], c)) for i in base.image_indices
         )
         other = Homomorphism(pres, psl, moved)
-        assert other.is_valid()
+        assert hom_is_valid(other)
         tb = twisted_alexander(pres, representation_from_psl27_hom(pres, other))
         assert (ta.numerator, ta.denominator) == (tb.numerator, tb.denominator)
 

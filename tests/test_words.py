@@ -8,14 +8,14 @@ from gnk.words import (
     Word,
     evaluate,
     format_word,
-    generator_words,
     parse_word,
     reduce,
-    substitute,
     word_inverse,
     word_power,
     word_product,
 )
+
+from oracle_utils import generator_words, substitute
 
 AB = GeneratorTable(("a", "b"))
 ABC = GeneratorTable(("a", "b", "c"))
