@@ -90,9 +90,6 @@ class FiniteGroup:
             k >>= 1
         return acc
 
-    def conjugate(self, x, by):
-        return self.mul(self.mul(self.inv(by), x), by)
-
     def format_element(self, x) -> str:
         return str(x)
 
@@ -316,14 +313,18 @@ class SL2Group(FiniteGroup):
     def parse_element(self, text: str):
         import ast
 
-        rows = ast.literal_eval(text.strip())
+        try:
+            rows = ast.literal_eval(text.strip())
+        except (SyntaxError, TypeError, ValueError):
+            raise ValueError(f"bad matrix {text!r}") from None
         if (
             not isinstance(rows, (list, tuple))
             or len(rows) != 2
-            or any(len(r) != 2 for r in rows)
+            or any(not isinstance(r, (list, tuple)) or len(r) != 2 for r in rows)
+            or any(type(v) is not int for r in rows for v in r)
         ):
             raise ValueError(f"bad matrix {text!r}")
-        m = tuple(int(v) % self.p for row in rows for v in row)
+        m = tuple(v % self.p for row in rows for v in row)
         if (m[0] * m[3] - m[1] * m[2]) % self.p != 1:
             raise ValueError(f"{text!r} has determinant != 1")
         return self._accept(m)

@@ -345,13 +345,15 @@ def _run_cell_star(args: tuple) -> list[ResultRecord]:
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[ResultRecord]:
     """Run every cell, append canonical-sorted records to cfg.output."""
+    if jobs < 1:
+        raise ValueError("need jobs >= 1")
     for target in cfg.targets:
         group_from_spec(target)  # unconstructible targets fail before work
     cells = _cell_args(cfg)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
             batches = list(pool.map(_run_cell_star, cells))
     else:
         batches = [run_cell(*args) for args in cells]

@@ -114,16 +114,21 @@ class _Indexed:
         }
 
     def pow_map(self, k: int) -> np.ndarray:
-        """pow_map(k)[i] is the index of the k-th power of element i."""
-        got = self._pow.get(k)
-        if got is not None:
-            return got
-        if k < 0:
-            out = self.inv[self.pow_map(-k)]
-        else:
-            prev = self.pow_map(k - 1)
-            out = self.mul_flat[prev * self.n + self._pow[1]]
-        self._pow[k] = out
+        """pow_map(k)[i] is the index of the k-th power of element i.
+
+        x^|H| = 1, so k is reduced mod the order first; the map is built by
+        square-and-multiply on the index arrays and cached per residue.
+        """
+        k %= self.n
+        out = self._pow.get(k)
+        if out is None:
+            out, square, e = self._pow[0], self._pow[1], k
+            while e:
+                if e & 1:
+                    out = self.mul_flat[out * self.n + square]
+                square = self.mul_flat[square * self.n + square]
+                e >>= 1
+            self._pow[k] = out
         return out
 
 
@@ -478,11 +483,13 @@ def sharded_search(
     the shards' stats summed; a single shard reports its own stats.
     """
     _check_shards(shards)
+    if jobs < 1:
+        raise ValueError("need jobs >= 1")
     work = [(pres, group, shards, sid, collect) for sid in range(shards)]
     if jobs > 1 and shards > 1:
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
             results = list(pool.map(_run_shard, work))
     else:
         results = [_run_shard(args) for args in work]

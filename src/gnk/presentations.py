@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
 
 from .words import (
     GeneratorTable,
@@ -139,140 +138,6 @@ class Presentation:
 
     def __hash__(self) -> int:
         return hash(self._key())
-
-
-@dataclass(frozen=True)
-class AbelianInvariants:
-    """Invariant factors d_1 | d_2 | ... | d_k, with 0 meaning infinite."""
-
-    factors: tuple[int, ...]
-
-    def __post_init__(self) -> None:
-        prev = None
-        for d in self.factors:
-            if d < 0 or d == 1:
-                raise ValueError(f"bad invariant factor {d}")
-            if prev is not None:
-                if prev == 0 and d != 0:
-                    raise ValueError("finite factor after an infinite one")
-                if prev != 0 and d != 0 and d % prev:
-                    raise ValueError("factors must form a divisibility chain")
-            prev = d
-
-
-def smith_normal_form(
-    mat: Sequence[Sequence[int]],
-) -> tuple[tuple[tuple[int, ...], ...], ...]:
-    """Integer Smith form: returns (U, D, V) with U mat V = D.
-
-    U and V are unimodular; D is diagonal with d_1 | d_2 | ..., all
-    nonnegative, zeros last.  Exact integer arithmetic throughout.
-    """
-    A = [[int(x) for x in row] for row in mat]
-    m = len(A)
-    n = len(A[0]) if m else 0
-    for row in A:
-        if len(row) != n:
-            raise ValueError("ragged matrix")
-    U = [[int(i == j) for j in range(m)] for i in range(m)]
-    V = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def row_sub(M: list[list[int]], i: int, j: int, q: int) -> None:
-        Mi, Mj = M[i], M[j]
-        for k in range(len(Mi)):
-            Mi[k] -= q * Mj[k]
-
-    def col_sub(M: list[list[int]], i: int, j: int, q: int) -> None:
-        for row in M:
-            row[i] -= q * row[j]
-
-    def col_swap(M: list[list[int]], i: int, j: int) -> None:
-        for row in M:
-            row[i], row[j] = row[j], row[i]
-
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(A[i][j])
-                if v and (best is None or v < abs(A[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
-            break
-        if best[0] != t:
-            A[t], A[best[0]] = A[best[0]], A[t]
-            U[t], U[best[0]] = U[best[0]], U[t]
-        if best[1] != t:
-            col_swap(A, t, best[1])
-            col_swap(V, t, best[1])
-        while True:
-            dirty = False
-            for i in range(m):
-                if i != t and A[i][t]:
-                    q = A[i][t] // A[t][t]
-                    row_sub(A, i, t, q)
-                    row_sub(U, i, t, q)
-                    if A[i][t]:
-                        # remainder is a strictly smaller pivot
-                        A[t], A[i] = A[i], A[t]
-                        U[t], U[i] = U[i], U[t]
-                        dirty = True
-            if dirty:
-                continue
-            for j in range(n):
-                if j != t and A[t][j]:
-                    q = A[t][j] // A[t][t]
-                    col_sub(A, j, t, q)
-                    col_sub(V, j, t, q)
-                    if A[t][j]:
-                        col_swap(A, t, j)
-                        col_swap(V, t, j)
-                        dirty = True
-            if dirty:
-                continue
-            bad = None
-            for i in range(t + 1, m):
-                for j in range(t + 1, n):
-                    if A[i][j] % A[t][t]:
-                        bad = i
-                        break
-                if bad is not None:
-                    break
-            if bad is None:
-                break
-            row_sub(A, t, bad, -1)
-            row_sub(U, t, bad, -1)
-        if A[t][t] < 0:
-            for k in range(n):
-                A[t][k] = -A[t][k]
-            for k in range(m):
-                U[t][k] = -U[t][k]
-        t += 1
-    pack = lambda M: tuple(tuple(row) for row in M)
-    return pack(U), pack(A), pack(V)
-
-
-def exponent_matrix(pres: Presentation) -> tuple[tuple[int, ...], ...]:
-    """Relator-by-generator exponent sums (the abelianized relation matrix)."""
-    rows = []
-    for r in pres.relators:
-        row = [0] * len(pres.gens)
-        for gen, exp in r.syllables:
-            row[gen] += exp
-        rows.append(tuple(row))
-    return tuple(rows)
-
-
-def abelianization_invariants(pres: Presentation) -> AbelianInvariants:
-    g = len(pres.gens)
-    if not pres.relators:
-        return AbelianInvariants((0,) * g)
-    _, D, _ = smith_normal_form(exponent_matrix(pres))
-    diag = [D[i][i] for i in range(min(len(D), g))]
-    finite = [d for d in diag if d > 1]
-    rank = sum(1 for d in diag if d)
-    return AbelianInvariants(tuple(finite) + (0,) * (g - rank))
 
 
 # -- diagram to presentation ------------------------------------------------

@@ -1,9 +1,10 @@
 """Twisted Alexander polynomials over prime fields.
 
-Pipeline: a presentation whose abelianization is infinite cyclic, plus a
-finite-image matrix representation, gives a square-block matrix of Laurent
-polynomials via free differential calculus.  Deleting one generator's
-column block leaves the numerator matrix; the invariant is the pair
+Pipeline: a knot group presentation, whose generators are meridians that
+the degree map sends to t, plus a finite-image matrix representation,
+gives a square-block matrix of Laurent polynomials via free differential
+calculus.  Deleting one generator's column block leaves the numerator
+matrix; the invariant is the pair
 
     (gcd of maximal minors of the deleted matrix, det(Phi(x_j) - 1))
 
@@ -36,18 +37,12 @@ import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
-from math import gcd as int_gcd
 from typing import Sequence
 
 import numpy as np
 
 from .fingroups import PSL2Group
-from .presentations import (
-    Presentation,
-    abelianization_invariants,
-    exponent_matrix,
-    smith_normal_form,
-)
+from .presentations import Presentation
 from .words import GeneratorTable
 
 # -- plain polynomial kernels ----------------------------------------------------
@@ -482,35 +477,12 @@ def twisted_alexander(
     return twisted_alexanders(pres, (rep,), column)[0]
 
 
-# -- degree maps and representation builders -------------------------------------
-
-
-@lru_cache(maxsize=None)
-def abelianization_degrees(pres: Presentation) -> tuple[int, ...]:
-    """Generator degrees under the map onto the infinite cyclic quotient.
-
-    Cached per presentation.  Presentations that are equal up to relator
-    order share an entry, which is sound: the map onto Z is unique up to
-    sign, and the sign is fixed by making the first nonzero degree positive.
-    """
-    if abelianization_invariants(pres).factors != (0,):
-        raise ValueError("abelianization is not infinite cyclic")
-    g = len(pres.gens)
-    if not pres.relators:
-        return (1,)  # single generator, no relations
-    mat = exponent_matrix(pres)
-    _, diag, vmat = smith_normal_form(mat)
-    cut = min(len(mat), g)
-    free = [j for j in range(g) if j >= cut or diag[j][j] == 0]
-    assert len(free) == 1
-    j0 = free[0]
-    col = [vmat[i][j0] for i in range(g)]
-    if int_gcd(*col) != 1:
-        raise RuntimeError("degree map is not onto")
-    first = next(v for v in col if v)
-    if first < 0:
-        col = [-v for v in col]
-    return tuple(col)
+# -- representation builders ---------------------------------------------------
+#
+# Every generator of a G_n(K) presentation is a meridian, so the degree map
+# onto Z sends each one to t.  Under that map a relator's walk ends at its
+# exponent sum, so the Wada walk's end-degree check rejects any presentation
+# on which it is not a homomorphism.
 
 
 def representation_from_sl2_hom(pres: Presentation, hom) -> Representation:
@@ -524,7 +496,7 @@ def representation_from_sl2_hom(pres: Presentation, hom) -> Representation:
         dim=2,
         p=group.p,
         images=images,
-        alpha=abelianization_degrees(pres),
+        alpha=(1,) * len(pres.gens),
     )
 
 
@@ -538,7 +510,7 @@ def representation_from_psl27_hom(pres: Presentation, hom) -> Representation:
         dim=3,
         p=2,
         images=tuple(table[x] for x in hom.images()),
-        alpha=abelianization_degrees(pres),
+        alpha=(1,) * len(pres.gens),
     )
 
 

@@ -14,7 +14,7 @@ right, and evaluation applies the leftmost letter first.  So evaluating
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Sequence
 
 Syllable = tuple[int, int]
 
@@ -73,29 +73,6 @@ class Word:
             prev = gen
         object.__setattr__(self, "syllables", tuple(self.syllables))
 
-    def __mul__(self, other: "Word") -> "Word":
-        return word_product(self, other)
-
-    def __pow__(self, k: int) -> "Word":
-        return word_power(self, k)
-
-    def inverse(self) -> "Word":
-        return word_inverse(self)
-
-    @property
-    def is_identity(self) -> bool:
-        return not self.syllables
-
-    def mentions(self, gen: int) -> bool:
-        return any(g == gen for g, _ in self.syllables)
-
-    def length(self) -> int:
-        """Letter count, with multiplicity."""
-        return sum(abs(e) for _, e in self.syllables)
-
-    def __iter__(self) -> Iterator[Syllable]:
-        return iter(self.syllables)
-
 
 def reduce(table: GeneratorTable, raw: Iterable[Syllable]) -> Word:
     """Merge a raw syllable stream into a reduced word."""
@@ -112,16 +89,7 @@ def reduce(table: GeneratorTable, raw: Iterable[Syllable]) -> Word:
     # The stack is reduced at every step: a pop can expose an earlier
     # syllable on the same generator only if something separated them,
     # and that something merged away, which the pop already handled.
-    merged: list[Syllable] = []
-    for gen, exp in stack:
-        if merged and merged[-1][0] == gen:
-            total = merged[-1][1] + exp
-            merged.pop()
-            if total:
-                merged.append((gen, total))
-        else:
-            merged.append((gen, exp))
-    return Word(table, tuple(merged))
+    return Word(table, tuple(map(tuple, stack)))
 
 
 def word_product(*words: Word) -> Word:
@@ -139,16 +107,6 @@ def word_product(*words: Word) -> Word:
 
 def word_inverse(w: Word) -> Word:
     return Word(w.table, tuple((g, -e) for g, e in reversed(w.syllables)))
-
-
-def word_power(w: Word, k: int) -> Word:
-    if k == 0:
-        return Word(w.table, ())
-    base = w if k > 0 else word_inverse(w)
-    out = base
-    for _ in range(abs(k) - 1):
-        out = word_product(out, base)
-    return out
 
 
 def evaluate(w: Word, images: Sequence, group) -> object:

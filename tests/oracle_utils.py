@@ -18,11 +18,16 @@ expansion and used by the minors oracle.  `LaurentPoly` is the polynomial
 type of these oracles; the package itself keeps only plain F_p[t] ring
 elements and normalized coefficient tuples.  Every rotation of a relator
 and of its inverse, each reduced afresh, checks the canonical relator.
+An integer Smith form of the exponent-sum matrix gives the abelianization
+and its map onto Z, which checks the package's degree map: t on every
+generator.
 
-The helpers at the end are used only by tests, as fixtures or as oracles:
-the trivial representation, word substitution, the powered third
-relation, homomorphism checks, and text forms of presentations, diagrams
-and Cayley tables.
+Other helpers serve the tests as fixtures or as oracles: word powers,
+next to the Fox derivatives that use them; conjugation, next to the
+conjugacy classes; and at the end the trivial representation, a
+stand-in process pool, word substitution, the powered third relation,
+homomorphism checks, and text forms of presentations, diagrams and
+Cayley tables.
 """
 
 import hashlib
@@ -42,14 +47,14 @@ from gnk.presentations import (
     g1_braid_presentation,
     knot_presentation,
 )
-from gnk.talex import Representation, abelianization_degrees
+from gnk.talex import Representation
 from gnk.words import (
     GeneratorTable,
     Word,
     evaluate,
     parse_word,
     reduce,
-    word_power,
+    word_inverse,
     word_product,
 )
 
@@ -189,6 +194,9 @@ def rotation_canonical_relator(w):
     return Word(w.table, best)
 
 
+# -- integer matrices and the abelianization ----------------------------------------
+
+
 def int_det(mat):
     """Exact integer determinant, fraction-free Gaussian elimination."""
     A = [[int(x) for x in row] for row in mat]
@@ -223,6 +231,136 @@ def minors_gcd(mat, k):
             sub = [[mat[i][j] for j in cols] for i in rows]
             g = gcd(g, int_det(sub))
     return g
+
+
+def smith_normal_form(mat):
+    """Integer Smith form: returns (U, D, V) with U mat V = D.
+
+    U and V are unimodular; D is diagonal with d_1 | d_2 | ..., all
+    nonnegative, zeros last.  Exact integer arithmetic throughout.
+    """
+    A = [[int(x) for x in row] for row in mat]
+    m = len(A)
+    n = len(A[0]) if m else 0
+    for row in A:
+        if len(row) != n:
+            raise ValueError("ragged matrix")
+    U = [[int(i == j) for j in range(m)] for i in range(m)]
+    V = [[int(i == j) for j in range(n)] for i in range(n)]
+
+    def row_sub(M, i, j, q):
+        Mi, Mj = M[i], M[j]
+        for k in range(len(Mi)):
+            Mi[k] -= q * Mj[k]
+
+    def col_sub(M, i, j, q):
+        for row in M:
+            row[i] -= q * row[j]
+
+    def col_swap(M, i, j):
+        for row in M:
+            row[i], row[j] = row[j], row[i]
+
+    t = 0
+    while t < min(m, n):
+        best = None
+        for i in range(t, m):
+            for j in range(t, n):
+                v = abs(A[i][j])
+                if v and (best is None or v < abs(A[best[0]][best[1]])):
+                    best = (i, j)
+        if best is None:
+            break
+        if best[0] != t:
+            A[t], A[best[0]] = A[best[0]], A[t]
+            U[t], U[best[0]] = U[best[0]], U[t]
+        if best[1] != t:
+            col_swap(A, t, best[1])
+            col_swap(V, t, best[1])
+        while True:
+            dirty = False
+            for i in range(m):
+                if i != t and A[i][t]:
+                    q = A[i][t] // A[t][t]
+                    row_sub(A, i, t, q)
+                    row_sub(U, i, t, q)
+                    if A[i][t]:
+                        # remainder is a strictly smaller pivot
+                        A[t], A[i] = A[i], A[t]
+                        U[t], U[i] = U[i], U[t]
+                        dirty = True
+            if dirty:
+                continue
+            for j in range(n):
+                if j != t and A[t][j]:
+                    q = A[t][j] // A[t][t]
+                    col_sub(A, j, t, q)
+                    col_sub(V, j, t, q)
+                    if A[t][j]:
+                        col_swap(A, t, j)
+                        col_swap(V, t, j)
+                        dirty = True
+            if dirty:
+                continue
+            bad = None
+            for i in range(t + 1, m):
+                for j in range(t + 1, n):
+                    if A[i][j] % A[t][t]:
+                        bad = i
+                        break
+                if bad is not None:
+                    break
+            if bad is None:
+                break
+            row_sub(A, t, bad, -1)
+            row_sub(U, t, bad, -1)
+        if A[t][t] < 0:
+            for k in range(n):
+                A[t][k] = -A[t][k]
+            for k in range(m):
+                U[t][k] = -U[t][k]
+        t += 1
+    pack = lambda M: tuple(tuple(row) for row in M)
+    return pack(U), pack(A), pack(V)
+
+
+def exponent_matrix(pres):
+    """Relator-by-generator exponent sums (the abelianized relation matrix)."""
+    rows = []
+    for r in pres.relators:
+        row = [0] * len(pres.gens)
+        for gen, exp in r.syllables:
+            row[gen] += exp
+        rows.append(tuple(row))
+    return tuple(rows)
+
+
+def invariant_factors(pres):
+    """Invariant factors of the abelianization: the Smith diagonal entries
+    above 1, then one 0 per free rank."""
+    g = len(pres.gens)
+    if not pres.relators:
+        return (0,) * g
+    _, D, _ = smith_normal_form(exponent_matrix(pres))
+    diag = [D[i][i] for i in range(min(len(D), g))]
+    rank = sum(1 for d in diag if d)
+    return tuple(d for d in diag if d > 1) + (0,) * (g - rank)
+
+
+def abelianization_map(pres):
+    """Generator degrees under the map onto Z, for abelianization Z: the
+    column of the Smith form's V that the relation matrix kills.  V is
+    unimodular, so the column is primitive and the map onto; it is unique
+    up to sign."""
+    if invariant_factors(pres) != (0,):
+        raise ValueError("abelianization is not infinite cyclic")
+    _, D, V = smith_normal_form(exponent_matrix(pres))
+    g = len(pres.gens)
+    free = [j for j in range(g) if j >= len(D) or D[j][j] == 0]
+    return tuple(V[i][free[0]] for i in range(g))
+
+
+# -- determinants and minors over F_p[t] ------------------------------------------
 
 
 def poly_cofactor_det(p, rows):
@@ -393,6 +531,11 @@ def brute_force_homs(pres, group):
 # -- finite groups -----------------------------------------------------------------
 
 
+def conjugate(group, x, by):
+    """by^-1 x by."""
+    return group.mul(group.mul(group.inv(by), x), by)
+
+
 def conjugacy_classes(group):
     """Element indices grouped by conjugacy, classes ordered by least index."""
     els = group.elements()
@@ -408,7 +551,7 @@ def conjugacy_classes(group):
         while frontier:
             x = frontier.pop()
             for g in gens:
-                y = group.conjugate(x, g)
+                y = conjugate(group, x, g)
                 j = group.index_of(y)
                 if not seen[j]:
                     seen[j] = True
@@ -619,6 +762,17 @@ def group_ring(table, terms):
     return GroupRingElem(table, tuple(kept))
 
 
+def word_power(w, k):
+    """w^k as a reduced word, by repeated products."""
+    if k == 0:
+        return Word(w.table, ())
+    base = w if k > 0 else word_inverse(w)
+    out = base
+    for _ in range(abs(k) - 1):
+        out = word_product(out, base)
+    return out
+
+
 def fox_derivative(w, gen):
     """d(w)/d(x_gen) with d(uv) = du + u dv, d(g) = 1, d(g^-1) = -g^-1."""
     table = w.table
@@ -764,15 +918,35 @@ def per_hom_talex(knot, n, target):
 
 
 def trivial_representation(pres, p):
-    """Every generator to the 1 x 1 identity over F_p, with the
-    abelianization degrees: the classical Alexander polynomial."""
+    """Every generator to the 1 x 1 identity over F_p, and to t under the
+    degree map: the classical Alexander polynomial."""
     return Representation(
         table=pres.gens,
         dim=1,
         p=p,
         images=(((1,),),) * len(pres.gens),
-        alpha=abelianization_degrees(pres),
+        alpha=(1,) * len(pres.gens),
     )
+
+
+def recording_pool(sizes):
+    """A ProcessPoolExecutor stand-in that appends each max_workers to sizes
+    and maps in this process, so no worker process starts."""
+
+    class Pool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, work):
+            return map(fn, work)
+
+    return Pool
 
 
 # -- homomorphisms, words, presentations and tables as text -----------------------
@@ -799,7 +973,7 @@ def substitute(u, gen, replacement):
     """Replace every occurrence of a generator by a word not mentioning it."""
     if replacement.table != u.table:
         raise ValueError("generator-table mismatch")
-    if replacement.mentions(gen):
+    if any(g == gen for g, _ in replacement.syllables):
         raise ValueError("replacement mentions the substituted generator")
     stream = []
     for g, e in u.syllables:
@@ -820,7 +994,9 @@ def sk_powered_third_relation(n):
     ed = parse_word(f"e^{n} d^{n}", t)
     bd = parse_word(f"b^{n} d^{n}", t)
     d = parse_word("d", t)
-    return (ed**3 * d * ed**-3, bd**3 * d * bd**-3)
+    return tuple(
+        word_product(word_power(u, 3), d, word_power(u, -3)) for u in (ed, bd)
+    )
 
 
 def parse_presentation(text, label=""):

@@ -7,6 +7,7 @@ import pytest
 
 import gnk
 from gnk.cli import main
+from gnk.fingroups import group_from_spec
 from gnk.harness import ENGINE, ResultRecord, write_records
 
 
@@ -116,6 +117,15 @@ def test_count_homs_rejects_nonpositive_shards(capsys, shards, jobs):
     assert "need shards >= 1" in err
 
 
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_count_homs_rejects_nonpositive_jobs(capsys, jobs):
+    code, out, err = run(capsys, "count-homs", "--knot", "SK", "--n", "2",
+                         "--target", "S3", "--shards", "2", "--jobs", jobs)
+    assert code == 1
+    assert out == ""
+    assert err == "error: need jobs >= 1\n"
+
+
 def test_count_classes(capsys):
     code, out, _ = run(capsys, "count-classes", "--knot", "SK", "--n", "2",
                        "--target", "S3")
@@ -131,6 +141,34 @@ def test_count_homs_oversized_target_skips(capsys):
     assert err.startswith("skip:")
 
 
+# -- large n ----------------------------------------------------------------------
+
+BASE = "d=(1,2,3); b=(1,2,3); e=(1,2,3)"
+LARGE_N_CELLS = {
+    "count-homs-S3": ("count-homs", "--knot", "SK", "--target", "S3"),
+    "count-homs-SL2_3": ("count-homs", "--knot", "SK", "--target", "SL2_3"),
+    "count-classes-A4": ("count-classes", "--knot", "GK", "--target", "A4"),
+    "check-t-S4": ("check-t", "--knot", "GK", "--target", "S4"),
+    "extend-S4": ("extend", "--knot", "SK", "--target", "S4", "--base", BASE),
+}
+
+
+@pytest.mark.parametrize("n", [1200, 10**6])
+@pytest.mark.parametrize("cell", sorted(LARGE_N_CELLS))
+def test_large_n_matches_n_mod_group_order(capsys, cell, n):
+    # x^n depends only on n mod |H|, so a large n gives the answer at the
+    # least positive residue; both 1200 and 10**6 exceed Python's
+    # recursion limit
+    argv = LARGE_N_CELLS[cell]
+    order = group_from_spec(argv[argv.index("--target") + 1]).order
+    small = n % order or order
+    code, out, err = run(capsys, *argv, "--n", str(n))
+    assert code == 0 and "Traceback" not in err, err
+    code, want, _ = run(capsys, *argv, "--n", str(small))
+    assert code == 0
+    assert out.replace(f"({n},", f"({small},") == want
+
+
 # -- roots and property checks ------------------------------------------------------
 
 
@@ -141,6 +179,20 @@ def test_roots_output(capsys):
     lines = out.strip().split("\n")
     assert lines[0] == str(len(lines) - 1)
     assert "(1,3,2)" in lines[1:]
+
+
+@pytest.mark.parametrize("text", ["[[1,", "[[1.5,0],[0,1]]"])
+def test_roots_and_extend_reject_bad_matrix_text(capsys, text):
+    # unparseable text and non-integer entries are input errors
+    code, out, err = run(capsys, "roots", "--target", "SL2_3", "--element",
+                         text, "--n", "2")
+    assert (code, out) == (1, "")
+    assert err == f"error: bad matrix {text!r}\n"
+    base = f"d={text}; b=[[1,0],[0,1]]; e=[[1,0],[0,1]]"
+    code, out, err = run(capsys, "extend", "--target", "SL2_3", "--n", "2",
+                         "--knot", "SK", "--base", base)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: bad matrix") and "Traceback" not in err
 
 
 def test_check_t_holds(capsys):
@@ -257,6 +309,15 @@ def write_config(tmp_path, **overrides):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path), cfg["output"]
+
+
+@pytest.mark.parametrize("jobs", ["0", "-4"])
+def test_sweep_rejects_nonpositive_jobs(capsys, tmp_path, jobs):
+    config, output = write_config(tmp_path)
+    code, out, err = run(capsys, "sweep", "--config", config, "--jobs", jobs)
+    assert (code, out) == (1, "")
+    assert err == "error: need jobs >= 1\n"
+    assert not os.path.exists(output)
 
 
 def test_sweep_then_report_clean(capsys, tmp_path):

@@ -24,7 +24,7 @@ from gnk.homsearch import Homomorphism, enumerate_homs
 from gnk.presentations import knot_presentation
 from gnk.talex import representation_from_sl2_hom, twisted_alexander
 
-from oracle_utils import per_hom_talex, union_find_partition
+from oracle_utils import per_hom_talex, recording_pool, union_find_partition
 
 
 def make_record(knot="SK", n=2, target="S3", task="count", status="ok",
@@ -417,6 +417,22 @@ def test_sweep_values_independent_of_shards_and_jobs(tmp_path):
     strip = lambda rs: [(r.key(), r.status, r.value) for r in rs]
     assert strip(recs1) == strip(recs3)
     assert len(recs1) == 16
+
+
+def test_sweep_pool_size(tmp_path, monkeypatch):
+    # the pool never outnumbers the cells, and jobs must be positive
+    sizes = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        recording_pool(sizes))
+    cfg = SweepConfig(("SK", "GK"), (2,), ("S3",), ("count",),
+                      output=str(tmp_path / "r.jsonl"))
+    for jobs in (2, 64):
+        assert [r.value for r in run_sweep(cfg, jobs=jobs)] == [6, 6]
+    assert sizes == [2, 2]
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match="jobs >= 1"):
+            run_sweep(cfg, jobs=jobs)
+    assert sizes == [2, 2]
 
 
 def test_sweep_appends_and_rerun_matches(tmp_path):

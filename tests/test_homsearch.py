@@ -51,11 +51,13 @@ from oracle_utils import (
     burnside_orbit_count,
     cayley_table,
     conjugacy_classes,
+    conjugate,
     format_cayley_table,
     full_base_property_t,
     g1_base_matrix,
     hom_is_valid,
     naive_index_tables,
+    recording_pool,
     scalar_lifts,
     scalar_property_t,
     serialize_hom,
@@ -232,6 +234,23 @@ def test_sharded_search_validates_and_sums():
         assert stats["homs"] == count and stats["shards"] == 3
 
 
+def test_sharded_search_pool_size(monkeypatch):
+    # the pool never outnumbers the shards, and jobs must be positive
+    sizes = []
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
+                        recording_pool(sizes))
+    pres = knot_presentation("SK", 2)
+    count, _ = count_homs(pres, S3)
+    for jobs in (2, 64):
+        _, stats = sharded_search(pres, S3, 3, jobs=jobs, collect=False)
+        assert stats["homs"] == count
+    assert sizes == [2, 3]
+    for jobs in (0, -4):
+        with pytest.raises(ValueError, match="jobs >= 1"):
+            sharded_search(pres, S3, 3, jobs=jobs)
+    assert sizes == [2, 3]
+
+
 def test_capability_error_propagates():
     with pytest.raises(CapabilityError):
         count_homs(knot_presentation("SK", 2), SymmetricGroup(24))
@@ -361,7 +380,7 @@ def test_class_data_matches_oracle(make, tmp_path):
         assert closure == centralizer
     for x, t in enumerate(data.transversal.tolist()):
         rep = els[data.reps[data.label[x]]]
-        assert group.conjugate(els[x], els[t]) == rep
+        assert conjugate(group, els[x], els[t]) == rep
 
 
 def _buckets_of(matrix, group):

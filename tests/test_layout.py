@@ -1,5 +1,6 @@
-"""Layout guards: every public name in src/gnk is used, documented or traced,
-and every function the benchmark's tracer wraps exists."""
+"""Layout guards: every public name in src/gnk, and every public method of a
+public class there, is used, documented or traced, and every function the
+benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -27,6 +28,11 @@ def _sources():
             with open(os.path.join(SRC, name), encoding="utf-8") as fh:
                 out[name[:-3]] = ast.parse(fh.read())
     return out
+
+
+def _readme_words():
+    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
+        return set(re.findall(r"\w+", fh.read()))
 
 
 def _referenced(node, skip=None):
@@ -59,8 +65,7 @@ def test_wrapped_functions_resolve():
 
 def test_every_public_name_is_used_documented_or_traced():
     trees = _sources()
-    with open(os.path.join(ROOT, "README.md"), encoding="utf-8") as fh:
-        readme = set(re.findall(r"\w+", fh.read()))
+    readme = _readme_words()
     wrapped = {(module, function) for module, function in _spans().WRAPPED}
     unused = []
     for module, tree in trees.items():
@@ -75,4 +80,28 @@ def test_every_public_name_is_used_documented_or_traced():
             )
             if not used and node.name not in readme:
                 unused.append(f"{module}.{node.name}")
+    assert unused == [], unused
+
+
+def test_every_public_method_is_used_documented_or_traced():
+    # a use is an attribute read (x.name) in some src/ module; local
+    # variables that share a method's name do not count
+    trees = _sources()
+    read = {
+        node.attr
+        for tree in trees.values()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute)
+    }
+    allowed = read | _readme_words() | {f for _, f in _spans().WRAPPED}
+    unused = [
+        f"{module}.{cls.name}.{fn.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for fn in cls.body
+        if isinstance(fn, ast.FunctionDef)
+        and not fn.name.startswith("_")
+        and fn.name not in allowed
+    ]
     assert unused == [], unused

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from gnk.fingroups import PSL2Group, SL2Group, SymmetricGroup
 from gnk.homsearch import Homomorphism, enumerate_homs
 from gnk.presentations import (
+    KNOT_NAMES,
     Presentation,
     g1_braid_presentation,
     knot_presentation,
@@ -24,7 +25,6 @@ from gnk.talex import (
     _pivot_product,
     _poly_text,
     _ring_for,
-    abelianization_degrees,
     psl27_matrix_dictionary,
     representation_from_psl27_hom,
     representation_from_sl2_hom,
@@ -32,11 +32,13 @@ from gnk.talex import (
     twisted_alexanders,
     wada_matrix,
 )
-from gnk.words import GeneratorTable, Word, parse_word, word_product
+from gnk.words import GeneratorTable, Word, parse_word, word_inverse, word_product
 
 from oracle_utils import (
     LaurentPoly,
+    abelianization_map,
     apply_word,
+    conjugate,
     degree_terms,
     deleted_flat,
     fox_block,
@@ -45,6 +47,7 @@ from oracle_utils import (
     group_ring,
     hom_is_valid,
     invariant_factor_product,
+    invariant_factors,
     laurent,
     plain_poly,
     poly_cofactor_det,
@@ -344,46 +347,40 @@ def test_fox_augmentation_is_exponent_sum(raw, gen):
 # -- degree maps ----------------------------------------------------------------
 
 
+def test_meridian_degrees_are_the_abelianization_map():
+    # t on every generator is the Smith-form map onto the free part of the
+    # abelianization, up to sign, on every registry presentation
+    registry = [g1_braid_presentation()] + [
+        knot_presentation(knot, n, raw=raw)
+        for knot in KNOT_NAMES
+        for n in range(1, 7)
+        for raw in (False, True)
+    ]
+    for pres in registry:
+        ones = (1,) * len(pres.gens)
+        assert invariant_factors(pres) == (0,), pres.label
+        assert abelianization_map(pres) in (ones, tuple(-v for v in ones))
+
+
 def test_degrees_of_knot_presentations():
-    assert abelianization_degrees(trefoil_right_reduced(2)) == (1, 1)
-    assert abelianization_degrees(g1_braid_presentation()) == (1, 1, 1)
-    for knot in ("SK", "GK"):
-        for n in (1, 2, 3):
-            assert abelianization_degrees(knot_presentation(knot, n)) == (1, 1, 1)
-        assert abelianization_degrees(knot_presentation(knot, 2, raw=True)) == (1,) * 6
+    # both builders send every generator to t
+    for knot, n, raw in (("SK", 2, False), ("GK", 1, True), ("trefoil_r", 2, False)):
+        pres = knot_presentation(knot, n, raw=raw)
+        ones = (1,) * len(pres.gens)
+        hom = next(iter(enumerate_homs(pres, SL2Group(3))))
+        assert representation_from_sl2_hom(pres, hom).alpha == ones
+        hom = next(iter(enumerate_homs(pres, PSL2Group(7))))
+        assert representation_from_psl27_hom(pres, hom).alpha == ones
 
 
-def test_degrees_sign_and_errors():
+def test_degree_map_rejects_nonzero_exponent_sum():
+    # <x, y | x y> abelianizes to Z with degrees (1, -1); t on both
+    # generators sends x y to t^2, which the Wada walk's degree check refuses
     tab = GeneratorTable(("x", "y"))
-    mixed = Presentation(tab, (parse_word("x y", tab),))
-    assert abelianization_degrees(mixed) == (1, -1)
-    single = Presentation(GeneratorTable(("x",)), ())
-    assert abelianization_degrees(single) == (1,)
-    free_two = Presentation(tab, ())
-    with pytest.raises(ValueError, match="infinite cyclic"):
-        abelianization_degrees(free_two)
-    finite = Presentation(
-        GeneratorTable(("x",)), (parse_word("x^2", GeneratorTable(("x",))),)
-    )
-    with pytest.raises(ValueError, match="infinite cyclic"):
-        abelianization_degrees(finite)
-
-
-def test_degrees_cache_ignores_relator_order():
-    # presentations equal up to relator order share one cache entry, so each
-    # order must give the cached degrees when computed afresh
-    tab = GeneratorTable(("x", "y", "z"))
-    words = tuple(parse_word(t, tab) for t in ("x y", "z x^-1", "y^2 z^2"))
-    raw = knot_presentation("SK", 2, raw=True)
-    for pres in (Presentation(tab, words), raw):
-        cached = abelianization_degrees(pres)
-        orders = itertools.islice(itertools.permutations(pres.relators), 0, None, 7)
-        for order in orders:
-            permuted = Presentation(pres.gens, order, pres.n)
-            assert permuted == pres
-            assert abelianization_degrees.__wrapped__(permuted) == cached
-            assert abelianization_degrees(permuted) == cached
-    assert abelianization_degrees(Presentation(tab, words)) == (1, -1, 1)
+    pres = Presentation(tab, (parse_word("x y", tab),))
+    assert abelianization_map(pres) in ((1, -1), (-1, 1))
+    with pytest.raises(ValueError, match="not respected"):
+        twisted_alexander(pres, trivial_representation(pres, 5))
 
 
 # -- representations and the block matrix ------------------------------------------
@@ -446,7 +443,7 @@ def test_representation_apply_inverse():
     rep = representation_from_sl2_hom(pres, hom)
     word = parse_word("d b^-2 e d^-1", pres.gens)
     mat, deg = apply_word(rep, word)
-    imat, ideg = apply_word(rep, word.inverse())
+    imat, ideg = apply_word(rep, word_inverse(word))
     k = rep.dim
     ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
     prod = tuple(
@@ -762,7 +759,8 @@ def test_column_choice_is_immaterial():
 def test_forced_column_with_vanishing_denominator():
     tab = GeneratorTable(("x", "y"))
     pres = Presentation(tab, (parse_word("y", tab),))
-    rep = trivial_representation(pres, 5)
+    # y is trivial, so the map onto Z sends x to t and y to 1
+    rep = Representation(tab, 1, 5, (((1,),),) * 2, (1, 0))
     auto = twisted_alexander(pres, rep)
     assert auto.column == 0
     with pytest.raises(ValueError, match="vanishing"):
@@ -817,7 +815,7 @@ def test_invariant_is_conjugation_invariant():
     els = psl.elements()
     for c in (els[3], els[50], els[111]):
         moved = tuple(
-            psl.index_of(psl.conjugate(els[i], c)) for i in base.image_indices
+            psl.index_of(conjugate(psl, els[i], c)) for i in base.image_indices
         )
         other = Homomorphism(pres, psl, moved)
         assert hom_is_valid(other)

@@ -11,11 +11,10 @@ from gnk.words import (
     parse_word,
     reduce,
     word_inverse,
-    word_power,
     word_product,
 )
 
-from oracle_utils import generator_words, substitute
+from oracle_utils import generator_words, substitute, word_power
 
 AB = GeneratorTable(("a", "b"))
 ABC = GeneratorTable(("a", "b", "c"))
@@ -68,34 +67,34 @@ def test_word_validation():
         Word(AB, ((2, 1),))
     with pytest.raises(ValueError):
         Word(AB, ((0, 1), (0, 2)))
-    assert Word(AB, ((0, 1), (1, -2))).length() == 3
+    assert Word(AB, [(0, 1), (1, -2)]).syllables == ((0, 1), (1, -2))
 
 
 def test_reduce_merges_and_cancels():
     assert reduce(AB, [(0, 1), (0, 1)]).syllables == ((0, 2),)
-    assert reduce(AB, [(0, 1), (0, -1)]).is_identity
+    assert not reduce(AB, [(0, 1), (0, -1)]).syllables
     # b a a^-1 b^-1 collapses across the exposed pair
-    assert reduce(AB, [(1, 1), (0, 1), (0, -1), (1, -1)]).is_identity
+    assert not reduce(AB, [(1, 1), (0, 1), (0, -1), (1, -1)]).syllables
     assert reduce(AB, [(0, 2), (1, 0), (0, 3)]).syllables == ((0, 5),)
 
 
 def test_product_and_inverse():
     u = w("a b^2")
     v = w("b^-2 a^-1")
-    assert word_product(u, v).is_identity
+    assert not word_product(u, v).syllables
     assert word_inverse(u) == v
-    assert (u * v).is_identity
-    assert u * w("c") == w("a b^2 c")
+    assert word_product(u, w("c")) == w("a b^2 c")
+    assert word_product(u, v, w("c"), word_inverse(w("c"))) == w("1")
     with pytest.raises(ValueError):
         word_product(u, w("a", AB))
 
 
 def test_power():
     u = w("a b")
-    assert word_power(u, 0).is_identity
+    assert not word_power(u, 0).syllables
     assert word_power(u, 3) == w("a b a b a b")
     assert word_power(u, -2) == w("b^-1 a^-1 b^-1 a^-1")
-    assert u ** 2 == u * u
+    assert word_power(u, 2) == word_product(u, u)
 
 
 @pytest.mark.parametrize("n", range(1, 6))
@@ -139,7 +138,7 @@ def test_generator_words():
 def test_format_parse_examples():
     assert format_word(w("a^2 b^-1 c")) == "a^2 b^-1 c"
     assert format_word(w("1")) == "1"
-    assert parse_word("", ABC).is_identity
+    assert not parse_word("", ABC).syllables
     assert parse_word("a a", ABC) == w("a^2")
     with pytest.raises(ValueError):
         parse_word("a^", ABC)
@@ -163,7 +162,7 @@ def test_reduce_idempotent(raw):
 @given(syllable_streams, syllable_streams)
 def test_product_inverse_cancels(raw_u, raw_v):
     u, v = reduce(ABC, raw_u), reduce(ABC, raw_v)
-    assert (u * v * v.inverse() * u.inverse()).is_identity
+    assert not word_product(u, v, word_inverse(v), word_inverse(u)).syllables
 
 
 @given(syllable_streams, syllable_streams)
@@ -171,7 +170,7 @@ def test_evaluate_is_multiplicative(raw_u, raw_v):
     g = PermGroup(4)
     images = [(1, 2, 3, 0), (1, 0, 2, 3), (0, 2, 1, 3)]
     u, v = reduce(ABC, raw_u), reduce(ABC, raw_v)
-    assert evaluate(u * v, images, g) == g.mul(
+    assert evaluate(word_product(u, v), images, g) == g.mul(
         evaluate(u, images, g), evaluate(v, images, g)
     )
 
@@ -191,7 +190,7 @@ def test_substitute_commutes_with_evaluate(raw_u, raw_r):
     g = PermGroup(4)
     u = reduce(ABC, raw_u)
     r = reduce(ABC, raw_r)
-    if r.mentions(1):
+    if any(gen == 1 for gen, _ in r.syllables):
         return  # replacement may not mention the substituted generator
     images = [(1, 2, 3, 0), (1, 0, 2, 3), (0, 2, 1, 3)]
     patched = list(images)
@@ -213,4 +212,4 @@ def test_exhaustive_small_words_reduce_stable():
     for combo in itertools.product(letters, repeat=3):
         u = reduce(AB, combo)
         assert reduce(AB, u.syllables) == u
-        assert (u * u.inverse()).is_identity
+        assert not word_product(u, word_inverse(u)).syllables
