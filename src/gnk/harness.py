@@ -20,7 +20,7 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -67,10 +67,24 @@ class SweepConfig:
     output: str = "results.jsonl"
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "knots", tuple(self.knots))
-        object.__setattr__(self, "n_values", tuple(int(n) for n in self.n_values))
-        object.__setattr__(self, "targets", tuple(self.targets))
-        object.__setattr__(self, "tasks", tuple(self.tasks))
+        # JSON gives any type anywhere: lists must be lists, not strings
+        # split into characters, and integers must not be floats or booleans
+        for name, kind in (
+            ("knots", str),
+            ("n_values", int),
+            ("targets", str),
+            ("tasks", str),
+        ):
+            value = getattr(self, name)
+            if not isinstance(value, (list, tuple)) or any(
+                type(v) is not kind for v in value
+            ):
+                raise ValueError(f"{name} must be a list of {kind.__name__} values")
+            object.__setattr__(self, name, tuple(value))
+        if type(self.shards) is not int:
+            raise ValueError("shards must be an int")
+        if not isinstance(self.output, str):
+            raise ValueError("output must be a path")
         bad = [k for k in self.knots if k not in KNOT_NAMES]
         if bad or not self.knots:
             raise ValueError(f"knots must be a nonempty subset of {KNOT_NAMES}")
@@ -90,16 +104,14 @@ class SweepConfig:
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
         data = json.loads(text)
-        unknown = set(data) - {
-            "knots",
-            "n_values",
-            "targets",
-            "tasks",
-            "shards",
-            "output",
-        }
+        if not isinstance(data, dict):
+            raise ValueError("a sweep config must be a JSON object")
+        unknown = set(data) - {f.name for f in fields(cls)}
         if unknown:
             raise ValueError(f"unknown config fields: {sorted(unknown)}")
+        missing = {"knots", "n_values", "targets", "tasks"} - set(data)
+        if missing:
+            raise ValueError(f"missing config fields: {sorted(missing)}")
         return cls(**data)
 
     @classmethod

@@ -833,10 +833,11 @@ class WitnessReport:
         )
 
 
-def _chain(group: FiniteGroup, *xs):
+def _chain(mul, *xs):
+    """The left-to-right product of xs under mul."""
     acc = xs[0]
     for x in xs[1:]:
-        acc = group.mul(acc, x)
+        acc = mul(acc, x)
     return acc
 
 
@@ -850,22 +851,16 @@ def s24_witness_report() -> WitnessReport:
     root_ok = group.power(d_hat, WITNESS_TWIST) == D
 
     def braid(x, y) -> bool:
-        return _chain(group, x, y, x) == _chain(group, y, x, y)
+        return _chain(group.mul, x, y, x) == _chain(group.mul, y, x, y)
 
     def powered_holds_under(mul) -> bool:
-        def chain(*xs):
-            acc = xs[0]
-            for x in xs[1:]:
-                acc = mul(acc, x)
-            return acc
-
         def cube(x):
-            return chain(x, x, x)
+            return _chain(mul, x, x, x)
 
         ed = mul(E, D)
         bd = mul(B, D)
-        lhs = chain(cube(ed), d_hat, group.inv(cube(ed)))
-        rhs = chain(cube(bd), d_hat, group.inv(cube(bd)))
+        lhs = _chain(mul, cube(ed), d_hat, group.inv(cube(ed)))
+        rhs = _chain(mul, cube(bd), d_hat, group.inv(cube(bd)))
         return lhs == rhs
 
     return WitnessReport(

@@ -11,22 +11,26 @@ matrix; the invariant is the pair
 with both entries normalized to lowest degree 0 and lowest coefficient 1.
 The gcd is the product of the pivots of a row-only echelon form of the
 deleted matrix over F_p[t], and the same kernel gives the denominator as
-a determinant.  The test suite checks the kernel against a Smith
-diagonalization and cofactor determinants, recomputes small cases by
-enumerating minors directly, and rebuilds the block matrix from Fox
-derivatives.
+a determinant.  The echelon form is reached by Euclid's algorithm down
+each column: the entry of least degree becomes the pivot, every row below
+it loses the quotient multiple of the pivot row that leaves its
+remainder, and this repeats until the column is clear below the pivot.
+The test suite checks the kernel against a Smith diagonalization and
+cofactor determinants, recomputes small cases by enumerating minors
+directly, and rebuilds the block matrix from Fox derivatives.
 
 The block matrices are built for a batch of representations at once,
-such as one sweep cell's class representatives: they share p, the
-dimension and the degrees, so one walk per relator serves every member,
-each letter one stacked matrix product into an integer array of
-coefficients by degree.  The same walk checks that the relator lands on
-the identity at degree 0 for every member, and the finished blocks must
-satisfy the chain-rule identity sum_j Phi(dr/dx_j) (Phi(x_j) - 1) = 0,
-degree by degree, before any invariant is computed from them.  Each
-member's deleted matrix and denominator are then read off the array as
-plain F_p[t] elements under one common power of t.  Members that send the
-denominator's generator to the same matrix share one denominator.  Both
+such as one sweep cell's class representatives: they share p and the
+dimension, and a relator prefix's degree is its signed letter count for
+all of them, so one walk per relator serves every member, each letter
+one stacked matrix product into an integer array of coefficients by
+degree.  The same walk checks that the relator lands on the identity at
+degree 0 for every member, and the finished blocks must satisfy the
+chain-rule identity sum_j Phi(dr/dx_j) (Phi(x_j) - 1) = 0, degree by
+degree, before any invariant is computed from them.  Each member's
+deleted matrix and denominator are then read off the array as plain
+F_p[t] elements under one common power of t.  Members that send the
+deleted generator to the same matrix share one denominator.  Both
 results are kept as coefficient tuples (c_0, ..., c_d) with c_0 = 1, and
 () for zero.
 """
@@ -183,58 +187,40 @@ def _poly_text(cs: tuple[int, ...]) -> str:
     return " + ".join(terms) or "0"
 
 
-def _gcdex(ring, a, b):
-    """(g, u, v) with u*a + v*b = g = gcd(a, b)."""
-    r0, r1 = a, b
-    s0, s1 = ring.one, ring.zero
-    t0, t1 = ring.zero, ring.one
-    while r1 != ring.zero:
-        q, r = ring.divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, ring.sub(s0, ring.mul(q, s1))
-        t0, t1 = t1, ring.sub(t0, ring.mul(q, t1))
-    return r0, s0, t0
-
-
 def _pivot_product(ring, grid: list[list]):
     """Product of the pivots of a row-only echelon form over F_p[t].
 
-    Rows are only swapped, reduced by a multiple of the pivot row, or
-    mixed by the 2x2 transform [[u, v], [-b/g, a/g]] of determinant 1 built
-    from the extended gcd.  These keep the ideal of maximal minors, and in
-    echelon form the only nonzero maximal minor is the pivot product.  So
-    for rows >= columns this is the gcd of the maximal minors up to a unit,
-    and for a square grid it is the determinant exactly: the sign is
-    flipped once per row swap.  Zero when a column has no pivot.  The grid
-    is reduced in place.
+    Each column is cleared by Euclid's algorithm: the nonzero entry of
+    least degree is swapped to the top, every row below subtracts the
+    quotient multiple of the top row that leaves its remainder, and this
+    repeats until nothing below the top is nonzero.  Swaps and such
+    subtractions keep the ideal of maximal minors, and in echelon form the
+    only nonzero maximal minor is the pivot product.  So for rows >=
+    columns this is the gcd of the maximal minors up to a unit, and for a
+    square grid it is the determinant exactly: the sign is flipped once
+    per row swap.  Zero when a column has no pivot.  The grid is reduced in
+    place.
     """
     m, n = len(grid), len(grid[0]) if grid else 0
     prod, negate = ring.one, False
     for t in range(n):
-        live = [i for i in range(t, m) if grid[i][t] != ring.zero]
-        if not live:
-            return ring.zero
-        piv = min(live, key=lambda i: ring.deg(grid[i][t]))
-        if piv != t:
-            grid[t], grid[piv] = grid[piv], grid[t]
-            negate = not negate
-        top = grid[t]
-        for row in grid[t + 1 :]:
-            b = row[t]
-            if b == ring.zero:
-                continue
-            q, r = ring.divmod(b, top[t])
-            if r == ring.zero:
-                for j in range(t, n):
-                    row[j] = ring.sub(row[j], ring.mul(q, top[j]))
-            else:
-                g, u, v = _gcdex(ring, top[t], b)
-                qa, qb = ring.divmod(top[t], g)[0], ring.divmod(b, g)[0]
-                for j in range(t, n):
-                    x, y = top[j], row[j]
-                    top[j] = ring.add(ring.mul(u, x), ring.mul(v, y))
-                    row[j] = ring.sub(ring.mul(qa, y), ring.mul(qb, x))
-        prod = ring.mul(prod, top[t])
+        while True:
+            live = [i for i in range(t, m) if grid[i][t] != ring.zero]
+            if not live:
+                return ring.zero
+            piv = min(live, key=lambda i: ring.deg(grid[i][t]))
+            if piv != t:
+                grid[t], grid[piv] = grid[piv], grid[t]
+                negate = not negate
+            if len(live) == 1:
+                break
+            top = grid[t]
+            for row in grid[t + 1 :]:
+                if row[t] != ring.zero:
+                    q, row[t] = ring.divmod(row[t], top[t])
+                    for j in range(t + 1, n):
+                        row[j] = ring.sub(row[j], ring.mul(q, top[j]))
+        prod = ring.mul(prod, grid[t][t])
     return ring.neg(prod) if negate else prod
 
 
@@ -280,23 +266,22 @@ def _mat_inv(p: int, a: tuple) -> tuple:
 
 @dataclass(frozen=True)
 class Representation:
-    """Generator images in GL_k(F_p) plus an integer degree per generator.
+    """Generator images in GL_k(F_p).
 
-    A generator x contributes the block image(x) * t^alpha(x); the map is
-    admissible for a presentation when every relator lands on the identity
-    block with total degree zero.
+    Every generator is a meridian, so x contributes the block image(x) * t;
+    the map is admissible for a presentation when every relator lands on
+    the identity block with total degree zero.
     """
 
     table: GeneratorTable
     dim: int
     p: int
     images: tuple
-    alpha: tuple[int, ...]
     inverses: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        if not len(self.images) == len(self.alpha) == len(self.table):
-            raise ValueError("one image and one degree per generator")
+        if len(self.images) != len(self.table):
+            raise ValueError("one image per generator")
         fixed = []
         for m in self.images:
             if len(m) != self.dim or any(len(row) != self.dim for row in m):
@@ -329,11 +314,11 @@ def _stack(reps, attr: str) -> np.ndarray:
 def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatrix:
     """Check a batch against pres and build its blocks, one walk per relator.
 
-    The members must share p, dim and alpha, so every prefix has one degree
-    for the whole batch.  Walking relator r letter by letter with prefix w,
-    a letter x_j adds Phi(w) t^deg(w) to block j and a letter x_j^-1
-    subtracts Phi(w x_j^-1) t^deg(w x_j^-1): the Fox derivative dr/dx_j
-    pushed through the representation.  Each letter is one stacked product
+    The members must share p and dim.  A prefix's degree is its signed
+    letter count, one for the whole batch.  Walking relator r letter by
+    letter with prefix w, a letter x_j adds Phi(w) t^deg(w) to block j and
+    a letter x_j^-1 subtracts Phi(w x_j^-1) t^deg(w x_j^-1): the Fox
+    derivative dr/dx_j pushed through the representation.  Each letter is one stacked product
     over the batch.  Every member's walk must end on the identity at degree
     0, and the blocks must pass the chain-rule check.
     """
@@ -342,13 +327,13 @@ def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatri
         raise ValueError("a batch needs at least one representation")
     if any(rep.table != pres.gens for rep in reps):
         raise ValueError("representation is over different generators")
-    p, k, alpha = reps[0].p, reps[0].dim, reps[0].alpha
-    if any((rep.p, rep.dim, rep.alpha) != (p, k, alpha) for rep in reps):
-        raise ValueError("a batch must share p, dim and alpha")
+    p, k = reps[0].p, reps[0].dim
+    if any((rep.p, rep.dim) != (p, k) for rep in reps):
+        raise ValueError("a batch must share p and dim")
     walks = []
     for rel in pres.relators:
         letters = [(g, e // abs(e)) for g, e in rel.syllables for _ in range(abs(e))]
-        degs = accumulate((s * alpha[g] for g, s in letters), initial=0)
+        degs = accumulate((s for _, s in letters), initial=0)
         walks.append((rel, letters, list(degs)))
     low = min((d for *_, degs in walks for d in degs), default=0)
     span = max((d for *_, degs in walks for d in degs), default=0) - low + 1
@@ -372,16 +357,15 @@ def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatri
 
 
 def _check_chain_rule(wm: WadaMatrix) -> None:
-    """sum_j C_ij(t) (A_j t^alpha_j - 1) = 0 for each member and relator i,
-    degree by degree."""
-    images, alpha = _stack(wm.reps, "images"), wm.reps[0].alpha
-    members, rels, _, span, k, _ = wm.coeffs.shape
-    lo = min(0, *alpha)
-    total = np.zeros((members, rels, span + max(0, *alpha) - lo, k, k), np.int64)
-    for j, a in enumerate(alpha):
+    """sum_j C_ij(t) (A_j t - 1) = 0 for each member and relator i, degree
+    by degree."""
+    images = _stack(wm.reps, "images")
+    members, rels, gens, span, k, _ = wm.coeffs.shape
+    total = np.zeros((members, rels, span + 1, k, k), np.int64)
+    for j in range(gens):
         block = wm.coeffs[:, :, j]
-        total[:, :, a - lo : a - lo + span] += block @ images[j][:, None, None]
-        total[:, :, -lo : span - lo] -= block
+        total[:, :, 1:] += block @ images[j][:, None, None]
+        total[:, :, :-1] -= block
     if (total % wm.reps[0].p).any():
         raise RuntimeError("free-calculus identity failed; the matrix is wrong")
 
@@ -405,13 +389,13 @@ def _grid(ring, coeffs: np.ndarray) -> list[list]:
     return [[ring._trim(e) for e in row] for row in flat.tolist()]
 
 
-def _denominator(ring, image: tuple, a: int):
-    """det(image t^a - 1) in the plain ring, up to a power of t."""
+def _denominator(ring, image: tuple):
+    """det(image t - 1) in the plain ring.  Its constant term is det(-1) =
+    (-1)^k, so it never vanishes."""
     k = len(image)
-    lo = min(a, 0)
-    block = np.zeros((1, 1, abs(a) + 1, k, k), np.int64)
-    block[0, 0, a - lo] += image
-    block[0, 0, -lo] -= np.eye(k, dtype=np.int64)
+    block = np.zeros((1, 1, 2, k, k), np.int64)
+    block[0, 0, 0] -= np.eye(k, dtype=np.int64)
+    block[0, 0, 1] += image
     return _pivot_product(ring, _grid(ring, block % ring.p))
 
 
@@ -433,45 +417,31 @@ class TwistedAlexander:
 def twisted_alexanders(
     pres: Presentation,
     reps: Sequence[Representation],
-    column: int | None = None,
+    column: int = 0,
 ) -> list[TwistedAlexander]:
     """The invariant of each member of a batch, from one wada_matrix call.
 
-    The column defaults, per member, to the first generator whose
-    denominator does not vanish.  A denominator depends only on the column
-    and its generator's image, so members sharing both share one.
+    Every member deletes the same column.  Its denominator depends only on
+    that generator's image, so members sharing the image share one.
     """
     gens = len(pres.gens)
-    if column is not None and not 0 <= column < gens:
+    if not 0 <= column < gens:
         raise ValueError(f"column {column} is out of range for {gens} generators")
     wm = wada_matrix(pres, reps)
-    ring, alpha = _ring_for(wm.reps[0].p), wm.reps[0].alpha
+    ring = _ring_for(wm.reps[0].p)
     dens: dict[tuple, tuple[int, ...]] = {}
-
-    def denominator(rep: Representation, j: int) -> tuple[int, ...]:
-        key = (j, rep.images[j])
-        if key not in dens:
-            den = _denominator(ring, rep.images[j], alpha[j])
-            dens[key] = _normalized(ring, den)
-        return dens[key]
-
     out = []
     for rep, coeffs in zip(wm.reps, wm.coeffs):
-        cols = range(gens) if column is None else (column,)
-        col = next((j for j in cols if denominator(rep, j)), None)
-        if col is None and column is None:
-            raise ValueError("det(Phi(x_j) - 1) vanishes for every generator")
-        if col is None:
-            raise ValueError(f"column {column} has vanishing denominator")
-        num = _pivot_product(ring, _grid(ring, np.delete(coeffs, col, axis=1)))
-        out.append(
-            TwistedAlexander(_normalized(ring, num), denominator(rep, col), col)
-        )
+        image = rep.images[column]
+        if image not in dens:
+            dens[image] = _normalized(ring, _denominator(ring, image))
+        num = _pivot_product(ring, _grid(ring, np.delete(coeffs, column, axis=1)))
+        out.append(TwistedAlexander(_normalized(ring, num), dens[image], column))
     return out
 
 
 def twisted_alexander(
-    pres: Presentation, rep: Representation, column: int | None = None
+    pres: Presentation, rep: Representation, column: int = 0
 ) -> TwistedAlexander:
     """The invariant of one representation: a batch of one."""
     return twisted_alexanders(pres, (rep,), column)[0]
@@ -480,9 +450,9 @@ def twisted_alexander(
 # -- representation builders ---------------------------------------------------
 #
 # Every generator of a G_n(K) presentation is a meridian, so the degree map
-# onto Z sends each one to t.  Under that map a relator's walk ends at its
-# exponent sum, so the Wada walk's end-degree check rejects any presentation
-# on which it is not a homomorphism.
+# onto Z sends each one to t, which Representation assumes.  Under that map
+# a relator's walk ends at its exponent sum, so the Wada walk's end-degree
+# check rejects any presentation on which it is not a homomorphism.
 
 
 def representation_from_sl2_hom(pres: Presentation, hom) -> Representation:
@@ -496,7 +466,6 @@ def representation_from_sl2_hom(pres: Presentation, hom) -> Representation:
         dim=2,
         p=group.p,
         images=images,
-        alpha=(1,) * len(pres.gens),
     )
 
 
@@ -510,86 +479,44 @@ def representation_from_psl27_hom(pres: Presentation, hom) -> Representation:
         dim=3,
         p=2,
         images=tuple(table[x] for x in hom.images()),
-        alpha=(1,) * len(pres.gens),
     )
 
 
 # -- the 168-element dictionary ----------------------------------------------------
 
 
-def _gl32_elements() -> tuple:
-    """All invertible 3x3 matrices over F_2, in flat-bit order."""
-    out = []
-    for bits in range(512):
-        m = tuple(
-            tuple((bits >> (3 * i + j)) & 1 for j in range(3))
-            for i in range(3)
-        )
-        det = (
-            m[0][0] * (m[1][1] * m[2][2] ^ m[1][2] * m[2][1])
-            ^ m[0][1] * (m[1][0] * m[2][2] ^ m[1][2] * m[2][0])
-            ^ m[0][2] * (m[1][0] * m[2][1] ^ m[1][1] * m[2][0])
-        )
-        if det & 1:
-            out.append(m)
-    return tuple(out)
-
-
-def _mat3_order(m: tuple) -> int:
-    ident = _mat_id(3)
-    acc = m
-    for k in range(1, 9):
-        if acc == ident:
-            return k
-        acc = _mat_mul(2, acc, m)
-    raise RuntimeError("order above 8 is impossible here")
-
-
 @lru_cache(maxsize=None)
 def psl27_matrix_dictionary() -> dict:
     """Isomorphism from PSL2_7 elements onto GL_3(F_2) matrices.
 
-    Built by deterministic search: candidate images for the two standard
-    generators are tried in enumeration order, extended along the Cayley
-    graph, and the first consistent bijection is checked multiplicatively
-    on every pair before being returned.
+    The stored images of the two standard generators are extended along
+    the Cayley graph.  The extension must be consistent and a bijection,
+    and it is checked multiplicatively on every pair before being returned.
     """
     psl = PSL2Group(7)
-    s = psl.parse_element("[[0,1],[6,0]]")
-    t = psl.parse_element("[[1,1],[0,1]]")
+    # s and t have orders 2 and 7 and a product of order 3; so do their images
+    gens = (
+        (psl.parse_element("[[0,1],[6,0]]"), ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+        (psl.parse_element("[[1,1],[0,1]]"), ((0, 1, 1), (0, 0, 1), (1, 0, 0))),
+    )
     els = psl.elements()
-
-    gl = _gl32_elements()
-    involutions = [m for m in gl if _mat3_order(m) == 2]
-    sevens = [m for m in gl if _mat3_order(m) == 7]
-    for b in involutions:
-        for a in sevens:
-            if _mat3_order(_mat_mul(2, b, a)) != 3:
-                continue
-            phi = {psl.identity: _mat_id(3)}
-            frontier = [psl.identity]
-            consistent = True
-            while frontier and consistent:
-                x = frontier.pop()
-                for gen, img in ((s, b), (t, a)):
-                    y = psl.mul(x, gen)
-                    val = _mat_mul(2, phi[x], img)
-                    known = phi.get(y)
-                    if known is None:
-                        phi[y] = val
-                        frontier.append(y)
-                    elif known != val:
-                        consistent = False
-                        break
-            if not (
-                consistent
-                and len(phi) == len(els)
-                and len(set(phi.values())) == len(els)
-            ):
-                continue
-            for x in els:
-                for y in els:
-                    if phi[psl.mul(x, y)] != _mat_mul(2, phi[x], phi[y]):
-                        raise RuntimeError("dictionary failed the pair check")
-            return phi
-    raise RuntimeError("no generator images found; the search is broken")
+    phi = {psl.identity: _mat_id(3)}
+    frontier = [psl.identity]
+    while frontier:
+        x = frontier.pop()
+        for gen, img in gens:
+            y = psl.mul(x, gen)
+            val = _mat_mul(2, phi[x], img)
+            known = phi.get(y)
+            if known is None:
+                phi[y] = val
+                frontier.append(y)
+            elif known != val:
+                raise RuntimeError("generator images are not consistent")
+    if len(phi) != len(els) or len(set(phi.values())) != len(els):
+        raise RuntimeError("generator images do not give a bijection")
+    for x in els:
+        for y in els:
+            if phi[psl.mul(x, y)] != _mat_mul(2, phi[x], phi[y]):
+                raise RuntimeError("dictionary failed the pair check")
+    return phi

@@ -10,8 +10,9 @@ scalar root lift checks the array kernel behind property T and `gnk extend`,
 the full n = 1 base checks the class-weighted fiber rows behind property T
 and structured counts, and entry-by-entry index tables and a union-find
 orbit partition check the breadth-first table build and the
-label-propagation orbits.  A Smith diagonalization over F_p[t] checks the
-package's row-echelon pivot product, and `poly_gcd` with cofactor
+label-propagation orbits.  A Smith diagonalization over F_p[t], built
+from extended-gcd transforms, checks the package's Euclidean row-echelon
+pivot product, and `poly_gcd` with cofactor
 expansion gives the gcd of maximal minors directly.  `poly_det` is the
 Laurent front end of the pivot product, checked against cofactor
 expansion and used by the minors oracle.  `LaurentPoly` is the polynomial
@@ -20,7 +21,8 @@ elements and normalized coefficient tuples.  Every rotation of a relator
 and of its inverse, each reduced afresh, checks the canonical relator.
 An integer Smith form of the exponent-sum matrix gives the abelianization
 and its map onto Z, which checks the package's degree map: t on every
-generator.
+generator.  All 168 invertible 3x3 matrices over F_2 and their orders
+check that the PSL2_7 dictionary is onto GL_3(F_2) and keeps orders.
 
 Other helpers serve the tests as fixtures or as oracles: word powers,
 next to the Fox derivatives that use them; conjugation, next to the
@@ -436,6 +438,20 @@ def poly_minors_gcd(p, rows, k):
     return poly_gcd(p, minors)
 
 
+def gcdex(ring, a, b):
+    """(g, u, v) with u*a + v*b = g = gcd(a, b), by the extended Euclidean
+    algorithm."""
+    r0, r1 = a, b
+    s0, s1 = ring.one, ring.zero
+    t0, t1 = ring.zero, ring.one
+    while r1 != ring.zero:
+        q, r = ring.divmod(r0, r1)
+        r0, r1 = r1, r
+        s0, s1 = s1, ring.sub(s0, ring.mul(q, s1))
+        t0, t1 = t1, ring.sub(t0, ring.mul(q, t1))
+    return r0, s0, t0
+
+
 def invariant_factor_product(ring, grid):
     """(product of diagonal entries, rank) after diagonalizing over F_p[t].
 
@@ -445,8 +461,6 @@ def invariant_factor_product(ring, grid):
     product is the gcd of the maximal minors, up to a unit.  The grid is
     reduced in place.
     """
-    from gnk.talex import _gcdex
-
     m = len(grid)
     n = len(grid[0]) if m else 0
     t = 0
@@ -480,7 +494,7 @@ def invariant_factor_product(ring, grid):
                             grid[i][j], ring.mul(q, grid[t][j])
                         )
                 else:
-                    g, u, v = _gcdex(ring, a, b)
+                    g, u, v = gcdex(ring, a, b)
                     qa, _ = ring.divmod(a, g)
                     qb, _ = ring.divmod(b, g)
                     for j in range(t, n):
@@ -500,7 +514,7 @@ def invariant_factor_product(ring, grid):
                             grid[i][j], ring.mul(q, grid[i][t])
                         )
                 else:
-                    g, u, v = _gcdex(ring, a, b)
+                    g, u, v = gcdex(ring, a, b)
                     qa, _ = ring.divmod(a, g)
                     qb, _ = ring.divmod(b, g)
                     for i in range(t, m):
@@ -634,6 +648,36 @@ def union_find_partition(matrix, group):
             if a != b:
                 parent[max(a, b)] = min(a, b)
     return [find(i) for i in range(rows)]
+
+
+def gl32_elements():
+    """All invertible 3x3 matrices over F_2, in flat-bit order."""
+    out = []
+    for bits in range(512):
+        m = tuple(
+            tuple((bits >> (3 * i + j)) & 1 for j in range(3)) for i in range(3)
+        )
+        det = (
+            m[0][0] * (m[1][1] * m[2][2] ^ m[1][2] * m[2][1])
+            ^ m[0][1] * (m[1][0] * m[2][2] ^ m[1][2] * m[2][0])
+            ^ m[0][2] * (m[1][0] * m[2][1] ^ m[1][1] * m[2][0])
+        )
+        if det & 1:
+            out.append(m)
+    return tuple(out)
+
+
+def mat3_order(m):
+    """The multiplicative order of a matrix in GL_3(F_2), at most 7."""
+    from gnk.talex import _mat_id, _mat_mul
+
+    ident = _mat_id(3)
+    acc = m
+    for k in range(1, 9):
+        if acc == ident:
+            return k
+        acc = _mat_mul(2, acc, m)
+    raise RuntimeError("order above 8 is impossible here")
 
 
 def burnside_orbit_count(matrix, group):
@@ -794,7 +838,8 @@ def fox_derivative(w, gen):
 
 
 def apply_word(rep, w):
-    """(matrix, degree) of a word under a representation, letter by letter."""
+    """(matrix, degree) of a word under a representation, letter by letter;
+    every generator has degree 1."""
     from gnk.talex import _mat_id, _mat_inv, _mat_mul
 
     mat = _mat_id(rep.dim)
@@ -803,7 +848,7 @@ def apply_word(rep, w):
         base = rep.images[g] if e > 0 else _mat_inv(rep.p, rep.images[g])
         for _ in range(abs(e)):
             mat = _mat_mul(rep.p, mat, base)
-        deg += rep.alpha[g] * e
+        deg += e
     return mat, deg
 
 
@@ -925,7 +970,6 @@ def trivial_representation(pres, p):
         dim=1,
         p=p,
         images=(((1,),),) * len(pres.gens),
-        alpha=(1,) * len(pres.gens),
     )
 
 

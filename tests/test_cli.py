@@ -320,6 +320,37 @@ def test_sweep_rejects_nonpositive_jobs(capsys, tmp_path, jobs):
     assert not os.path.exists(output)
 
 
+GOOD_CONFIG = '"knots": ["SK"], "n_values": [1], "targets": ["S3"], "tasks": ["count"]'
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "5",
+        "null",
+        "[]",
+        "{}",
+        '{"knots": ["SK"], "n_values": 3, "targets": ["S3"], "tasks": ["count"]}',
+        '{"knots": ["SK"], "n_values": [2.5], "targets": ["S3"], "tasks": ["count"]}',
+        '{"knots": ["SK"], "n_values": [true], "targets": ["S3"], "tasks": ["count"]}',
+        '{"knots": ["SK"], "n_values": [1], "targets": [3], "tasks": ["count"]}',
+        '{"knots": ["SK"], "n_values": [1], "targets": "S3", "tasks": ["count"]}',
+        '{"knots": "SK", "n_values": [1], "targets": ["S3"], "tasks": ["count"]}',
+        "{" + GOOD_CONFIG + ', "shards": "2"}',
+        "{" + GOOD_CONFIG + ', "shards": 2.0}',
+        "{" + GOOD_CONFIG + ', "output": 5}',
+    ],
+)
+def test_sweep_rejects_malformed_config(capsys, tmp_path, text):
+    # valid JSON of the wrong shape or type: refused before any cell runs
+    path = tmp_path / "config.json"
+    path.write_text(text)
+    code, out, err = run(capsys, "sweep", "--config", str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert os.listdir(tmp_path) == ["config.json"]
+
+
 def test_sweep_then_report_clean(capsys, tmp_path):
     config, records = write_config(tmp_path)
     code, out, _ = run(capsys, "sweep", "--config", config)

@@ -212,8 +212,20 @@ def test_cell_talex_matches_per_hom_oracle(knot, n, target, monkeypatch):
 
 
 # talex (digest, homs, distinct) off the benchmark grid, whose talex cells are
-# all SL2_3: p = 2 and larger p and k, pinned before the batched Wada kernel
+# all SL2_3: p = 2 and larger p and k, pinned before the batched Wada kernel,
+# and two large-n cells (long relators, high-degree entries) pinned before the
+# Euclid-only echelon
 TALEX_PINS = {
+    ("SK", 50, "SL2_3"): (
+        "a1e44beac0aa368a180d51d1c28161baf03f7fa7d0223bea99636467c57ef04f",
+        264,
+        7,
+    ),
+    ("SK", 10, "PSL2_7"): (
+        "6cdfbbe7b48b68f09d92ea49a1a04bed5ff939fc88a944ece8549b5dcefe3cf1",
+        9240,
+        14,
+    ),
     ("SK", 1, "SL2_2"): (
         "e1c021de103f8adaca53b340004b424a364429fbdc8396ebe74799774185e321",
         30,

@@ -1,6 +1,7 @@
 """Layout guards: every public name in src/gnk, and every public method of a
-public class there, is used, documented or traced, and every function the
-benchmark's tracer wraps exists."""
+public class there, is used, documented or traced; every private function
+and class there is used in src/; and every function the benchmark's tracer
+wraps exists."""
 
 import ast
 import importlib
@@ -103,5 +104,22 @@ def test_every_public_method_is_used_documented_or_traced():
         if isinstance(fn, ast.FunctionDef)
         and not fn.name.startswith("_")
         and fn.name not in allowed
+    ]
+    assert unused == [], unused
+
+
+def test_every_private_definition_is_used_in_src():
+    # a private helper that only tests call belongs in tests/oracle_utils.py
+    trees = _sources()
+    unused = [
+        f"{module}.{node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(
+            node.name in _referenced(other, skip=node) for other in trees.values()
+        )
     ]
     assert unused == [], unused

@@ -18,9 +18,8 @@ from gnk.presentations import (
 from gnk.talex import (
     Representation,
     _check_chain_rule,
-    _gl32_elements,
+    _denominator,
     _grid,
-    _mat3_order,
     _normalized,
     _pivot_product,
     _poly_text,
@@ -44,11 +43,13 @@ from oracle_utils import (
     fox_block,
     fox_derivative,
     from_plain,
+    gl32_elements,
     group_ring,
     hom_is_valid,
     invariant_factor_product,
     invariant_factors,
     laurent,
+    mat3_order,
     plain_poly,
     poly_cofactor_det,
     poly_det,
@@ -196,15 +197,17 @@ def test_poly_gcd_divides_inputs(data, p):
             assert poly_gcd(p, [poly, g]) == g  # g divides poly
 
 
-def _random_grid(rng, ring, rows, cols):
-    """Entries of degree below 4, a third of them zero; one column in three
-    grids is a polynomial combination of the others, so the rank drops."""
+def _random_grid(rng, ring, rows, cols, max_deg=3):
+    """Entries of degree at most max_deg, a third of them zero; one column
+    in three grids is a polynomial combination of the others, so the rank
+    drops."""
     p = ring.p
 
     def entry():
         if rng.random() < 1 / 3:
             return ring.zero
-        return plain_poly(ring, [rng.randrange(p) for _ in range(rng.randint(1, 4))])
+        size = rng.randint(1, max_deg + 1)
+        return plain_poly(ring, [rng.randrange(p) for _ in range(size)])
 
     grid = [[entry() for _ in range(cols)] for _ in range(rows)]
     if rng.random() < 1 / 3:
@@ -241,7 +244,8 @@ def test_pivot_product_matches_smith_and_cofactor_oracles(monkeypatch):
     # tall grids: the pivot product and the Smith diagonal product agree up
     # to a unit, and are zero together; square grids: the pivot product is
     # the determinant, sign included; every grid: the normalized tuple and
-    # its text are the Laurent oracle's
+    # its text are the Laurent oracle's; the high-degree block takes Euclid's
+    # algorithm through many quotient steps per column
     rng = random.Random(20261018)
     cases = _talex_grids(monkeypatch)
     assert len(cases) == 100  # 70 numerators and 30 distinct denominators
@@ -251,6 +255,10 @@ def test_pivot_product_matches_smith_and_cofactor_oracles(monkeypatch):
             cols = rng.randint(1, 4)
             rows = rng.randint(cols, 6)
             cases.append((ring, _random_grid(rng, ring, rows, cols)))
+        for _ in range(25):
+            cols = rng.randint(1, 3)
+            rows = rng.randint(cols, 4)
+            cases.append((ring, _random_grid(rng, ring, rows, cols, max_deg=30)))
     deficient = square = zero = 0
     for ring, grid in cases:
         p, cols = ring.p, len(grid[0])
@@ -363,14 +371,17 @@ def test_meridian_degrees_are_the_abelianization_map():
 
 
 def test_degrees_of_knot_presentations():
-    # both builders send every generator to t
+    # both builders' representations, with every generator sent to t, pass
+    # the replay oracle's relator and degree check and the kernel's walk
     for knot, n, raw in (("SK", 2, False), ("GK", 1, True), ("trefoil_r", 2, False)):
         pres = knot_presentation(knot, n, raw=raw)
-        ones = (1,) * len(pres.gens)
         hom = next(iter(enumerate_homs(pres, SL2Group(3))))
-        assert representation_from_sl2_hom(pres, hom).alpha == ones
+        sl2 = representation_from_sl2_hom(pres, hom)
         hom = next(iter(enumerate_homs(pres, PSL2Group(7))))
-        assert representation_from_psl27_hom(pres, hom).alpha == ones
+        psl = representation_from_psl27_hom(pres, hom)
+        for rep in (sl2, psl):
+            validate_representation(pres, rep)
+            wada_matrix(pres, (rep,))
 
 
 def test_degree_map_rejects_nonzero_exponent_sum():
@@ -392,10 +403,11 @@ def test_representation_validation():
     validate_representation(pres, rep)
     wada_matrix(pres, (rep,))
     with pytest.raises(ValueError, match="singular"):
-        Representation(pres.gens, 1, 5, (((0,),), ((1,),)), (1, 1))
+        Representation(pres.gens, 1, 5, (((0,),), ((1,),)))
     with pytest.raises(ValueError, match="per generator"):
-        Representation(pres.gens, 1, 5, (((1,),),), (1, 1))
-    bad_alpha = Representation(pres.gens, 1, 5, (((1,),), ((1,),)), (1, 2))
+        Representation(pres.gens, 1, 5, (((1,),),))
+    # the trefoil's relation makes both generators' characters equal
+    bad_image = Representation(pres.gens, 1, 5, (((1,),), ((2,),)))
     other = Presentation(GeneratorTable(("x",)), ())
     # the replay oracle and the kernel's walk reject the same inputs
     def batch_of_one(pres, rep):
@@ -403,7 +415,7 @@ def test_representation_validation():
 
     for check in (validate_representation, batch_of_one, twisted_alexander):
         with pytest.raises(ValueError, match="not respected"):
-            check(pres, bad_alpha)
+            check(pres, bad_image)
         with pytest.raises(ValueError, match="different generators"):
             check(other, rep)
 
@@ -585,9 +597,8 @@ def _assert_blocks_match_fox(wm):
 def _characters(pres, p):
     """The 1-dimensional representations x -> u of a knot group, one per
     unit u mod p; u = 1 is the trivial representation."""
-    trivial = trivial_representation(pres, p)
     return [
-        Representation(pres.gens, 1, p, (((u,),),) * len(pres.gens), trivial.alpha)
+        Representation(pres.gens, 1, p, (((u,),),) * len(pres.gens))
         for u in range(1, p)
     ]
 
@@ -618,8 +629,8 @@ def test_batched_characters_match_fox_oracle():
 
 @pytest.mark.parametrize("target,distinct", [("SL2_3", 30), ("PSL2_7", 36)])
 def test_batch_computes_each_denominator_once(target, distinct, monkeypatch):
-    # a denominator depends only on its column and that generator's image,
-    # so a batch computes one per distinct pair, and its lines are those of
+    # a denominator depends only on the deleted generator's image, so a
+    # batch computes one per distinct image, and its lines are those of
     # evaluating every member alone
     import gnk.talex
 
@@ -628,23 +639,19 @@ def test_batch_computes_each_denominator_once(target, distinct, monkeypatch):
     calls = []
     real = gnk.talex._denominator
 
-    def spy(ring, image, a):
+    def spy(ring, image):
         calls.append(image)
-        return real(ring, image, a)
+        return real(ring, image)
 
     monkeypatch.setattr(gnk.talex, "_denominator", spy)
     total = tried = 0
     for wm in batches:
         calls.clear()
         got = twisted_alexanders(wm.pres, wm.reps)
-        pairs = {
-            (j, rep.images[j])
-            for rep, ta in zip(wm.reps, got)
-            for j in range(ta.column + 1)
-        }
-        assert len(calls) == len(pairs)
+        assert len(calls) == len({rep.images[0] for rep in wm.reps})
+        assert {ta.column for ta in got} == {0}
         total += len(calls)
-        tried += sum(ta.column + 1 for ta in got)
+        tried += len(got)
         alone = [twisted_alexander(wm.pres, rep).line() for rep in wm.reps]
         assert [ta.line() for ta in got] == alone
     assert total == distinct < tried
@@ -661,7 +668,7 @@ def test_batch_failures_name_the_member_fault(monkeypatch):
     for a, b, c, d in SL2Group(5).elements():
         images = list(broken.images)
         images[1] = ((a, b), (c, d))
-        bad = Representation(pres.gens, 2, 5, tuple(images), broken.alpha)
+        bad = Representation(pres.gens, 2, 5, tuple(images))
         try:
             validate_representation(pres, bad)
         except ValueError:
@@ -674,18 +681,11 @@ def test_batch_failures_name_the_member_fault(monkeypatch):
     coeffs[len(reps) - 1, 2, 1, -wm.low] += np.eye(2, dtype=coeffs.dtype)
     with pytest.raises(RuntimeError, match="identity failed"):
         _check_chain_rule(dataclasses.replace(wm, coeffs=coeffs % 5))
-    # members must share p, dim and alpha
-    mirrored = Representation(
-        pres.gens, 1, 5, (((1,),),) * 3, tuple(-a for a in reps[0].alpha)
-    )
-    for other in (
-        trivial_representation(pres, 3),
-        trivial_representation(pres, 5),
-        mirrored,
-    ):
+    # members must share p and dim
+    for other in (trivial_representation(pres, 3), trivial_representation(pres, 5)):
         with pytest.raises(ValueError, match="share"):
             wada_matrix(pres, [reps[0], other])
-    wada_matrix(pres, [mirrored])  # valid on its own
+        wada_matrix(pres, [other])  # valid on its own
     with pytest.raises(ValueError, match="at least one"):
         wada_matrix(pres, [])
 
@@ -756,23 +756,34 @@ def test_column_choice_is_immaterial():
         assert lhs == rhs
 
 
-def test_forced_column_with_vanishing_denominator():
-    tab = GeneratorTable(("x", "y"))
-    pres = Presentation(tab, (parse_word("y", tab),))
-    # y is trivial, so the map onto Z sends x to t and y to 1
-    rep = Representation(tab, 1, 5, (((1,),),) * 2, (1, 0))
-    auto = twisted_alexander(pres, rep)
-    assert auto.column == 0
-    with pytest.raises(ValueError, match="vanishing"):
-        twisted_alexander(pres, rep, column=1)
-    # out-of-range columns are refused, not wrapped around or left to index
+def test_column_defaults_to_zero_and_is_range_checked():
     sk = knot_presentation("SK", 1)
     rep = trivial_representation(sk, 5)
+    assert twisted_alexander(sk, rep).column == 0
     line = "1 + 3*t + 3*t^2 + 3*t^3 + t^4 | 1 + 4*t"
     assert {twisted_alexander(sk, rep, column=j).line() for j in range(3)} == {line}
+    # out-of-range columns are refused, not wrapped around or left to index
     for column in (-1, 3):
         with pytest.raises(ValueError, match="out of range"):
             twisted_alexander(sk, rep, column=column)
+
+
+def test_denominators_never_vanish():
+    # det(A t - 1) has constant term det(-1) = (-1)^k, so no column needs
+    # skipping: checked on every element of SL2_3 and SL2_5 and every matrix
+    # of the PSL2_7 dictionary
+    images = [
+        (p, ((a, b), (c, d)))
+        for p in (3, 5)
+        for a, b, c, d in SL2Group(p).elements()
+    ]
+    images += [(2, m) for m in psl27_matrix_dictionary().values()]
+    assert len(images) == 24 + 120 + 168
+    for p, image in images:
+        ring = _ring_for(p)
+        den = _denominator(ring, image)
+        assert den != ring.zero
+        assert _normalized(ring, den)[0] == 1
 
 
 def test_numerator_matches_minors_oracle():
@@ -831,7 +842,7 @@ def test_dictionary_is_isomorphism():
     psl = PSL2Group(7)
     els = psl.elements()
     assert len(table) == 168
-    assert set(table.values()) == set(_gl32_elements())
+    assert set(table.values()) == set(gl32_elements())
     ident3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     assert table[psl.identity] == ident3
     for x in els:
@@ -840,7 +851,7 @@ def test_dictionary_is_isomorphism():
         while acc != psl.identity:
             acc = psl.mul(acc, x)
             order += 1
-        assert _mat3_order(table[x]) == order
+        assert mat3_order(table[x]) == order
 
 
 @settings(max_examples=60, deadline=None)
