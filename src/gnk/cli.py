@@ -3,6 +3,9 @@
 Exit codes: 0 success, 1 usage or bad input, 2 capability skip
 (something was too large to enumerate), 3 a chiral pair disagreed or a
 stored certificate failed to verify.
+
+Each command imports its compute layer when it runs, so the commands that
+need no numpy (present, roots, verify-witness) never load it.
 """
 
 from __future__ import annotations
@@ -12,22 +15,11 @@ import dataclasses
 import json
 import sys
 
-from .fingroups import CapabilityError, group_from_spec, nth_roots
-from .harness import (
-    SweepConfig,
-    compare_report,
-    read_records,
-    run_cell,
-    run_sweep,
-)
-from .homsearch import (
-    check_property_t,
-    count_homs,
-    extend_g1_hom,
-    fiber_orbits,
-    hom_image_matrix,
+from .fingroups import (
+    CapabilityError,
+    group_from_spec,
+    nth_roots,
     s24_witness_report,
-    sharded_search,
 )
 from .presentations import (
     KNOT_NAMES,
@@ -85,6 +77,8 @@ def _counted(args):
 
 
 def cmd_count_homs(args) -> int:
+    from .homsearch import count_homs, sharded_search
+
     group, pres = _counted(args)
     if args.shard_id is not None:
         count, stats = count_homs(pres, group, args.shards, args.shard_id)
@@ -99,6 +93,8 @@ def cmd_count_homs(args) -> int:
 
 
 def cmd_count_classes(args) -> int:
+    from .homsearch import fiber_orbits, hom_image_matrix
+
     group, pres = _counted(args)
     matrix, _ = hom_image_matrix(pres, group, fibers=True)
     _, reps, sizes = fiber_orbits(pres, group, matrix)
@@ -124,6 +120,8 @@ def cmd_roots(args) -> int:
 
 
 def cmd_check_t(args) -> int:
+    from .homsearch import check_property_t
+
     group = group_from_spec(args.target)
     report = check_property_t(group, args.n, args.knot)
     lines = [
@@ -150,6 +148,8 @@ def cmd_check_t(args) -> int:
 
 
 def cmd_extend(args) -> int:
+    from .homsearch import extend_g1_hom
+
     group = group_from_spec(args.target)
     braid = g1_braid_presentation()
     assignments = {}
@@ -225,6 +225,8 @@ def cmd_verify_witness(args) -> int:
 
 
 def cmd_talex(args) -> int:
+    from .harness import run_cell
+
     records = run_cell(args.knot, args.n, args.target, ("talex",))
     rec = records[0]
     if rec.status == "skip":
@@ -248,6 +250,8 @@ def cmd_talex(args) -> int:
 
 
 def cmd_sweep(args) -> int:
+    from .harness import SweepConfig, run_sweep
+
     cfg = SweepConfig.from_file(args.config)
     if args.output:
         cfg = dataclasses.replace(cfg, output=args.output)
@@ -272,6 +276,8 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_report(args) -> int:
+    from .harness import compare_report, read_records
+
     records = read_records(args.records)
     report = compare_report(records)
     if args.format == "json":

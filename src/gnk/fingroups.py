@@ -17,6 +17,7 @@ import itertools
 import math
 import random
 import re
+from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
@@ -568,13 +569,93 @@ def _cayley_group(text: str, name: str) -> CayleyGroup:
 @lru_cache(maxsize=None)
 def _named_group(s: str) -> FiniteGroup:
     if "x" in s:
-        parts = s.split("x")
-        group = group_from_spec(parts[0])
-        for part in parts[1:]:
-            group = DirectProductGroup(group, group_from_spec(part))
+        group = None
+        for part in s.split("x"):
+            try:
+                factor = group_from_spec(part)
+            except ValueError as exc:
+                raise ValueError(f"bad factor {part!r} in group spec {s!r}: {exc}")
+            group = factor if group is None else DirectProductGroup(group, factor)
         return group
     for pat, make in _SPEC_MAKERS:
         m = pat.fullmatch(s)
         if m:
             return make(m)
     raise ValueError(f"unrecognized group spec {s!r}")
+
+
+# -- a concrete degree-24 certificate -------------------------------------------
+
+WITNESS_TWIST = 2
+WITNESS_DEGREE = 24
+WITNESS_CYCLES = {
+    "B": "(1,8,10,5,2,7,9,6)(15,17,24,19,16,18,23,20)",
+    "D": "(3,5,12,7,4,6,11,8)(15,17,24,19,16,18,23,20)",
+    "E": "(3,5,12,7,4,6,11,8)(13,20,22,17,14,19,21,18)",
+    "d_hat": "(3,15,5,17,12,24,7,19,4,16,6,18,11,23,8,20)",
+}
+
+
+@dataclass(frozen=True)
+class WitnessReport:
+    """Checks on the stored degree-24 certificate.
+
+    The powered relation is evaluated under both composition conventions;
+    the braid relations and the root condition read the same either way.
+    The certificate stands if the base data is coherent and the powered
+    relation fails under at least one reading.
+    """
+
+    root_ok: bool
+    braid_bd_ok: bool
+    braid_ed_ok: bool
+    powered_holds: bool
+    powered_holds_mirror: bool
+
+    @property
+    def confirmed(self) -> bool:
+        return (
+            self.root_ok
+            and self.braid_bd_ok
+            and self.braid_ed_ok
+            and not (self.powered_holds and self.powered_holds_mirror)
+        )
+
+
+def _chain(mul, *xs):
+    """The left-to-right product of xs under mul."""
+    acc = xs[0]
+    for x in xs[1:]:
+        acc = mul(acc, x)
+    return acc
+
+
+def s24_witness_report() -> WitnessReport:
+    group = SymmetricGroup(WITNESS_DEGREE)
+    B = group.parse_element(WITNESS_CYCLES["B"])
+    D = group.parse_element(WITNESS_CYCLES["D"])
+    E = group.parse_element(WITNESS_CYCLES["E"])
+    d_hat = group.parse_element(WITNESS_CYCLES["d_hat"])
+
+    root_ok = group.power(d_hat, WITNESS_TWIST) == D
+
+    def braid(x, y) -> bool:
+        return _chain(group.mul, x, y, x) == _chain(group.mul, y, x, y)
+
+    def powered_holds_under(mul) -> bool:
+        def cube(x):
+            return _chain(mul, x, x, x)
+
+        ed = mul(E, D)
+        bd = mul(B, D)
+        lhs = _chain(mul, cube(ed), d_hat, group.inv(cube(ed)))
+        rhs = _chain(mul, cube(bd), d_hat, group.inv(cube(bd)))
+        return lhs == rhs
+
+    return WitnessReport(
+        root_ok=root_ok,
+        braid_bd_ok=braid(B, D),
+        braid_ed_ok=braid(E, D),
+        powered_holds=powered_holds_under(group.mul),
+        powered_holds_mirror=powered_holds_under(lambda a, b: group.mul(b, a)),
+    )

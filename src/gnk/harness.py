@@ -80,6 +80,10 @@ class SweepConfig:
                 type(v) is not kind for v in value
             ):
                 raise ValueError(f"{name} must be a list of {kind.__name__} values")
+            # a repeated entry would run and write the same cells twice
+            for i, v in enumerate(value):
+                if v in value[:i]:
+                    raise ValueError(f"{name} repeats {v!r}")
             object.__setattr__(self, name, tuple(value))
         if type(self.shards) is not int:
             raise ValueError("shards must be an int")

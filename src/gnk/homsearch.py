@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fingroups import CapabilityError, FiniteGroup, SymmetricGroup, generating_set
+from .fingroups import CapabilityError, FiniteGroup, generating_set
 from .presentations import (
     Presentation,
     g1_braid_presentation,
@@ -793,80 +793,3 @@ def structured_count(group: FiniteGroup, n: int) -> int:
     _, _, counts = root_buckets(group, n)
     base, weights = g1_base_fibers(group)
     return int((counts[base[:, 0]] * weights).sum())
-
-
-# -- a concrete degree-24 certificate -------------------------------------------
-
-WITNESS_TWIST = 2
-WITNESS_DEGREE = 24
-WITNESS_CYCLES = {
-    "B": "(1,8,10,5,2,7,9,6)(15,17,24,19,16,18,23,20)",
-    "D": "(3,5,12,7,4,6,11,8)(15,17,24,19,16,18,23,20)",
-    "E": "(3,5,12,7,4,6,11,8)(13,20,22,17,14,19,21,18)",
-    "d_hat": "(3,15,5,17,12,24,7,19,4,16,6,18,11,23,8,20)",
-}
-
-
-@dataclass(frozen=True)
-class WitnessReport:
-    """Checks on the stored degree-24 certificate.
-
-    The powered relation is evaluated under both composition conventions;
-    the braid relations and the root condition read the same either way.
-    The certificate stands if the base data is coherent and the powered
-    relation fails under at least one reading.
-    """
-
-    root_ok: bool
-    braid_bd_ok: bool
-    braid_ed_ok: bool
-    powered_holds: bool
-    powered_holds_mirror: bool
-
-    @property
-    def confirmed(self) -> bool:
-        return (
-            self.root_ok
-            and self.braid_bd_ok
-            and self.braid_ed_ok
-            and not (self.powered_holds and self.powered_holds_mirror)
-        )
-
-
-def _chain(mul, *xs):
-    """The left-to-right product of xs under mul."""
-    acc = xs[0]
-    for x in xs[1:]:
-        acc = mul(acc, x)
-    return acc
-
-
-def s24_witness_report() -> WitnessReport:
-    group = SymmetricGroup(WITNESS_DEGREE)
-    B = group.parse_element(WITNESS_CYCLES["B"])
-    D = group.parse_element(WITNESS_CYCLES["D"])
-    E = group.parse_element(WITNESS_CYCLES["E"])
-    d_hat = group.parse_element(WITNESS_CYCLES["d_hat"])
-
-    root_ok = group.power(d_hat, WITNESS_TWIST) == D
-
-    def braid(x, y) -> bool:
-        return _chain(group.mul, x, y, x) == _chain(group.mul, y, x, y)
-
-    def powered_holds_under(mul) -> bool:
-        def cube(x):
-            return _chain(mul, x, x, x)
-
-        ed = mul(E, D)
-        bd = mul(B, D)
-        lhs = _chain(mul, cube(ed), d_hat, group.inv(cube(ed)))
-        rhs = _chain(mul, cube(bd), d_hat, group.inv(cube(bd)))
-        return lhs == rhs
-
-    return WitnessReport(
-        root_ok=root_ok,
-        braid_bd_ok=braid(B, D),
-        braid_ed_ok=braid(E, D),
-        powered_holds=powered_holds_under(group.mul),
-        powered_holds_mirror=powered_holds_under(lambda a, b: group.mul(b, a)),
-    )

@@ -14,9 +14,9 @@ import time
 import numpy as np
 import pytest
 
-from gnk.fingroups import group_from_spec, nth_roots
+from gnk.fingroups import group_from_spec, nth_roots, s24_witness_report
 from gnk.harness import SweepConfig, compare_report, run_cell, run_sweep
-from gnk.homsearch import count_homs, hom_image_matrix, s24_witness_report
+from gnk.homsearch import count_homs, hom_image_matrix
 from gnk.homsearch import sharded_search
 from gnk.presentations import g1_braid_presentation, knot_presentation
 from gnk.talex import twisted_alexander, wada_matrix

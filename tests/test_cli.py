@@ -1,9 +1,12 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import gnk
 from gnk.cli import main
@@ -27,6 +30,43 @@ def test_import_does_not_load_process_pools():
     )
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
+
+
+HEAVY = {"numpy", "gnk.homsearch", "gnk.harness", "gnk.talex"}
+LOADED_PROBE = """
+import sys
+from gnk.cli import main
+try:
+    main(sys.argv[1:])
+except SystemExit:
+    pass
+print(" ".join(sorted(m for m in sys.modules if m == "numpy" or m.startswith("gnk."))))
+"""
+
+
+@pytest.mark.parametrize(
+    "argv, heavy",
+    [
+        (["present", "--knot", "SK", "--n", "2"], set()),
+        (["roots", "--target", "S4", "--element", "(1,2,3)", "--n", "2"], set()),
+        (["verify-witness"], set()),
+        (["present", "--knot", "figure8", "--n", "2"], set()),
+        (["count-homs", "--knot", "SK", "--n", "2", "--target", "S3"],
+         {"numpy", "gnk.homsearch"}),
+    ],
+)
+def test_commands_load_only_their_layers(argv, heavy):
+    # a fresh process, because this one already holds numpy
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gnk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    done = subprocess.run(
+        [sys.executable, "-c", LOADED_PROBE, *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert done.returncode == 0, done.stderr
+    loaded = set(done.stdout.splitlines()[-1].split())
+    assert "gnk.cli" in loaded
+    assert loaded & HEAVY == heavy
 
 
 # -- present ----------------------------------------------------------------------
@@ -139,6 +179,14 @@ def test_count_homs_oversized_target_skips(capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("skip:")
+
+
+@pytest.mark.parametrize("spec, factor", [("SL2_3x", ""), ("xZ2", ""), ("Z2xQ8", "Q8")])
+def test_bad_product_spec_names_spec_and_factor(capsys, spec, factor):
+    code, out, err = run(capsys, "count-homs", "--knot", "SK", "--n", "2",
+                         "--target", spec)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: bad factor {factor!r} in group spec {spec!r}")
 
 
 # -- large n ----------------------------------------------------------------------
@@ -351,6 +399,24 @@ def test_sweep_rejects_malformed_config(capsys, tmp_path, text):
     assert os.listdir(tmp_path) == ["config.json"]
 
 
+@pytest.mark.parametrize(
+    "field, values, repeated",
+    [
+        ("knots", ["SK", "SK"], "'SK'"),
+        ("n_values", [1, 2, 1], "1"),
+        ("targets", ["S3", "S4", "S4"], "'S4'"),
+        ("tasks", ["count", "count"], "'count'"),
+    ],
+)
+def test_sweep_rejects_repeated_grid_entries(capsys, tmp_path, field, values, repeated):
+    # a repeated entry would run and write the same cells more than once
+    config, output = write_config(tmp_path, **{field: values})
+    code, out, err = run(capsys, "sweep", "--config", config)
+    assert (code, out) == (1, "")
+    assert err == f"error: {field} repeats {repeated}\n"
+    assert not os.path.exists(output)
+
+
 def test_sweep_then_report_clean(capsys, tmp_path):
     config, records = write_config(tmp_path)
     code, out, _ = run(capsys, "sweep", "--config", config)
@@ -417,3 +483,121 @@ def test_report_truncated_record_names_the_line(capsys, tmp_path):
     assert code == 1
     assert err.startswith("error:")
     assert f"{records}:{len(lines)}:" in err
+
+
+# -- any argument vector ----------------------------------------------------------
+
+KNOT_TEXT = st.sampled_from(["SK", "gk", "trefoil_r", "Trefoil_L"]) | st.sampled_from(
+    ["figure8", "", "S K"]
+)
+TWISTS = st.integers(-5, 12) | st.integers(-5, 10**7)
+SMALL_TWISTS = st.integers(-5, 6)  # talex: no time bound yet at large n
+GROUP_TEXT = (
+    st.sampled_from(["S3", "S4", "A4", "D4", "Z5", "Z2xZ4", "SL2_3", "SL2_5", "PSL2_7"])
+    | st.sampled_from(["S0", "Z0", "D1", "SL2_4", "SL2_3x", "xZ2", "x", "Z2xxZ3", "Q8",
+                       "S9", "PSL2_97", "", " ", "cayley:", "cayley:no/such/file"])
+    | st.text(max_size=8)
+)
+ELEMENT_TEXT = (
+    st.sampled_from(["(1,2)", "(1,2,3)", "(1,2)(3,4)", "()", "[[1,1],[0,1]]",
+                     "[[0,1],[2,0]]", "[[0,4],[1,0]]"])
+    | st.sampled_from(["(1,2", "(1,9)", "(1,1)", "(0,1)", "[[1,]", "[[1.5,0],[0,1]]",
+                       "[[1,1],[1,1]]", "[1,2]", "1", "e", ""])
+    | st.text(max_size=10)
+)
+BASE_TEXT = st.sampled_from([BASE, "d=(1,2); b=(1,2); e=(1,2)"]) | st.builds(
+    "; ".join,
+    st.lists(
+        st.builds("=".join, st.tuples(st.sampled_from(["d", "b", "e", "x", ""]),
+                                      ELEMENT_TEXT).map(list)),
+        max_size=4,
+    ),
+) | st.text(max_size=12)
+FORMAT = st.sampled_from([[], ["--format", "json"]])
+
+
+def _maybe_truncated(draw, text):
+    if draw(st.booleans()):
+        return text
+    return text[: draw(st.integers(0, len(text)))]
+
+
+def _config_text(draw):
+    tasks = draw(st.lists(st.sampled_from(["count", "classes", "property_t",
+                                           "structured", "talex", "mystery"]),
+                          min_size=1, max_size=2))
+    twists = SMALL_TWISTS if "talex" in tasks else TWISTS
+    config = {
+        "knots": draw(st.lists(KNOT_TEXT, min_size=1, max_size=2)),
+        "n_values": draw(st.lists(twists, min_size=1, max_size=2)),
+        "targets": draw(st.lists(GROUP_TEXT, min_size=1, max_size=2)),
+        "tasks": tasks,
+    }
+    return _maybe_truncated(draw, json.dumps(config))
+
+
+def _records_text(draw):
+    record = ResultRecord(
+        knot=draw(KNOT_TEXT), n=draw(TWISTS), target=draw(GROUP_TEXT),
+        task=draw(st.sampled_from(["count", "classes", "talex", "?"])),
+        status=draw(st.sampled_from(["ok", "skip", "error"])),
+        value=draw(st.integers(0, 99)), stats={}, timestamp="t", engine=ENGINE,
+    )
+    lines = [record.to_json()] * draw(st.integers(1, 2))
+    return _maybe_truncated(draw, "\n".join(lines))
+
+
+@st.composite
+def argument_vectors(draw, files):
+    command = draw(st.sampled_from(
+        ["present", "count-homs", "count-classes", "roots", "check-t", "extend",
+         "verify-witness", "talex", "sweep", "report"]
+    ))
+    knot = ["--knot", draw(KNOT_TEXT)]
+    n = ["--n", str(draw(SMALL_TWISTS if command == "talex" else TWISTS))]
+    target = ["--target", draw(GROUP_TEXT)]
+    if command == "present":
+        argv = knot + n + draw(st.sampled_from([[], ["--raw"]]))
+    elif command == "count-homs":
+        shards = draw(st.integers(-1, 4))
+        argv = knot + n + target + ["--shards", str(shards), "--jobs", "1"]
+        if draw(st.booleans()):
+            argv += ["--shard-id", str(draw(st.integers(-1, shards)))]
+    elif command in ("count-classes", "talex"):
+        argv = knot + n + target
+    elif command == "roots":
+        argv = target + n + ["--element", draw(ELEMENT_TEXT)]
+    elif command == "check-t":
+        argv = target + n + knot
+    elif command == "extend":
+        argv = target + n + knot + ["--base", draw(BASE_TEXT)]
+    elif command == "verify-witness":
+        argv = []
+    elif command == "sweep":
+        with open(files["config"], "w", encoding="utf-8") as fh:
+            fh.write(_config_text(draw))
+        argv = ["--config", files["config"], "--output", files["output"], "--jobs", "1"]
+    else:
+        with open(files["records"], "w", encoding="utf-8") as fh:
+            fh.write(_records_text(draw))
+        argv = ["--records", files["records"]]
+    return [command] + argv + draw(FORMAT)
+
+
+def test_any_argument_vector_exits_cleanly(tmp_path):
+    # every argument vector ends in an exit code 0..3, never in a traceback
+    files = {name: str(tmp_path / name) for name in ("config", "output", "records")}
+
+    @settings(max_examples=400, deadline=None, database=None)
+    @given(argument_vectors(files))
+    def check(argv):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            try:
+                code = main(argv)
+            except SystemExit as exc:
+                code = exc.code
+        assert code in (0, 1, 2, 3), (argv, err.getvalue())
+        assert "Traceback" not in err.getvalue()
+
+    check()

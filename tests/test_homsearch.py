@@ -12,6 +12,7 @@ from gnk.fingroups import (
     from_cayley_table,
     group_from_spec,
     nth_roots,
+    s24_witness_report,
 )
 from gnk.harness import _count_buckets
 from gnk.homsearch import (
@@ -31,7 +32,6 @@ from gnk.homsearch import (
     orbit_count,
     orbit_partition,
     orbit_representatives,
-    s24_witness_report,
     sharded_search,
     structured_count,
     _row_locator,
