@@ -77,18 +77,11 @@ def _counted(args):
 
 
 def cmd_count_homs(args) -> int:
-    from .homsearch import count_homs, sharded_search
+    from .homsearch import sharded_search
 
     group, pres = _counted(args)
-    if args.shard_id is not None:
-        count, stats = count_homs(pres, group, args.shards, args.shard_id)
-        stats = stats.as_dict()
-    else:
-        _, stats = sharded_search(
-            pres, group, args.shards, jobs=args.jobs, collect=False
-        )
-        count = stats["homs"]
-    _emit(args, {"count": count, "stats": stats}, str(count))
+    _, stats = sharded_search(pres, group, args.shards, args.jobs, args.shard_id)
+    _emit(args, {"count": stats["homs"], "stats": stats}, str(stats["homs"]))
     return 0
 
 

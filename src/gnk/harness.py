@@ -39,6 +39,7 @@ from .homsearch import (
     fiber_orbits,
     indexed_tables,
     into_fibers,
+    pool_map,
     require_composite,
     sharded_search,
     structured_count,
@@ -80,6 +81,8 @@ class SweepConfig:
                 type(v) is not kind for v in value
             ):
                 raise ValueError(f"{name} must be a list of {kind.__name__} values")
+            if name == "targets":  # group_from_spec reads " S3" as S3
+                value = [v.strip() for v in value]
             # a repeated entry would run and write the same cells twice
             for i, v in enumerate(value):
                 if v in value[:i]:
@@ -360,19 +363,11 @@ def _run_cell_star(args: tuple) -> list[ResultRecord]:
 
 
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[ResultRecord]:
-    """Run every cell, append canonical-sorted records to cfg.output."""
-    if jobs < 1:
-        raise ValueError("need jobs >= 1")
+    """Run every cell through pool_map on up to jobs processes, and append
+    the canonical-sorted records to cfg.output."""
     for target in cfg.targets:
         group_from_spec(target)  # unconstructible targets fail before work
-    cells = _cell_args(cfg)
-    if jobs > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(cells))) as pool:
-            batches = list(pool.map(_run_cell_star, cells))
-    else:
-        batches = [run_cell(*args) for args in cells]
+    batches = pool_map(_run_cell_star, _cell_args(cfg), jobs)
     records = sort_records(rec for batch in batches for rec in batch)
     write_records(cfg.output, records)
     return records

@@ -49,18 +49,6 @@ class SearchStats:
     prunes: int = 0
     homs: int = 0
     wall_time: float = 0.0
-    shards: int = 1
-    shard_id: int = 0
-
-    def as_dict(self) -> dict:
-        return {
-            "nodes": self.nodes,
-            "prunes": self.prunes,
-            "homs": self.homs,
-            "wall_time": round(self.wall_time, 6),
-            "shards": self.shards,
-            "shard_id": self.shard_id,
-        }
 
 
 @dataclass(frozen=True)
@@ -359,10 +347,9 @@ def _search(
     shards: int,
     shard_id: int,
     fibers: bool,
-    collect: bool,
-) -> tuple[np.ndarray | None, SearchStats]:
+) -> tuple[np.ndarray, SearchStats]:
     """Every homomorphism, or with fibers every one whose first free
-    generator maps to a class representative.
+    generator maps to a class representative, lex-sorted.
 
     Plan step 0 is always a _Free.  A seed column takes its place: every
     element, or the class representatives.  So one descent covers every
@@ -381,7 +368,7 @@ def _search(
     seed = seed[shard_id::shards]
     steps = compile_plan(pres)
     first = steps[0].gen
-    stats = SearchStats(shards=shards, shard_id=shard_id)
+    stats = SearchStats()
     started = time.perf_counter()
     gen_count = len(pres.gens)
     blocks: list[np.ndarray] = []
@@ -391,10 +378,7 @@ def _search(
             return
         if i == len(steps):
             stats.homs += int(weight[cols[first]].sum())
-            if collect:
-                blocks.append(
-                    np.stack([cols[g] for g in range(gen_count)], axis=1)
-                )
+            blocks.append(np.stack([cols[g] for g in range(gen_count)], axis=1))
             return
         step = steps[i]
         if isinstance(step, _Free):
@@ -425,13 +409,10 @@ def _search(
 
     stats.nodes += len(seed)
     descend(1, {first: seed}, len(seed))
-    matrix = None
-    if collect:
-        if blocks:
-            matrix = np.concatenate(blocks)
-        else:
-            matrix = np.empty((0, gen_count), dtype=np.int32)
-        matrix = _lex_sorted(matrix)
+    if blocks:
+        matrix = _lex_sorted(np.concatenate(blocks))
+    else:
+        matrix = np.empty((0, gen_count), dtype=np.int32)
     stats.wall_time = time.perf_counter() - started
     return matrix, stats
 
@@ -449,9 +430,7 @@ def hom_image_matrix(
     representative (see class_data); stats.homs still counts every
     homomorphism.  Shards split the first free generator's values.
     """
-    matrix, stats = _search(pres, group, shards, shard_id, fibers, collect=True)
-    assert matrix is not None
-    return matrix, stats
+    return _search(pres, group, shards, shard_id, fibers)
 
 
 def count_homs(
@@ -459,15 +438,30 @@ def count_homs(
 ) -> tuple[int, SearchStats]:
     """|Hom(pres, group)| = sum over class representatives c of
     [H : C_H(c)] times the size of c's fiber; shards split the classes."""
-    _, stats = _search(pres, group, shards, shard_id, fibers=True, collect=False)
+    _, stats = _search(pres, group, shards, shard_id, fibers=True)
     return stats.homs, stats
 
 
-def _run_shard(args: tuple):
-    pres, group, shards, shard_id, collect = args
-    if collect:
-        return hom_image_matrix(pres, group, shards, shard_id, fibers=True)
-    return count_homs(pres, group, shards, shard_id)
+def pool_map(fn, items: list, jobs: int) -> list:
+    """[fn(item) for item in items], on a pool of min(jobs, len(items))
+    processes when that is at least 2, else in this process.
+
+    The only process pool in gnk: fn must be a module-level function, so
+    that the pool can pickle it.
+    """
+    if jobs < 1:
+        raise ValueError("need jobs >= 1")
+    workers = min(jobs, len(items))
+    if workers < 2:
+        return [fn(item) for item in items]
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        return list(pool.map(fn, items))
+
+
+def _run_shard(args: tuple) -> tuple[np.ndarray, SearchStats]:
+    return hom_image_matrix(*args, fibers=True)
 
 
 def sharded_search(
@@ -475,29 +469,19 @@ def sharded_search(
     group: FiniteGroup,
     shards: int = 1,
     jobs: int = 1,
-    collect: bool = True,
-) -> tuple[np.ndarray | None, dict]:
-    """Every shard of one fiber search, in turn or on a pool of jobs processes.
+    shard_id: int | None = None,
+) -> tuple[np.ndarray, dict]:
+    """One fiber search split into shards, run through pool_map on up to
+    jobs processes: every shard, or only shard_id.
 
-    Returns the merged, lex-sorted fiber matrix (None unless collect) and
-    the shards' stats summed; a single shard reports its own stats.
+    Returns the lex-sorted fiber matrix of the shards run and their stats
+    summed: nodes, prunes, homs, wall_time and the shard count.
     """
-    _check_shards(shards)
-    if jobs < 1:
-        raise ValueError("need jobs >= 1")
-    work = [(pres, group, shards, sid, collect) for sid in range(shards)]
-    if jobs > 1 and shards > 1:
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=min(jobs, len(work))) as pool:
-            results = list(pool.map(_run_shard, work))
-    else:
-        results = [_run_shard(args) for args in work]
-    if shards == 1:
-        found, stats = results[0]
-        return (found if collect else None), stats.as_dict()
-    matrix = None
-    if collect:
+    _check_shards(shards, shard_id or 0)
+    ids = range(shards) if shard_id is None else [shard_id]
+    results = pool_map(_run_shard, [(pres, group, shards, s) for s in ids], jobs)
+    matrix = results[0][0]
+    if len(results) > 1:
         matrix = _lex_sorted(np.vstack([found for found, _ in results]))
     parts = [stats for _, stats in results]
     return matrix, {

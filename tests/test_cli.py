@@ -145,6 +145,14 @@ def test_count_homs_single_shard_json(capsys):
     code, out, _ = run(capsys, "count-homs", "--knot", "SK", "--n", "2",
                        "--target", "S4")
     assert total == int(out)
+    # the stats have one shape whether all shards run, or one, or no sharding
+    keys = []
+    for extra in ([], ["--shards", "3"], ["--shards", "3", "--shard-id", "1"]):
+        code, out, _ = run(capsys, "count-homs", "--knot", "SK", "--n", "2",
+                           "--target", "S4", "--format", "json", *extra)
+        assert code == 0
+        keys.append(sorted(json.loads(out)["stats"]))
+    assert keys == [["homs", "nodes", "prunes", "shards", "wall_time"]] * 3
 
 
 @pytest.mark.parametrize("shards", ["0", "-2"])
@@ -159,11 +167,13 @@ def test_count_homs_rejects_nonpositive_shards(capsys, shards, jobs):
 
 @pytest.mark.parametrize("jobs", ["0", "-4"])
 def test_count_homs_rejects_nonpositive_jobs(capsys, jobs):
-    code, out, err = run(capsys, "count-homs", "--knot", "SK", "--n", "2",
-                         "--target", "S3", "--shards", "2", "--jobs", jobs)
-    assert code == 1
-    assert out == ""
-    assert err == "error: need jobs >= 1\n"
+    for shard_id in ([], ["--shard-id", "0"]):
+        code, out, err = run(capsys, "count-homs", "--knot", "SK", "--n", "2",
+                             "--target", "S3", "--shards", "2", "--jobs", jobs,
+                             *shard_id)
+        assert code == 1
+        assert out == ""
+        assert err == "error: need jobs >= 1\n"
 
 
 def test_count_classes(capsys):
@@ -406,6 +416,7 @@ def test_sweep_rejects_malformed_config(capsys, tmp_path, text):
         ("n_values", [1, 2, 1], "1"),
         ("targets", ["S3", "S4", "S4"], "'S4'"),
         ("tasks", ["count", "count"], "'count'"),
+        ("targets", ["S3", " S3"], "'S3'"),  # targets are compared stripped
     ],
 )
 def test_sweep_rejects_repeated_grid_entries(capsys, tmp_path, field, values, repeated):

@@ -432,7 +432,8 @@ def test_sweep_values_independent_of_shards_and_jobs(tmp_path):
 
 
 def test_sweep_pool_size(tmp_path, monkeypatch):
-    # the pool never outnumbers the cells, and jobs must be positive
+    # the pool never outnumbers the cells, one cell runs in this process,
+    # and jobs must be positive
     sizes = []
     monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor",
                         recording_pool(sizes))
@@ -444,6 +445,9 @@ def test_sweep_pool_size(tmp_path, monkeypatch):
     for jobs in (0, -4):
         with pytest.raises(ValueError, match="jobs >= 1"):
             run_sweep(cfg, jobs=jobs)
+    one_cell = SweepConfig(("SK",), (2,), ("S3",), ("count",),
+                           output=str(tmp_path / "one.jsonl"))
+    assert [r.value for r in run_sweep(one_cell, jobs=2)] == [6]
     assert sizes == [2, 2]
 
 

@@ -228,9 +228,10 @@ def test_sharded_search_validates_and_sums():
             sharded_search(pres, S3, bad)
     sl23 = group_from_spec("SL2_3")
     count, _ = count_homs(pres, sl23)
+    single, _ = sharded_search(pres, sl23)
     for jobs in (1, 2):
-        matrix, stats = sharded_search(pres, sl23, 3, jobs=jobs, collect=False)
-        assert matrix is None
+        matrix, stats = sharded_search(pres, sl23, 3, jobs=jobs)
+        assert np.array_equal(matrix, single)
         assert stats["homs"] == count and stats["shards"] == 3
 
 
@@ -242,7 +243,7 @@ def test_sharded_search_pool_size(monkeypatch):
     pres = knot_presentation("SK", 2)
     count, _ = count_homs(pres, S3)
     for jobs in (2, 64):
-        _, stats = sharded_search(pres, S3, 3, jobs=jobs, collect=False)
+        _, stats = sharded_search(pres, S3, 3, jobs=jobs)
         assert stats["homs"] == count
     assert sizes == [2, 3]
     for jobs in (0, -4):

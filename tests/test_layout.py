@@ -123,3 +123,15 @@ def test_every_private_definition_is_used_in_src():
         )
     ]
     assert unused == [], unused
+
+
+def test_one_process_pool():
+    # every fan-out goes through homsearch.pool_map, so a second pool (and a
+    # second shard-and-merge path around it) cannot come back unnoticed
+    holders = [
+        f"{module}.{getattr(node, 'name', node.lineno)}"
+        for module, tree in _sources().items()
+        for node in tree.body
+        if "ProcessPoolExecutor" in _referenced(node)
+    ]
+    assert holders == ["homsearch.pool_map"], holders
