@@ -15,6 +15,11 @@ a determinant.  The echelon form is reached by Euclid's algorithm down
 each column: the entry of least degree becomes the pivot, every row below
 it loses the quotient multiple of the pivot row that leaves its
 remainder, and this repeats until the column is clear below the pivot.
+That row step is one fused ring call, `reduce_row`: it divides the row's
+entry by the pivot and subtracts the quotient multiple of the pivot row
+from the rest of the row in place, skipping the pivot row's zeros.  Over
+F_2 an entry is a bitmask; over F_p the grid holds trimmed coefficient
+lists, and the quotient is applied term by term, mod p per term.
 The test suite checks the kernel against a Smith diagonalization and
 cofactor determinants, recomputes small cases by enumerating minors
 directly, and rebuilds the block matrix from Fox derivatives.
@@ -30,9 +35,9 @@ chain-rule identity sum_j Phi(dr/dx_j) (Phi(x_j) - 1) = 0, degree by
 degree, before any invariant is computed from them.  Each member's
 deleted matrix and denominator are then read off the array as plain
 F_p[t] elements under one common power of t.  Members that send the
-deleted generator to the same matrix share one denominator.  Both
-results are kept as coefficient tuples (c_0, ..., c_d) with c_0 = 1, and
-() for zero.
+deleted generator to the same matrix share one denominator, and each
+image in GL_k(F_p) is inverted once per process.  Both results are kept
+as coefficient tuples (c_0, ..., c_d) with c_0 = 1, and () for zero.
 """
 
 from __future__ import annotations
@@ -64,12 +69,6 @@ class _GF2Ring:
         return a.bit_length() - 1
 
     @staticmethod
-    def add(a: int, b: int) -> int:
-        return a ^ b
-
-    sub = add
-
-    @staticmethod
     def neg(a: int) -> int:
         return a
 
@@ -99,9 +98,20 @@ class _GF2Ring:
     def to_coeffs(a: int) -> tuple[int, ...]:
         return tuple((a >> i) & 1 for i in range(a.bit_length()))
 
+    @classmethod
+    def reduce_row(cls, row: list, top: list, t: int) -> None:
+        """row[t] becomes its remainder by top[t], and every later entry of
+        row loses the quotient times top's entry in its column; columns
+        where top is zero are skipped.  Entries are replaced, not mutated."""
+        q, row[t] = cls.divmod(row[t], top[t])
+        for j in range(t + 1, len(row)):
+            if top[j]:
+                row[j] ^= cls.mul(q, top[j])
+
 
 class _GFpRing:
-    """F_p[t] with polynomials as trimmed coefficient tuples."""
+    """F_p[t] with polynomials as trimmed coefficient tuples; the echelon's
+    grid entries are trimmed coefficient lists."""
 
     zero = ()
     one = (1,)
@@ -110,55 +120,59 @@ class _GFpRing:
         self.p = p
 
     @staticmethod
-    def deg(a: tuple) -> int:
+    def deg(a: Sequence[int]) -> int:
         return len(a) - 1
 
-    def _trim(self, cs: list[int]) -> tuple:
-        while cs and cs[-1] == 0:
+    @staticmethod
+    def _trim(cs: list[int]) -> list[int]:
+        while cs and not cs[-1]:
             cs.pop()
-        return tuple(cs)
+        return cs
 
-    def add(self, a: tuple, b: tuple) -> tuple:
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
-            out[i] = (out[i] + c) % self.p
-        return self._trim(out)
-
-    def neg(self, a: tuple) -> tuple:
+    def neg(self, a: Sequence[int]) -> tuple:
         return tuple((-c) % self.p for c in a)
 
-    def sub(self, a: tuple, b: tuple) -> tuple:
-        return self.add(a, self.neg(b))
-
-    def mul(self, a: tuple, b: tuple) -> tuple:
+    def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple:
         if not a or not b:
             return ()
+        p = self.p
         out = [0] * (len(a) + len(b) - 1)
         for i, x in enumerate(a):
             if x:
-                for j, y in enumerate(b):
-                    out[i + j] = (out[i + j] + x * y) % self.p
-        return self._trim(out)
-
-    def divmod(self, a: tuple, b: tuple) -> tuple[tuple, tuple]:
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        rem = list(a)
-        q = [0] * max(0, len(a) - len(b) + 1)
-        inv_lead = pow(b[-1], -1, self.p)
-        for shift in range(len(rem) - len(b), -1, -1):
-            c = rem[shift + len(b) - 1] * inv_lead % self.p
-            if c:
-                q[shift] = c
-                for i, bc in enumerate(b):
-                    rem[shift + i] = (rem[shift + i] - c * bc) % self.p
-        return self._trim(q), self._trim(rem)
+                for j, y in enumerate(b, i):
+                    out[j] = (out[j] + x * y) % p
+        return tuple(self._trim(out))
 
     @staticmethod
-    def to_coeffs(a: tuple) -> tuple:
+    def to_coeffs(a: Sequence[int]) -> Sequence[int]:
         return a
+
+    def reduce_row(self, row: list, top: list, t: int) -> None:
+        """As in the F_2 ring.  Long division finds the quotient's terms
+        c t^s; each term times top's entry is subtracted from a later entry
+        coefficient by coefficient, in a fresh list, mod p per term."""
+        p, piv = self.p, top[t]
+        d = len(piv) - 1
+        rem = list(row[t])
+        size = len(rem) - d  # quotient terms c t^s have s < size
+        inv_lead = pow(piv[-1], -1, p)
+        terms = []
+        for s in range(size - 1, -1, -1):
+            c = -rem[s + d] * inv_lead % p
+            if c:
+                terms.append((s, c))
+                for i, y in enumerate(piv, s):
+                    rem[i] = (rem[i] + c * y) % p
+        row[t] = self._trim(rem)
+        for j in range(t + 1, len(row)):
+            b = top[j]
+            if b:
+                out = list(row[j])
+                out += [0] * (size + len(b) - 1 - len(out))
+                for s, c in terms:
+                    for i, y in enumerate(b, s):
+                        out[i] = (out[i] + c * y) % p
+                row[j] = self._trim(out)
 
 
 def _ring_for(p: int):
@@ -192,34 +206,33 @@ def _pivot_product(ring, grid: list[list]):
 
     Each column is cleared by Euclid's algorithm: the nonzero entry of
     least degree is swapped to the top, every row below subtracts the
-    quotient multiple of the top row that leaves its remainder, and this
-    repeats until nothing below the top is nonzero.  Swaps and such
-    subtractions keep the ideal of maximal minors, and in echelon form the
-    only nonzero maximal minor is the pivot product.  So for rows >=
-    columns this is the gcd of the maximal minors up to a unit, and for a
-    square grid it is the determinant exactly: the sign is flipped once
-    per row swap.  Zero when a column has no pivot.  The grid is reduced in
-    place.
+    quotient multiple of the top row that leaves its remainder (one
+    ring.reduce_row call), and this repeats until nothing below the top is
+    nonzero.  Swaps and such subtractions keep the ideal of maximal minors,
+    and in echelon form the only nonzero maximal minor is the pivot
+    product.  So for rows >= columns this is the gcd of the maximal minors
+    up to a unit, and for a square grid it is the determinant exactly: the
+    sign is flipped once per row swap.  Zero when a column has no pivot.
+    Entries are tuples or lists over F_p and ints over F_2; the result is a
+    tuple or an int.  Rows are reduced in place, entries replaced, never
+    mutated.
     """
-    m, n = len(grid), len(grid[0]) if grid else 0
+    n = len(grid[0]) if grid else 0
     prod, negate = ring.one, False
     for t in range(n):
         while True:
-            live = [i for i in range(t, m) if grid[i][t] != ring.zero]
+            live = [(ring.deg(r[t]), i) for i, r in enumerate(grid[t:], t) if r[t]]
             if not live:
                 return ring.zero
-            piv = min(live, key=lambda i: ring.deg(grid[i][t]))
+            piv = min(live)[1]
             if piv != t:
                 grid[t], grid[piv] = grid[piv], grid[t]
                 negate = not negate
             if len(live) == 1:
                 break
-            top = grid[t]
             for row in grid[t + 1 :]:
-                if row[t] != ring.zero:
-                    q, row[t] = ring.divmod(row[t], top[t])
-                    for j in range(t + 1, n):
-                        row[j] = ring.sub(row[j], ring.mul(q, top[j]))
+                if row[t]:
+                    ring.reduce_row(row, grid[t], t)
         prod = ring.mul(prod, grid[t][t])
     return ring.neg(prod) if negate else prod
 
@@ -241,7 +254,10 @@ def _mat_mul(p: int, a: tuple, b: tuple) -> tuple:
     )
 
 
+@lru_cache(maxsize=None)
 def _mat_inv(p: int, a: tuple) -> tuple:
+    """The inverse of a over F_p, computed once per (p, a) in a process.  A
+    singular a raises on every call: exceptions are not cached."""
     k = len(a)
     aug = [
         [a[i][j] % p for j in range(k)]
@@ -371,7 +387,8 @@ def _check_chain_rule(wm: WadaMatrix) -> None:
 
 
 def _grid(ring, coeffs: np.ndarray) -> list[list]:
-    """A matrix of k x k blocks as ring elements.
+    """A matrix of k x k blocks as ring elements: bitmasks over F_2, trimmed
+    coefficient lists over F_p.
 
     coeffs[i, j, d] is the coefficient matrix of t^d in block (i, j),
     reduced mod p.  Entry (u, v) of that block lands in row i*k + u and
@@ -386,7 +403,7 @@ def _grid(ring, coeffs: np.ndarray) -> list[list]:
     if ring is _GF2Ring:
         bits = [1 << d for d in range(hi - lo)]
         return (flat @ np.array(bits, np.int64 if hi - lo < 63 else object)).tolist()
-    return [[ring._trim(e) for e in row] for row in flat.tolist()]
+    return [list(map(ring._trim, row)) for row in flat.tolist()]
 
 
 def _denominator(ring, image: tuple):

@@ -13,7 +13,11 @@ orbit partition check the breadth-first table build and the
 label-propagation orbits.  A Smith diagonalization over F_p[t], built
 from extended-gcd transforms, checks the package's Euclidean row-echelon
 pivot product, and `poly_gcd` with cofactor
-expansion gives the gcd of maximal minors directly.  `poly_det` is the
+expansion gives the gcd of maximal minors directly.  These oracles add,
+subtract and divide ring elements with `ring_add`, `ring_sub` and
+`ring_divmod`, schoolbook code on coefficient lists that the package no
+longer needs, and `laurent_divmod`, long division in `LaurentPoly`,
+checks the package's fused row step.  `poly_det` is the
 Laurent front end of the pivot product, checked against cofactor
 expansion and used by the minors oracle.  `LaurentPoly` is the polynomial
 type of these oracles; the package itself keeps only plain F_p[t] ring
@@ -387,7 +391,47 @@ def plain_poly(ring, coeffs):
     ring: a bitmask over F_2, else a trimmed tuple."""
     if ring.p == 2:
         return sum(1 << i for i, c in enumerate(coeffs) if c % 2)
-    return ring._trim([c % ring.p for c in coeffs])
+    cs = [c % ring.p for c in coeffs]
+    while cs and not cs[-1]:
+        cs.pop()
+    return tuple(cs)
+
+
+def ring_add(ring, a, b):
+    """a + b in a talex F_p[t] ring, coefficient by coefficient."""
+    pairs = itertools.zip_longest(ring.to_coeffs(a), ring.to_coeffs(b), fillvalue=0)
+    return plain_poly(ring, [x + y for x, y in pairs])
+
+
+def ring_sub(ring, a, b):
+    """a - b in a talex F_p[t] ring."""
+    return ring_add(ring, a, ring.neg(b))
+
+
+def ring_divmod(ring, a, b):
+    """(quotient, remainder) in a talex F_p[t] ring, by schoolbook long
+    division on coefficient lists."""
+    rem, div = list(ring.to_coeffs(a)), ring.to_coeffs(b)
+    if not div:
+        raise ZeroDivisionError("polynomial division by zero")
+    q = [0] * max(0, len(rem) - len(div) + 1)
+    inv_lead = pow(div[-1], -1, ring.p)
+    for shift in reversed(range(len(q))):
+        q[shift] = c = rem[shift + len(div) - 1] * inv_lead % ring.p
+        for i, y in enumerate(div):
+            rem[shift + i] = (rem[shift + i] - c * y) % ring.p
+    return plain_poly(ring, q), plain_poly(ring, rem)
+
+
+def laurent_divmod(a, b):
+    """(quotient, remainder) of polynomials, LaurentPoly values with no
+    negative powers, by long division one LaurentPoly term at a time."""
+    q = laurent(a.p, ())
+    while not a.is_zero and a.high >= b.high:
+        c = a.coeffs[-1] * pow(b.coeffs[-1], -1, a.p)
+        term = laurent(a.p, (c,), a.high - b.high)
+        q, a = q + term, a - term * b
+    return q, a
 
 
 def poly_det(p, rows):
@@ -422,8 +466,8 @@ def poly_gcd(p, polys):
         if poly.is_zero:
             continue
         b = plain_poly(ring, poly.coeffs)
-        while b != ring.zero:
-            _, r = ring.divmod(acc, b)
+        while b:
+            _, r = ring_divmod(ring, acc, b)
             acc, b = b, r
     return from_plain(ring, acc).normalized()
 
@@ -444,11 +488,11 @@ def gcdex(ring, a, b):
     r0, r1 = a, b
     s0, s1 = ring.one, ring.zero
     t0, t1 = ring.zero, ring.one
-    while r1 != ring.zero:
-        q, r = ring.divmod(r0, r1)
+    while r1:
+        q, r = ring_divmod(ring, r0, r1)
         r0, r1 = r1, r
-        s0, s1 = s1, ring.sub(s0, ring.mul(q, s1))
-        t0, t1 = t1, ring.sub(t0, ring.mul(q, t1))
+        s0, s1 = s1, ring_sub(ring, s0, ring.mul(q, s1))
+        t0, t1 = t1, ring_sub(ring, t0, ring.mul(q, t1))
     return r0, s0, t0
 
 
@@ -469,7 +513,7 @@ def invariant_factor_product(ring, grid):
         piv = None
         for i in range(t, m):
             for j in range(t, n):
-                if grid[i][j] != ring.zero and (
+                if grid[i][j] and (
                     piv is None
                     or ring.deg(grid[i][j]) < ring.deg(grid[piv[0]][piv[1]])
                 ):
@@ -484,43 +528,43 @@ def invariant_factor_product(ring, grid):
         while True:
             for i in range(t + 1, m):
                 b = grid[i][t]
-                if b == ring.zero:
+                if not b:
                     continue
                 a = grid[t][t]
-                q, r = ring.divmod(b, a)
-                if r == ring.zero:
+                q, r = ring_divmod(ring, b, a)
+                if not r:
                     for j in range(t, n):
-                        grid[i][j] = ring.sub(
-                            grid[i][j], ring.mul(q, grid[t][j])
+                        grid[i][j] = ring_sub(
+                            ring, grid[i][j], ring.mul(q, grid[t][j])
                         )
                 else:
                     g, u, v = gcdex(ring, a, b)
-                    qa, _ = ring.divmod(a, g)
-                    qb, _ = ring.divmod(b, g)
+                    qa, _ = ring_divmod(ring, a, g)
+                    qb, _ = ring_divmod(ring, b, g)
                     for j in range(t, n):
                         x, y = grid[t][j], grid[i][j]
-                        grid[t][j] = ring.add(ring.mul(u, x), ring.mul(v, y))
-                        grid[i][j] = ring.sub(ring.mul(qa, y), ring.mul(qb, x))
+                        grid[t][j] = ring_add(ring, ring.mul(u, x), ring.mul(v, y))
+                        grid[i][j] = ring_sub(ring, ring.mul(qa, y), ring.mul(qb, x))
             col_dirty = False
             for j in range(t + 1, n):
                 b = grid[t][j]
-                if b == ring.zero:
+                if not b:
                     continue
                 a = grid[t][t]
-                q, r = ring.divmod(b, a)
-                if r == ring.zero:
+                q, r = ring_divmod(ring, b, a)
+                if not r:
                     for i in range(t, m):
-                        grid[i][j] = ring.sub(
-                            grid[i][j], ring.mul(q, grid[i][t])
+                        grid[i][j] = ring_sub(
+                            ring, grid[i][j], ring.mul(q, grid[i][t])
                         )
                 else:
                     g, u, v = gcdex(ring, a, b)
-                    qa, _ = ring.divmod(a, g)
-                    qb, _ = ring.divmod(b, g)
+                    qa, _ = ring_divmod(ring, a, g)
+                    qb, _ = ring_divmod(ring, b, g)
                     for i in range(t, m):
                         x, y = grid[i][t], grid[i][j]
-                        grid[i][t] = ring.add(ring.mul(u, x), ring.mul(v, y))
-                        grid[i][j] = ring.sub(ring.mul(qa, y), ring.mul(qb, x))
+                        grid[i][t] = ring_add(ring, ring.mul(u, x), ring.mul(v, y))
+                        grid[i][j] = ring_sub(ring, ring.mul(qa, y), ring.mul(qb, x))
                     col_dirty = True  # column t picked up new entries
             if not col_dirty:
                 break

@@ -1,4 +1,6 @@
 import itertools
+import json
+import os
 import random
 
 import numpy as np
@@ -20,6 +22,8 @@ from gnk.talex import (
     _check_chain_rule,
     _denominator,
     _grid,
+    _mat_inv,
+    _mat_mul,
     _normalized,
     _pivot_product,
     _poly_text,
@@ -49,12 +53,14 @@ from oracle_utils import (
     invariant_factor_product,
     invariant_factors,
     laurent,
+    laurent_divmod,
     mat3_order,
     plain_poly,
     poly_cofactor_det,
     poly_det,
     poly_gcd,
     poly_minors_gcd,
+    ring_add,
     trivial_representation,
     validate_representation,
     wada_blocks,
@@ -215,7 +221,7 @@ def _random_grid(rng, ring, rows, cols, max_deg=3):
         for row in grid:
             acc = ring.zero
             for x, c in zip(row, weights):
-                acc = ring.add(acc, ring.mul(x, c))
+                acc = ring_add(ring, acc, ring.mul(x, c))
             row[-1] = acc
     return grid
 
@@ -249,7 +255,7 @@ def test_pivot_product_matches_smith_and_cofactor_oracles(monkeypatch):
     rng = random.Random(20261018)
     cases = _talex_grids(monkeypatch)
     assert len(cases) == 100  # 70 numerators and 30 distinct denominators
-    for p in (2, 3, 5, 7):
+    for p in (2, 3, 5, 7, 13):
         ring = _ring_for(p)
         for _ in range(150):
             cols = rng.randint(1, 4)
@@ -280,6 +286,65 @@ def test_pivot_product_matches_smith_and_cofactor_oracles(monkeypatch):
         assert _poly_text(_normalized(ring, got)) == oracle.text()
         zero += got == ring.zero
     assert deficient > 100 and square > 100 and zero == deficient
+
+
+def _canonical(ring, e):
+    """A bitmask over F_2; over F_p a trimmed list or tuple of residues."""
+    if ring.p == 2:
+        return isinstance(e, int) and e >= 0
+    return (not e or e[-1] != 0) and all(0 <= c < ring.p for c in e)
+
+
+@pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
+def test_reduce_row_matches_laurent_oracle(p):
+    # one fused row step against long division and subtraction in the
+    # LaurentPoly oracle: row[t] becomes the remainder by top[t], every later
+    # entry loses the quotient times top's entry, earlier entries and top
+    # stay, and entries are replaced, never mutated.  Zero entries, zero
+    # entries of top, unit pivots and degree-0 quotients all occur, with
+    # entries up to degree 60.
+    rng = random.Random(p)
+    ring = _ring_for(p)
+
+    def entry(deg):
+        """A polynomial of exactly this degree."""
+        lead = 1 + rng.randrange(p - 1)
+        return plain_poly(ring, [rng.randrange(p) for _ in range(deg)] + [lead])
+
+    def entries(width):
+        return [
+            entry(rng.randint(0, 60)) if rng.random() < 2 / 3 else ring.zero
+            for _ in range(width)
+        ]
+
+    seen = {"zero top": 0, "unit pivot": 0, "degree-0 quotient": 0, "degree 60": 0}
+    for case in range(300):
+        width = rng.randint(2, 5)
+        t = rng.randrange(width - 1)
+        top_deg = 0 if case % 5 == 0 else rng.randint(0, 60)
+        row_deg = {1: top_deg, 2: 60}.get(case % 5, rng.randint(0, 60))
+        top, row = entries(width), entries(width)
+        top[t], row[t] = entry(top_deg), entry(row_deg)
+        if case % 5 == 3:
+            top[-1], row[-1] = ring.zero, entry(rng.randint(0, 60))
+        if p != 2 and case % 2:
+            row = [list(e) for e in row]  # the echelon's grids hold lists
+        kept, top_before = [list(ring.to_coeffs(e)) for e in row], list(top)
+        q, r = laurent_divmod(from_plain(ring, row[t]), from_plain(ring, top[t]))
+        out = list(row)
+        ring.reduce_row(out, top, t)
+        assert top == top_before
+        assert [list(ring.to_coeffs(e)) for e in row] == kept
+        assert all(_canonical(ring, e) for e in out)
+        assert out[:t] == row[:t] and from_plain(ring, out[t]) == r
+        for j in range(t + 1, width):
+            want = laurent(p, kept[j]) - q * from_plain(ring, top[j])
+            assert from_plain(ring, out[j]) == want
+        seen["zero top"] += any(not top[j] and row[j] for j in range(t + 1, width))
+        seen["unit pivot"] += top_deg == 0
+        seen["degree-0 quotient"] += not q.is_zero and q.high == 0
+        seen["degree 60"] += max(map(ring.deg, row + top)) == 60
+    assert min(seen.values()) > 10
 
 
 # -- Fox calculus ----------------------------------------------------------------
@@ -420,6 +485,55 @@ def test_representation_validation():
             check(other, rep)
 
 
+def test_inverse_cache_keys_on_p():
+    # one integer matrix under p = 3 and p = 5 gets each modulus's own
+    # inverse; a singular image raises on every construction, and a matrix
+    # singular mod 3 only builds under 5 after failing under 3
+    gens = GeneratorTable(("x",))
+    ident = ((1, 0), (0, 1))
+    m = ((1, 2), (1, 1))
+    inverses = set()
+    for p in (3, 5, 3, 5):
+        rep = Representation(gens, 2, p, (m,))
+        assert _mat_mul(p, rep.images[0], rep.inverses[0]) == ident
+        inverses.add((p, rep.inverses[0]))
+    assert len(inverses) == 2
+    for _ in range(2):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            Representation(gens, 2, 5, (((1, 2), (2, 4)),))
+    odd = ((1, 1), (1, 4))  # determinant 3
+    for _ in range(2):
+        with pytest.raises(ValueError, match="matrix is singular"):
+            Representation(gens, 2, 3, (odd,))
+        rep = Representation(gens, 2, 5, (odd,))
+        assert _mat_mul(5, rep.images[0], rep.inverses[0]) == ident
+
+
+def test_each_image_is_inverted_once_per_process(monkeypatch):
+    # across the benchmark's talex cells every (p, image) is inverted at
+    # most once, while representations ask for inverses many more times,
+    # and the digests are the benchmark's pins
+    import gnk.talex
+    from gnk.harness import run_cell
+
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    with open(os.path.join(root, "bench", "expected.json"), encoding="utf-8") as fh:
+        pins = json.load(fh)["records"]
+    _mat_inv.cache_clear()
+    asked = []
+
+    def spy(p, a):
+        asked.append((p, a))
+        return _mat_inv(p, a)
+
+    monkeypatch.setattr(gnk.talex, "_mat_inv", spy)
+    for knot in ("SK", "GK"):
+        for n in (1, 2, 3):
+            (rec,) = run_cell(knot, n, "SL2_3", ("talex",))
+            assert rec.value == pins[f"{knot}/{n}/SL2_3/talex"][1]
+    assert _mat_inv.cache_info().misses == len(set(asked)) < len(asked)
+
+
 def test_relator_check_matches_replay_oracle():
     # swapping one generator's image for another element breaks most homs
     pres = knot_presentation("SK", 2)
@@ -528,7 +642,8 @@ def test_wada_shape():
 
 def test_grid_reads_entries_over_any_degree_span():
     # GF(2) entries are packed as bitmasks, so spans past 62 degrees must
-    # not overflow; every entry must equal its coefficients read directly
+    # not overflow; every entry must equal its coefficients read directly,
+    # trimmed (over F_p the grid holds lists, the oracle gives tuples)
     rng = np.random.default_rng(20261018)
     for p in (2, 5):
         ring = _ring_for(p)
@@ -539,7 +654,8 @@ def test_grid_reads_entries_over_any_degree_span():
             grid = _grid(ring, coeffs)
             for i, j, u, v in itertools.product(range(2), range(3), range(2), range(2)):
                 entry = plain_poly(ring, coeffs[i, j, 1:, u, v].tolist())
-                assert grid[i * 2 + u][j * 2 + v] == entry
+                got = grid[i * 2 + u][j * 2 + v]
+                assert list(ring.to_coeffs(got)) == list(ring.to_coeffs(entry))
 
 
 def test_wada_matches_fox_oracle():
