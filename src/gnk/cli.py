@@ -151,7 +151,10 @@ def cmd_extend(args) -> int:
         if not piece or "=" not in piece:
             raise ValueError(f"bad base assignment {piece!r}")
         name, _, text = piece.partition("=")
-        assignments[name.strip()] = group.parse_element(text.strip())
+        name = name.strip()
+        if name in assignments:
+            raise ValueError(f"base assigns {name} more than once")
+        assignments[name] = group.parse_element(text.strip())
     if sorted(assignments) != sorted(braid.gens.names):
         raise ValueError(
             f"base must assign exactly {', '.join(braid.gens.names)}"

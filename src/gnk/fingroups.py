@@ -506,36 +506,6 @@ def nth_roots(group: FiniteGroup, target, n: int) -> tuple:
     )
 
 
-def generating_set(group: FiniteGroup) -> tuple:
-    """Greedy generating set: repeatedly adjoin the first uncovered element."""
-    cached = getattr(group, "_generating_set", None)
-    if cached is not None:
-        return cached
-    els = group.elements()
-    gens: list = []
-    closure = {group.identity}
-    for e in els:
-        if e in closure:
-            continue
-        gens.append(e)
-        closure = {group.identity}
-        frontier = [group.identity]
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = group.mul(x, g)
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        if len(closure) == group.order:
-            break
-    if len(closure) != group.order:
-        raise RuntimeError(f"{group.name}: generation stalled")
-    out = tuple(gens)
-    group._generating_set = out
-    return out
-
-
 # -- spec strings ---------------------------------------------------------------
 
 _SPEC_MAKERS = (

@@ -64,7 +64,6 @@ class SweepConfig:
     n_values: tuple[int, ...]
     targets: tuple[str, ...]
     tasks: tuple[str, ...]
-    shards: int = 1
     output: str = "results.jsonl"
 
     def __post_init__(self) -> None:
@@ -88,8 +87,6 @@ class SweepConfig:
                 if v in value[:i]:
                     raise ValueError(f"{name} repeats {v!r}")
             object.__setattr__(self, name, tuple(value))
-        if type(self.shards) is not int:
-            raise ValueError("shards must be an int")
         if not isinstance(self.output, str):
             raise ValueError("output must be a path")
         bad = [k for k in self.knots if k not in KNOT_NAMES]
@@ -102,8 +99,6 @@ class SweepConfig:
         bad = [t for t in self.tasks if t not in TASKS]
         if bad or not self.tasks:
             raise ValueError(f"tasks must be a nonempty subset of {TASKS}")
-        if self.shards < 1:
-            raise ValueError("shards must be at least 1")
 
     def to_json(self) -> str:
         return json.dumps(asdict(self), indent=2) + "\n"
@@ -269,9 +264,7 @@ def _talex_lines(
     return [(lines[key], size) for key, size in zip(keys, sizes.tolist())]
 
 
-def run_cell(
-    knot: str, n: int, target: str, tasks, shards: int = 1
-) -> list[ResultRecord]:
+def run_cell(knot: str, n: int, target: str, tasks) -> list[ResultRecord]:
     """All task records for one (knot, n, target) grid cell.
 
     count, classes and talex read one fiber search: the homomorphisms whose
@@ -285,7 +278,7 @@ def run_cell(
         """(search stats, fiber matrix, each row's orbit root, the distinct
         roots in lex order, the orbits' sizes)."""
         if "fibers" not in cache:
-            matrix, stats = sharded_search(pres, group, shards)
+            matrix, stats = sharded_search(pres, group)
             cache["fibers"] = (stats, matrix, *fiber_orbits(pres, group, matrix))
         return cache["fibers"]
 
@@ -349,25 +342,18 @@ def run_cell(
     return records
 
 
-def _cell_args(cfg: SweepConfig) -> list[tuple]:
-    return [
-        (knot, n, target, cfg.tasks, cfg.shards)
-        for target in cfg.targets
-        for n in cfg.n_values
-        for knot in cfg.knots
-    ]
-
-
-def _run_cell_star(args: tuple) -> list[ResultRecord]:
-    return run_cell(*args)
-
-
 def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[ResultRecord]:
     """Run every cell through pool_map on up to jobs processes, and append
     the canonical-sorted records to cfg.output."""
     for target in cfg.targets:
         group_from_spec(target)  # unconstructible targets fail before work
-    batches = pool_map(_run_cell_star, _cell_args(cfg), jobs)
+    cells = [
+        (knot, n, target, cfg.tasks)
+        for target in cfg.targets
+        for n in cfg.n_values
+        for knot in cfg.knots
+    ]
+    batches = pool_map(run_cell, cells, jobs)
     records = sort_records(rec for batch in batches for rec in batch)
     write_records(cfg.output, records)
     return records
@@ -459,27 +445,18 @@ def compare_report(records) -> Report:
             a = latest.get((left_knot, n, target, task))
             b = latest.get((right_knot, n, target, task))
             if a is None or b is None:
-                rows.append(
-                    ReportRow(
-                        pair=f"{left_knot}/{right_knot}",
-                        n=n,
-                        target=target,
-                        task=task,
-                        left=a.value if a else None,
-                        right=b.value if b else None,
-                        outcome="incomplete",
-                    )
-                )
-                continue
+                outcome = "incomplete"
+            else:
+                outcome = _pair_outcome(a, b)
             rows.append(
                 ReportRow(
                     pair=f"{left_knot}/{right_knot}",
                     n=n,
                     target=target,
                     task=task,
-                    left=a.value,
-                    right=b.value,
-                    outcome=_pair_outcome(a, b),
+                    left=a.value if a else None,
+                    right=b.value if b else None,
+                    outcome=outcome,
                 )
             )
     return Report(rows=tuple(rows), skips=skips)

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fingroups import CapabilityError, FiniteGroup, generating_set
+from .fingroups import CapabilityError, FiniteGroup
 from .presentations import (
     Presentation,
     g1_braid_presentation,
@@ -63,11 +63,15 @@ class Homomorphism:
 
 
 class _Indexed:
-    """Multiplication, inverse, and power tables over element indices.
+    """Generators, multiplication, inverse, and power tables over element
+    indices, from one walk of the Cayley graph (Holt, Eick and O'Brien,
+    Handbook of Computational Group Theory, 2005).
 
-    Only the generators' columns (right multiplication by g) call group.mul:
-    column j*g is column g applied to column j, as (x j) g = x (j g), and a
-    breadth-first walk from the identity's column reaches every column.
+    Row g x of mul is row x mapped through row g, as (g x) y = g (x y), so
+    the walk fills rows outwards from the identity's by left multiplication
+    with the generators.  Whenever it stalls it adjoins the least element
+    not reached as the next generator, whose row alone calls group.mul; so
+    gens is the greedy generating set.
     """
 
     def __init__(self, group: FiniteGroup) -> None:
@@ -75,27 +79,30 @@ class _Indexed:
         n = len(els)
         idx = {e: i for i, e in enumerate(els)}
         ident = idx[group.identity]
-        right = np.array(
-            [[idx[group.mul(a, g)] for a in els] for g in generating_set(group)],
-            dtype=np.int32,
-        )
-        cols = np.empty((n, n), dtype=np.int32)  # cols[k] is column k of mul
-        cols[ident] = np.arange(n)
-        seen = {ident}
+        mul = np.empty((n, n), dtype=np.int32)
+        mul[ident] = np.arange(n)
+        reached = np.zeros(n, dtype=bool)
+        reached[ident] = True
+        gens: list[int] = []
         queue = [ident]
-        for j in queue:
-            for r in right:
-                k = int(r[j])
-                if k not in seen:
-                    seen.add(k)
-                    cols[k] = r[cols[j]]
-                    queue.append(k)
+        while len(queue) < n:
+            g = int(np.argmin(reached))
+            gens.append(g)
+            mul[g] = [idx[group.mul(els[g], y)] for y in els]
+            for x in queue:  # the queue grows while it is walked
+                for h in gens:
+                    k = int(mul[h, x])
+                    if not reached[k]:
+                        reached[k] = True
+                        mul[k] = mul[h][mul[x]]
+                        queue.append(k)
         self.group = group
         self.n = n
         self.ident = ident
-        self.mul = np.ascontiguousarray(cols.T)
-        self.mul_flat = self.mul.reshape(-1)
-        self.inv = (cols == ident).argmax(axis=1).astype(np.int32)
+        self.gens = np.array(gens, dtype=np.int32)
+        self.mul = mul
+        self.mul_flat = mul.reshape(-1)
+        self.inv = np.array([idx[group.inv(e)] for e in els], dtype=np.int32)
         self._pow: dict[int, np.ndarray] = {
             0: np.full(n, ident, dtype=np.int32),
             1: np.arange(n, dtype=np.int32),
@@ -179,9 +186,7 @@ class _Classes:
 
     def __init__(self, group: FiniteGroup) -> None:
         idx = indexed_tables(group)
-        gens = np.array(
-            [group.index_of(g) for g in generating_set(group)], dtype=np.int32
-        )
+        gens = idx.gens
         moves = _conjugate(idx, np.arange(idx.n)[None, :], gens[:, None])
         least = _min_labels(idx.n, moves)
         self.reps = np.flatnonzero(least == np.arange(idx.n)).astype(np.int32)
@@ -341,21 +346,23 @@ def _check_shards(shards: int, shard_id: int = 0) -> None:
         raise ValueError("need shards >= 1 and 0 <= shard_id < shards")
 
 
-def _search(
+def hom_image_matrix(
     pres: Presentation,
     group: FiniteGroup,
-    shards: int,
-    shard_id: int,
-    fibers: bool,
+    shards: int = 1,
+    shard_id: int = 0,
+    fibers: bool = False,
 ) -> tuple[np.ndarray, SearchStats]:
-    """Every homomorphism, or with fibers every one whose first free
-    generator maps to a class representative, lex-sorted.
+    """All homomorphism image rows, lex-sorted in presentation gen order,
+    or with fibers only those whose first free generator maps to a class
+    representative (see class_data).
 
     Plan step 0 is always a _Free.  A seed column takes its place: every
     element, or the class representatives.  So one descent covers every
     seed value, and shard s of k takes every k-th seed value from the s-th
     on.  A found row counts weight[x] towards stats.homs, x its first free
-    generator's image: 1, or with fibers the size of x's class.
+    generator's image: 1, or with fibers the size of x's class, so
+    stats.homs counts every homomorphism of the shard either way.
     """
     _check_shards(shards, shard_id)
     idx = indexed_tables(group)
@@ -417,33 +424,17 @@ def _search(
     return matrix, stats
 
 
-def hom_image_matrix(
-    pres: Presentation,
-    group: FiniteGroup,
-    shards: int = 1,
-    shard_id: int = 0,
-    fibers: bool = False,
-) -> tuple[np.ndarray, SearchStats]:
-    """All homomorphism image rows, lex-sorted in presentation gen order.
-
-    With fibers, only the rows whose first free generator maps to a class
-    representative (see class_data); stats.homs still counts every
-    homomorphism.  Shards split the first free generator's values.
-    """
-    return _search(pres, group, shards, shard_id, fibers)
-
-
 def count_homs(
     pres: Presentation, group: FiniteGroup, shards: int = 1, shard_id: int = 0
 ) -> tuple[int, SearchStats]:
     """|Hom(pres, group)| = sum over class representatives c of
     [H : C_H(c)] times the size of c's fiber; shards split the classes."""
-    _, stats = _search(pres, group, shards, shard_id, fibers=True)
+    _, stats = hom_image_matrix(pres, group, shards, shard_id, fibers=True)
     return stats.homs, stats
 
 
 def pool_map(fn, items: list, jobs: int) -> list:
-    """[fn(item) for item in items], on a pool of min(jobs, len(items))
+    """[fn(*item) for item in items], on a pool of min(jobs, len(items))
     processes when that is at least 2, else in this process.
 
     The only process pool in gnk: fn must be a module-level function, so
@@ -453,15 +444,11 @@ def pool_map(fn, items: list, jobs: int) -> list:
         raise ValueError("need jobs >= 1")
     workers = min(jobs, len(items))
     if workers < 2:
-        return [fn(item) for item in items]
+        return [fn(*item) for item in items]
     from concurrent.futures import ProcessPoolExecutor
 
     with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
-
-
-def _run_shard(args: tuple) -> tuple[np.ndarray, SearchStats]:
-    return hom_image_matrix(*args, fibers=True)
+        return list(pool.map(fn, *zip(*items)))
 
 
 def sharded_search(
@@ -479,7 +466,8 @@ def sharded_search(
     """
     _check_shards(shards, shard_id or 0)
     ids = range(shards) if shard_id is None else [shard_id]
-    results = pool_map(_run_shard, [(pres, group, shards, s) for s in ids], jobs)
+    work = [(pres, group, shards, s, True) for s in ids]
+    results = pool_map(hom_image_matrix, work, jobs)
     matrix = results[0][0]
     if len(results) > 1:
         matrix = _lex_sorted(np.vstack([found for found, _ in results]))
@@ -532,19 +520,18 @@ def orbit_partition(
     """The least row index of each input row's conjugation orbit.
 
     For a lex-sorted image matrix that is the orbit's lex-least row.  Row i
-    is conjugated by each entry of conjugators[i] (default: the group's
-    generating set), and the orbits are those of the group they generate:
-    labels start as row indices and propagate as in _min_labels.  Identity
-    entries pad rows with fewer conjugators and cost no lookup.
+    is conjugated by each entry of conjugators[i] (default: the generators
+    of the group's index tables), and the orbits are those of the group
+    they generate: labels start as row indices and propagate as in
+    _min_labels.  Identity entries pad rows with fewer conjugators and cost
+    no lookup.
     """
     idx = indexed_tables(group)
     rows = matrix.shape[0]
     if rows == 0:
         return []
     if conjugators is None:
-        gens = [group.index_of(g) for g in generating_set(group)]
-        gens = np.array(gens, dtype=np.int32)
-        conjugators = np.broadcast_to(gens, (rows, len(gens)))
+        conjugators = np.broadcast_to(idx.gens, (rows, len(idx.gens)))
     slots = [(by, np.flatnonzero(by != idx.ident)) for by in conjugators.T]
     slots = [(by, moved) for by, moved in slots if len(moved)]
     targets = []

@@ -50,7 +50,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .fingroups import PSL2Group
+from .fingroups import PSL2Group, group_from_spec
+from .homsearch import indexed_tables
 from .presentations import Presentation
 from .words import GeneratorTable
 
@@ -508,9 +509,11 @@ def psl27_matrix_dictionary() -> dict:
 
     The stored images of the two standard generators are extended along
     the Cayley graph.  The extension must be consistent and a bijection,
-    and it is checked multiplicatively on every pair before being returned.
+    and it is checked multiplicatively on every pair, in one array
+    comparison against the shared group's index table, before being
+    returned.
     """
-    psl = PSL2Group(7)
+    psl = group_from_spec("PSL2_7")
     # s and t have orders 2 and 7 and a product of order 3; so do their images
     gens = (
         (psl.parse_element("[[0,1],[6,0]]"), ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
@@ -532,8 +535,8 @@ def psl27_matrix_dictionary() -> dict:
                 raise RuntimeError("generator images are not consistent")
     if len(phi) != len(els) or len(set(phi.values())) != len(els):
         raise RuntimeError("generator images do not give a bijection")
-    for x in els:
-        for y in els:
-            if phi[psl.mul(x, y)] != _mat_mul(2, phi[x], phi[y]):
-                raise RuntimeError("dictionary failed the pair check")
+    mats = np.array([phi[x] for x in els])
+    products = (mats[:, None] @ mats[None]) % 2
+    if not (products == mats[indexed_tables(psl).mul]).all():
+        raise RuntimeError("dictionary failed the pair check")
     return phi

@@ -8,11 +8,12 @@ form), a relator replay matrix by matrix checks the kernel's relator check,
 the per-homomorphism talex loop checks the class-weighted one, the
 scalar root lift checks the array kernel behind property T and `gnk extend`,
 the full n = 1 base checks the class-weighted fiber rows behind property T
-and structured counts, and entry-by-entry index tables and a union-find
-orbit partition check the breadth-first table build and the
-label-propagation orbits.  A Smith diagonalization over F_p[t], built
-from extended-gcd transforms, checks the package's Euclidean row-echelon
-pivot product, and `poly_gcd` with cofactor
+and structured counts, and entry-by-entry index tables, a greedy
+generating set closed element by element and a union-find orbit
+partition check the Cayley-graph walk that builds the generators and
+tables, and the label-propagation orbits.  A Smith diagonalization over
+F_p[t], built from extended-gcd transforms, checks the package's
+Euclidean row-echelon pivot product, and `poly_gcd` with cofactor
 expansion gives the gcd of maximal minors directly.  These oracles add,
 subtract and divide ring elements with `ring_add`, `ring_sub` and
 `ring_divmod`, schoolbook code on coefficient lists that the package no
@@ -44,7 +45,7 @@ from math import gcd
 
 import numpy as np
 
-from gnk.fingroups import generating_set, nth_roots
+from gnk.fingroups import nth_roots
 from gnk.homsearch import hom_image_matrix, lift_roots
 from gnk.presentations import (
     KnotDiagram,
@@ -594,6 +595,29 @@ def conjugate(group, x, by):
     return group.mul(group.mul(group.inv(by), x), by)
 
 
+def generating_set(group):
+    """Greedy generating set: repeatedly adjoin the first element, in
+    enumeration order, outside the closure of the generators so far."""
+    gens = []
+    closure = {group.identity}
+    for e in group.elements():
+        if e in closure:
+            continue
+        gens.append(e)
+        closure = {group.identity}
+        frontier = [group.identity]
+        while frontier:
+            x = frontier.pop()
+            for g in gens:
+                y = group.mul(x, g)
+                if y not in closure:
+                    closure.add(y)
+                    frontier.append(y)
+        if len(closure) == group.order:
+            break
+    return tuple(gens)
+
+
 def conjugacy_classes(group):
     """Element indices grouped by conjugacy, classes ordered by least index."""
     els = group.elements()
@@ -1031,8 +1055,8 @@ def recording_pool(sizes):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, work):
-            return map(fn, work)
+        def map(self, fn, *iterables):
+            return map(fn, *iterables)
 
     return Pool
 

@@ -134,6 +134,23 @@ def test_count_homs_sharded_matches_plain(capsys):
     assert plain == sharded == "264\n"
 
 
+def test_traced_sharded_count_fans_out(tmp_path):
+    # the benchmark's entry script wraps hom_image_matrix in its tracer, and
+    # the pool then pickles the wrapped function itself
+    root = os.path.dirname(os.path.dirname(os.path.abspath(gnk.__file__)))
+    repo = os.path.dirname(root)
+    out = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=root, BENCH_SPANS_OUT=str(out))
+    argv = ["count-homs", "--knot", "SK", "--n", "3", "--target", "PSL2_7",
+            "--shards", "4", "--jobs", "2"]
+    done = subprocess.run(
+        [sys.executable, os.path.join(repo, "bench", "gnk_entry.py"), *argv],
+        env=env, capture_output=True, text=True,
+    )
+    assert (done.returncode, done.stdout) == (0, "8232\n"), done.stderr
+    assert "spans" in json.loads(out.read_text())
+
+
 def test_count_homs_single_shard_json(capsys):
     total = 0
     for sid in range(3):
@@ -312,6 +329,16 @@ def test_extend_rejects_incomplete_base(capsys):
     assert "must assign" in err
 
 
+def test_extend_rejects_repeated_assignment(capsys):
+    # a second d= used to replace the first without a word
+    for base in ("d=(1,4); d=(1,2,3); b=(1,2,3); e=(1,2,3)",
+                 "d=(1,2,3); b=(1,2,3); e=(1,2,3); d =(1,2,3)"):
+        code, out, err = run(capsys, "extend", "--target", "S4", "--n", "2",
+                             "--knot", "SK", "--base", base)
+        assert (code, out) == (1, "")
+        assert err == "error: base assigns d more than once\n"
+
+
 # -- witness ----------------------------------------------------------------------
 
 
@@ -360,7 +387,6 @@ def write_config(tmp_path, **overrides):
         "n_values": [1],
         "targets": ["S3"],
         "tasks": ["count", "classes"],
-        "shards": 1,
         "output": str(tmp_path / "records.jsonl"),
     }
     cfg.update(overrides)

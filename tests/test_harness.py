@@ -39,7 +39,7 @@ def make_record(knot="SK", n=2, target="S3", task="count", status="ok",
 
 
 def test_config_roundtrip():
-    cfg = SweepConfig(("SK", "GK"), (1, 2), ("S3",), ("count",), 2, "out.jsonl")
+    cfg = SweepConfig(("SK", "GK"), (1, 2), ("S3",), ("count",), "out.jsonl")
     again = SweepConfig.from_json(cfg.to_json())
     assert again == cfg
 
@@ -55,10 +55,14 @@ def test_config_validation():
         SweepConfig(("SK",), (1,), (), ("count",))
     with pytest.raises(ValueError, match="tasks"):
         SweepConfig(("SK",), (1,), ("S3",), ("frobnicate",))
-    with pytest.raises(ValueError, match="shards"):
-        SweepConfig(("SK",), (1,), ("S3",), ("count",), 0)
     with pytest.raises(ValueError, match="unknown config fields"):
         SweepConfig.from_json('{"knots": ["SK"], "budget": 7}')
+    # a sweep has no shards field: a cell's search runs in one process
+    with pytest.raises(ValueError, match=r"unknown config fields: \['shards'\]"):
+        SweepConfig.from_json(
+            '{"knots": ["SK"], "n_values": [1], "targets": ["S3"], '
+            '"tasks": ["count"], "shards": 1}'
+        )
 
 
 def test_shipped_configs_parse():
@@ -422,12 +426,12 @@ def test_cell_rejects_unknown_task():
 def test_sweep_values_independent_of_shards_and_jobs(tmp_path):
     base = dict(knots=("SK", "GK"), n_values=(1, 2), targets=("S3", "S4"),
                 tasks=("count", "classes"))
-    cfg1 = SweepConfig(**base, shards=1, output=str(tmp_path / "one.jsonl"))
-    cfg3 = SweepConfig(**base, shards=3, output=str(tmp_path / "three.jsonl"))
+    cfg1 = SweepConfig(**base, output=str(tmp_path / "one.jsonl"))
+    cfg2 = SweepConfig(**base, output=str(tmp_path / "two.jsonl"))
     recs1 = run_sweep(cfg1)
-    recs3 = run_sweep(cfg3, jobs=2)
+    recs2 = run_sweep(cfg2, jobs=2)
     strip = lambda rs: [(r.key(), r.status, r.value) for r in rs]
-    assert strip(recs1) == strip(recs3)
+    assert strip(recs1) == strip(recs2)
     assert len(recs1) == 16
 
 

@@ -55,6 +55,7 @@ from oracle_utils import (
     format_cayley_table,
     full_base_property_t,
     g1_base_matrix,
+    generating_set,
     hom_is_valid,
     naive_index_tables,
     recording_pool,
@@ -309,21 +310,37 @@ STANDARD_TARGETS = (
 ).split()
 
 
-@pytest.mark.parametrize(
-    "group",
-    [group_from_spec(spec) for spec in STANDARD_TARGETS]
-    + [
-        from_cayley_table(cayley_table(DihedralGroup(5)), name="D5-table"),
-        DirectProductGroup(SymmetricGroup(3), CyclicGroup(4)),
-    ],
-    ids=lambda g: g.name,
-)
-def test_index_tables_match_naive_oracle(group):
+def _cayley_d5(tmp_path):
+    path = tmp_path / "d5.table"
+    path.write_text(format_cayley_table(DihedralGroup(5)))
+    return group_from_spec(f"cayley:{path}")
+
+
+TABLE_GROUPS = {
+    **{
+        spec: lambda _, spec=spec: group_from_spec(spec)
+        for spec in STANDARD_TARGETS + ["S1", "Z1", "SL2_2", "Z2xZ2xZ2", "S3xZ2"]
+    },
+    "D5-table": lambda _: from_cayley_table(
+        cayley_table(DihedralGroup(5)), name="D5-table"
+    ),
+    "S3xZ4": lambda _: DirectProductGroup(SymmetricGroup(3), CyclicGroup(4)),
+    "cayley-D5": _cayley_d5,
+}
+
+
+@pytest.mark.parametrize("make", TABLE_GROUPS.values(), ids=TABLE_GROUPS.keys())
+def test_index_tables_match_naive_oracle(make, tmp_path):
+    # the Cayley-graph walk against entry-by-entry tables and the greedy
+    # generating set closed element by element, which share none of its code
+    group = make(tmp_path)
     idx = indexed_tables(group)
     mul, inv, ident = naive_index_tables(group)
     assert np.array_equal(idx.mul, mul)
     assert np.array_equal(idx.inv, inv)
     assert idx.ident == ident
+    oracle = [group.index_of(g) for g in generating_set(group)]
+    assert idx.gens.tolist() == oracle
 
 
 @pytest.mark.parametrize("target", ["S4", "SL2_3", "A5", "PSL2_7"])
@@ -335,12 +352,6 @@ def test_orbit_partition_matches_union_find_and_burnside(knot, n, target):
     part = orbit_partition(mat, group)
     assert part == union_find_partition(mat, group)
     assert len(set(part)) == burnside_orbit_count(mat, group)
-
-
-def _cayley_d5(tmp_path):
-    path = tmp_path / "d5.table"
-    path.write_text(format_cayley_table(DihedralGroup(5)))
-    return group_from_spec(f"cayley:{path}")
 
 
 @pytest.mark.parametrize(
