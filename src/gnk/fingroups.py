@@ -171,7 +171,7 @@ class AlternatingGroup(SymmetricGroup):
 def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
     """1-based disjoint cycle notation to a 0-based image tuple."""
     t = text.strip()
-    if t in ("()", "e", "1", ""):
+    if t in ("()", "e", "1"):
         return tuple(range(degree))
     if not (t.startswith("(") and t.endswith(")")):
         raise ValueError(f"bad cycle text {text!r}")

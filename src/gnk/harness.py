@@ -5,9 +5,9 @@ each task once per cell, and appends one line-delimited JSON record per
 (knot, n, target, task) to the output file.  Records are append-only and
 canonically sorted before writing, so reruns and parallel runs agree on
 every record's value and deterministic stats.  They are not byte-identical:
-each record carries its wall-clock `timestamp` (also in the sort key), and
-count records carry the search's `stats.wall_time`.  Moving those into a
-separate field is the deterministic-records item in ROADMAP.md.
+each record carries its wall-clock `timestamp`, and count records carry the
+search's `stats.wall_time`.  Moving those into a separate field is the
+deterministic-records item in ROADMAP.md.
 
 Tasks that a target cannot support (enumeration beyond the capability
 bound, or no matrix representation route for the invariant task) become
@@ -25,31 +25,18 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from . import __version__
-from .fingroups import (
-    CapabilityError,
-    FiniteGroup,
-    PSL2Group,
-    SL2Group,
-    group_from_spec,
-)
+from .fingroups import CapabilityError, FiniteGroup, group_from_spec
 from .homsearch import (
-    Homomorphism,
-    _row_locator,
     check_property_t,
     fiber_orbits,
     indexed_tables,
-    into_fibers,
     pool_map,
     require_composite,
     sharded_search,
     structured_count,
 )
 from .presentations import KNOT_NAMES, knot_presentation
-from .talex import (
-    representation_from_psl27_hom,
-    representation_from_sl2_hom,
-    twisted_alexanders,
-)
+from .talex import cell_lines
 
 TASKS = ("count", "classes", "property_t", "structured", "talex")
 
@@ -148,9 +135,8 @@ class ResultRecord:
 
 
 def sort_records(records) -> list[ResultRecord]:
-    return sorted(
-        records, key=lambda r: (r.target, r.n, r.knot, r.task, r.timestamp)
-    )
+    # a sweep's keys are unique, since SweepConfig refuses repeated entries
+    return sorted(records, key=lambda r: (r.target, r.n, r.knot, r.task))
 
 
 def write_records(path: str, records) -> None:
@@ -198,70 +184,6 @@ def _count_buckets(group: FiniteGroup, reps: np.ndarray, sizes: np.ndarray) -> d
         "nonabelian_image": total - int(sizes[commuting].sum()),
         "class_representatives": len(reps),
     }
-
-
-def _representation_builder(group: FiniteGroup):
-    """(representation builder, diagonal twin map or None) for a matrix target."""
-    if isinstance(group, PSL2Group) and group.p == 7:
-        # PSL2_7 is all of GL_3(F_2), so every conjugation is inner; its
-        # outer automorphism dualizes the representation, not a conjugation
-        return representation_from_psl27_hom, None
-    if isinstance(group, SL2Group) and not isinstance(group, PSL2Group):
-        return representation_from_sl2_hom, _diagonal_twin(group)
-    raise CapabilityError(f"no matrix representation route for {group.name}")
-
-
-def _diagonal_twin(group: SL2Group) -> np.ndarray | None:
-    """Element index of P x P^-1 for each element x, P = diag(1, r).
-
-    r is the least quadratic non-residue mod p.  Conjugation by P is not
-    inner for odd p, and together with the inner automorphisms it gives
-    every conjugation by GL_2(F_p).  None for p = 2, where every unit is a
-    square and GL_2(F_2) = SL_2(F_2).
-    """
-    p = group.p
-    if p == 2:
-        return None
-    r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
-    r_inv = pow(r, -1, p)
-    return np.array(
-        [
-            group.index_of((a, b * r_inv % p, c * r % p, d))
-            for a, b, c, d in group.elements()
-        ],
-        dtype=np.int64,
-    )
-
-
-def _talex_lines(
-    pres, group, builder, twin, matrix, roots, reps, sizes
-) -> list[tuple[str, int]]:
-    """(invariant line, orbit size) for each conjugation orbit, in lex order.
-
-    matrix is the fiber matrix, roots[i] the row of the lex-least member of
-    row i's orbit, reps the distinct roots in lex order and sizes their
-    orbit sizes.  The normalized invariant is unchanged when the
-    representation is conjugated by any matrix in GL_k(F_p) (Wada 1994;
-    Kirk and Livingston 1999).  So it is evaluated once per GL_k(F_p)
-    class, on the class's lex-least fiber row, and that line stands for
-    every member of every orbit in the class.  With a twin map an orbit's
-    class is itself and the orbit of its conjugates by diag(1, r), whose
-    rows are conjugated back into the fibers to be found; without one it
-    is the orbit alone.  The classes' rows are one twisted_alexanders batch.
-    """
-    keys = reps
-    if twin is not None:
-        twins = into_fibers(pres, group, twin[matrix[reps]])
-        keys = np.minimum(reps, roots[_row_locator(matrix)(twins)])
-    keys = keys.tolist()
-    distinct = list(dict.fromkeys(keys))
-    batch = [
-        builder(pres, Homomorphism(pres, group, tuple(matrix[key].tolist())))
-        for key in distinct
-    ]
-    invariants = twisted_alexanders(pres, batch)
-    lines = {key: ta.line() for key, ta in zip(distinct, invariants)}
-    return [(lines[key], size) for key, size in zip(keys, sizes.tolist())]
 
 
 def run_cell(knot: str, n: int, target: str, tasks) -> list[ResultRecord]:
@@ -313,8 +235,7 @@ def run_cell(knot: str, n: int, target: str, tasks) -> list[ResultRecord]:
                 stats = {}
             elif task == "talex":
                 _, *found = fibers()  # oversized targets skip here
-                builder, twin = _representation_builder(group)
-                weighted = _talex_lines(pres, group, builder, twin, *found)
+                weighted = cell_lines(pres, group, *found)
                 lines = sorted(line for line, size in weighted for _ in range(size))
                 digest = hashlib.sha256("\n".join(lines).encode()).hexdigest()
                 value, status = digest, "ok"

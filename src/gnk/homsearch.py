@@ -490,7 +490,7 @@ def enumerate_homs(pres: Presentation, group: FiniteGroup):
 # -- conjugation orbits ---------------------------------------------------------
 
 
-def _row_locator(matrix: np.ndarray):
+def row_locator(matrix: np.ndarray):
     """locate(block)[i] is the row of matrix equal to block[i]."""
     rows = matrix.shape[0]
 
@@ -536,7 +536,7 @@ def orbit_partition(
     slots = [(by, moved) for by, moved in slots if len(moved)]
     targets = []
     if slots:
-        locate = _row_locator(matrix)
+        locate = row_locator(matrix)
     for by, moved in slots:
         target = np.arange(rows)
         target[moved] = locate(_conjugate(idx, matrix[moved], by[moved, None]))

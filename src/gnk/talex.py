@@ -32,17 +32,21 @@ one stacked matrix product into an integer array of coefficients by
 degree.  The same walk checks that the relator lands on the identity at
 degree 0 for every member, and the finished blocks must satisfy the
 chain-rule identity sum_j Phi(dr/dx_j) (Phi(x_j) - 1) = 0, degree by
-degree, before any invariant is computed from them.  Each member's
-deleted matrix and denominator are then read off the array as plain
-F_p[t] elements under one common power of t.  Members that send the
-deleted generator to the same matrix share one denominator, and each
-image in GL_k(F_p) is inverted once per process.  Both results are kept
-as coefficient tuples (c_0, ..., c_d) with c_0 = 1, and () for zero.
+degree, before any invariant is computed from them.  One transpose and
+reshape of the array then reads every member's deleted matrix as plain
+F_p[t] elements under one common power of t, and one more reads every
+distinct denominator block.  Members that send the deleted generator to
+the same matrix share one denominator, and each image in GL_k(F_p) is
+inverted once per process.  Both results are kept as coefficient tuples
+(c_0, ..., c_d) with c_0 = 1, and () for zero.
+
+A sweep cell's invariant lines come from `cell_lines`: it picks the
+target's representation route, merges the cell's conjugation orbits into
+GL_k(F_p) classes, and evaluates one batch of the classes' rows.
 """
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import accumulate
@@ -50,8 +54,14 @@ from typing import Sequence
 
 import numpy as np
 
-from .fingroups import PSL2Group, group_from_spec
-from .homsearch import indexed_tables
+from .fingroups import (
+    CapabilityError,
+    FiniteGroup,
+    PSL2Group,
+    SL2Group,
+    group_from_spec,
+)
+from .homsearch import Homomorphism, indexed_tables, into_fibers, row_locator
 from .presentations import Presentation
 from .words import GeneratorTable
 
@@ -241,20 +251,6 @@ def _pivot_product(ring, grid: list[list]):
 # -- representations and the block matrix --------------------------------------------
 
 
-def _mat_id(k: int) -> tuple:
-    return tuple(
-        tuple(1 if i == j else 0 for j in range(k)) for i in range(k)
-    )
-
-
-def _mat_mul(p: int, a: tuple, b: tuple) -> tuple:
-    cols = tuple(zip(*b))
-    return tuple(
-        tuple(sum(map(operator.mul, row, col)) % p for col in cols)
-        for row in a
-    )
-
-
 @lru_cache(maxsize=None)
 def _mat_inv(p: int, a: tuple) -> tuple:
     """The inverse of a over F_p, computed once per (p, a) in a process.  A
@@ -387,82 +383,80 @@ def _check_chain_rule(wm: WadaMatrix) -> None:
         raise RuntimeError("free-calculus identity failed; the matrix is wrong")
 
 
-def _grid(ring, coeffs: np.ndarray) -> list[list]:
-    """A matrix of k x k blocks as ring elements: bitmasks over F_2, trimmed
-    coefficient lists over F_p.
+def _grids(ring, blocks: np.ndarray) -> list[list[list]]:
+    """Each member's matrix of k x k blocks as ring elements: bitmasks over
+    F_2, trimmed coefficient lists over F_p.
 
-    coeffs[i, j, d] is the coefficient matrix of t^d in block (i, j),
-    reduced mod p.  Entry (u, v) of that block lands in row i*k + u and
-    column j*k + v.  Every entry is divided by the same power of t, the
-    least one with a nonzero coefficient.
+    blocks[r, i, j, d] is the coefficient matrix of t^d in block (i, j) of
+    member r, reduced mod p.  Entry (u, v) of that block lands in row
+    i*k + u and column j*k + v.  Every entry of every member is divided by
+    the same power of t, the least one with a nonzero coefficient in the
+    batch: a common power of t changes no pivot choice, and normalizing
+    strips it from the product.
     """
-    live = np.flatnonzero(coeffs.any(axis=(0, 1, 3, 4)))
+    live = np.flatnonzero(blocks.any(axis=(0, 1, 2, 4, 5)))
     lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
-    rows, cols, _, k, _ = coeffs.shape
-    flat = coeffs[:, :, lo:hi].transpose(0, 3, 1, 4, 2)
-    flat = flat.reshape(rows * k, cols * k, hi - lo)
+    members, rows, cols, _, k, _ = blocks.shape
+    flat = blocks[:, :, :, lo:hi].transpose(0, 1, 4, 2, 5, 3)
+    flat = flat.reshape(members, rows * k, cols * k, hi - lo)
     if ring is _GF2Ring:
         bits = [1 << d for d in range(hi - lo)]
         return (flat @ np.array(bits, np.int64 if hi - lo < 63 else object)).tolist()
-    return [list(map(ring._trim, row)) for row in flat.tolist()]
+    return [[list(map(ring._trim, row)) for row in grid] for grid in flat.tolist()]
 
 
-def _denominator(ring, image: tuple):
-    """det(image t - 1) in the plain ring.  Its constant term is det(-1) =
-    (-1)^k, so it never vanishes."""
-    k = len(image)
-    block = np.zeros((1, 1, 2, k, k), np.int64)
-    block[0, 0, 0] -= np.eye(k, dtype=np.int64)
-    block[0, 0, 1] += image
-    return _pivot_product(ring, _grid(ring, block % ring.p))
+def _denominators(ring, images: list[tuple]) -> list:
+    """det(A t - 1) in the plain ring for each image A, from one _grids
+    call.  Its constant term is det(-1) = (-1)^k, so it never vanishes."""
+    k = len(images[0])
+    blocks = np.zeros((len(images), 1, 1, 2, k, k), np.int64)
+    blocks[:, 0, 0, 0] = -np.eye(k, dtype=np.int64)
+    blocks[:, 0, 0, 1] = images
+    return [_pivot_product(ring, grid) for grid in _grids(ring, blocks % ring.p)]
 
 
 @dataclass(frozen=True)
 class TwistedAlexander:
-    """Normalized numerator and denominator, and the column they came from.
+    """Normalized numerator and denominator.
 
     Each is a coefficient tuple (c_0, ..., c_d) with c_0 = 1, or () for zero.
     """
 
     numerator: tuple[int, ...]
     denominator: tuple[int, ...]
-    column: int
 
     def line(self) -> str:
         return f"{_poly_text(self.numerator)} | {_poly_text(self.denominator)}"
 
 
 def twisted_alexanders(
-    pres: Presentation,
-    reps: Sequence[Representation],
-    column: int = 0,
+    pres: Presentation, reps: Sequence[Representation]
 ) -> list[TwistedAlexander]:
     """The invariant of each member of a batch, from one wada_matrix call.
 
-    Every member deletes the same column.  Its denominator depends only on
-    that generator's image, so members sharing the image share one.
+    Every member deletes the first generator's column block.  Every
+    generator is a meridian and all of them are conjugate, so any other
+    column would give the same pair.  A denominator depends only on the
+    deleted generator's image, so members sharing the image share one.
     """
-    gens = len(pres.gens)
-    if not 0 <= column < gens:
-        raise ValueError(f"column {column} is out of range for {gens} generators")
     wm = wada_matrix(pres, reps)
     ring = _ring_for(wm.reps[0].p)
-    dens: dict[tuple, tuple[int, ...]] = {}
-    out = []
-    for rep, coeffs in zip(wm.reps, wm.coeffs):
-        image = rep.images[column]
-        if image not in dens:
-            dens[image] = _normalized(ring, _denominator(ring, image))
-        num = _pivot_product(ring, _grid(ring, np.delete(coeffs, column, axis=1)))
-        out.append(TwistedAlexander(_normalized(ring, num), dens[image], column))
-    return out
+    images = list(dict.fromkeys(rep.images[0] for rep in wm.reps))
+    dens = {
+        image: _normalized(ring, den)
+        for image, den in zip(images, _denominators(ring, images))
+    }
+    return [
+        TwistedAlexander(
+            _normalized(ring, _pivot_product(ring, grid)), dens[rep.images[0]]
+        )
+        for rep, grid in zip(wm.reps, _grids(ring, wm.coeffs[:, :, 1:]))
+    ]
 
 
-def twisted_alexander(
-    pres: Presentation, rep: Representation, column: int = 0
-) -> TwistedAlexander:
+def twisted_alexander(pres: Presentation, rep: Representation) -> TwistedAlexander:
     """The invariant of one representation: a batch of one."""
-    return twisted_alexanders(pres, (rep,), column)[0]
+    return twisted_alexanders(pres, (rep,))[0]
 
 
 # -- representation builders ---------------------------------------------------
@@ -500,6 +494,75 @@ def representation_from_psl27_hom(pres: Presentation, hom) -> Representation:
     )
 
 
+# -- a sweep cell's lines ----------------------------------------------------------
+
+
+def _route(group: FiniteGroup):
+    """(representation builder, diag(1, r) twin map or None) for a matrix
+    target; every other target raises CapabilityError.
+
+    The twin map gives the element index of P x P^-1 for each element x,
+    P = diag(1, r) and r the least quadratic non-residue mod p.
+    Conjugation by P is not inner for odd p, and together with the inner
+    automorphisms it gives every conjugation by GL_2(F_p).  There is no
+    twin for p = 2, where every unit is a square and GL_2(F_2) = SL_2(F_2),
+    nor for PSL2_7, which is all of GL_3(F_2): every conjugation is inner,
+    and its outer automorphism dualizes the representation.
+    """
+    if isinstance(group, PSL2Group) and group.p == 7:
+        return representation_from_psl27_hom, None
+    if not isinstance(group, SL2Group) or isinstance(group, PSL2Group):
+        raise CapabilityError(f"no matrix representation route for {group.name}")
+    p = group.p
+    if p == 2:
+        return representation_from_sl2_hom, None
+    r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+    r_inv = pow(r, -1, p)
+    twin = [
+        group.index_of((a, b * r_inv % p, c * r % p, d))
+        for a, b, c, d in group.elements()
+    ]
+    return representation_from_sl2_hom, np.array(twin, dtype=np.int64)
+
+
+def cell_lines(
+    pres: Presentation,
+    group: FiniteGroup,
+    matrix: np.ndarray,
+    roots: np.ndarray,
+    reps: np.ndarray,
+    sizes: np.ndarray,
+) -> list[tuple[str, int]]:
+    """(invariant line, orbit size) for each conjugation orbit of a cell, in
+    lex order.
+
+    matrix is the fiber matrix, roots[i] the row of the lex-least member of
+    row i's orbit, reps the distinct roots in lex order and sizes their
+    orbit sizes.  The normalized invariant is unchanged when the
+    representation is conjugated by any matrix in GL_k(F_p) (Wada 1994;
+    Kirk and Livingston 1999).  So it is evaluated once per GL_k(F_p)
+    class, on the class's lex-least fiber row, and that line stands for
+    every member of every orbit in the class.  With a twin map an orbit's
+    class is itself and the orbit of its conjugates by diag(1, r), whose
+    rows are conjugated back into the fibers to be found; without one it
+    is the orbit alone.  The classes' rows are one twisted_alexanders batch.
+    """
+    builder, twin = _route(group)
+    keys = reps
+    if twin is not None:
+        twins = into_fibers(pres, group, twin[matrix[reps]])
+        keys = np.minimum(reps, roots[row_locator(matrix)(twins)])
+    keys = keys.tolist()
+    distinct = list(dict.fromkeys(keys))
+    batch = [
+        builder(pres, Homomorphism(pres, group, tuple(matrix[key].tolist())))
+        for key in distinct
+    ]
+    invariants = twisted_alexanders(pres, batch)
+    lines = {key: ta.line() for key, ta in zip(distinct, invariants)}
+    return [(lines[key], size) for key, size in zip(keys, sizes.tolist())]
+
+
 # -- the 168-element dictionary ----------------------------------------------------
 
 
@@ -508,35 +571,37 @@ def psl27_matrix_dictionary() -> dict:
     """Isomorphism from PSL2_7 elements onto GL_3(F_2) matrices.
 
     The stored images of the two standard generators are extended along
-    the Cayley graph.  The extension must be consistent and a bijection,
-    and it is checked multiplicatively on every pair, in one array
-    comparison against the shared group's index table, before being
-    returned.
+    the Cayley graph of the shared group's index table, one 3 x 3 product
+    per new element.  The extension must be a bijection, and it is checked
+    multiplicatively on every pair, in one array comparison against the
+    index table, before being returned; an edge the extension disagrees
+    with fails its pair.
     """
     psl = group_from_spec("PSL2_7")
+    idx = indexed_tables(psl)
     # s and t have orders 2 and 7 and a product of order 3; so do their images
-    gens = (
-        (psl.parse_element("[[0,1],[6,0]]"), ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
-        (psl.parse_element("[[1,1],[0,1]]"), ((0, 1, 1), (0, 0, 1), (1, 0, 0))),
-    )
-    els = psl.elements()
-    phi = {psl.identity: _mat_id(3)}
-    frontier = [psl.identity]
+    gens = [
+        (psl.index_of(psl.parse_element(text)), np.array(img))
+        for text, img in (
+            ("[[0,1],[6,0]]", ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+            ("[[1,1],[0,1]]", ((0, 1, 1), (0, 0, 1), (1, 0, 0))),
+        )
+    ]
+    mats = np.zeros((idx.n, 3, 3), np.int64)
+    mats[idx.ident] = np.eye(3, dtype=np.int64)
+    reached = {idx.ident: None}  # in the order the walk reaches them
+    frontier = [idx.ident]
     while frontier:
         x = frontier.pop()
         for gen, img in gens:
-            y = psl.mul(x, gen)
-            val = _mat_mul(2, phi[x], img)
-            known = phi.get(y)
-            if known is None:
-                phi[y] = val
+            y = int(idx.mul[x, gen])
+            if y not in reached:
+                reached[y] = None
+                mats[y] = mats[x] @ img % 2
                 frontier.append(y)
-            elif known != val:
-                raise RuntimeError("generator images are not consistent")
-    if len(phi) != len(els) or len(set(phi.values())) != len(els):
+    if len(reached) != idx.n or len(np.unique(mats.reshape(-1, 9), axis=0)) != idx.n:
         raise RuntimeError("generator images do not give a bijection")
-    mats = np.array([phi[x] for x in els])
-    products = (mats[:, None] @ mats[None]) % 2
-    if not (products == mats[indexed_tables(psl).mul]).all():
+    if not ((mats[:, None] @ mats[None]) % 2 == mats[idx.mul]).all():
         raise RuntimeError("dictionary failed the pair check")
-    return phi
+    els = psl.elements()
+    return {els[x]: tuple(map(tuple, mats[x].tolist())) for x in reached}

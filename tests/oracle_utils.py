@@ -27,7 +27,9 @@ and of its inverse, each reduced afresh, checks the canonical relator.
 An integer Smith form of the exponent-sum matrix gives the abelianization
 and its map onto Z, which checks the package's degree map: t on every
 generator.  All 168 invertible 3x3 matrices over F_2 and their orders
-check that the PSL2_7 dictionary is onto GL_3(F_2) and keeps orders.
+check that the PSL2_7 dictionary is onto GL_3(F_2) and keeps orders;
+these matrix oracles and the relator replay multiply and invert matrices
+with their own entry-by-entry product and powers.
 
 Other helpers serve the tests as fixtures or as oracles: word powers,
 next to the Fox derivatives that use them; conjugation, next to the
@@ -718,6 +720,28 @@ def union_find_partition(matrix, group):
     return [find(i) for i in range(rows)]
 
 
+def mat_identity(k):
+    return tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
+
+
+def mat_product(p, a, b):
+    """a b over F_p, each entry a sum of products."""
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) % p for col in zip(*b))
+        for row in a
+    )
+
+
+def mat_inverse(p, m):
+    """m^-1 over F_p as the power of m just before the identity; m must be
+    invertible, so that some power of it is the identity."""
+    ident = mat_identity(len(m))
+    before, power = ident, m
+    while power != ident:
+        before, power = power, mat_product(p, power, m)
+    return before
+
+
 def gl32_elements():
     """All invertible 3x3 matrices over F_2, in flat-bit order."""
     out = []
@@ -737,14 +761,12 @@ def gl32_elements():
 
 def mat3_order(m):
     """The multiplicative order of a matrix in GL_3(F_2), at most 7."""
-    from gnk.talex import _mat_id, _mat_mul
-
-    ident = _mat_id(3)
+    ident = mat_identity(3)
     acc = m
     for k in range(1, 9):
         if acc == ident:
             return k
-        acc = _mat_mul(2, acc, m)
+        acc = mat_product(2, acc, m)
     raise RuntimeError("order above 8 is impossible here")
 
 
@@ -908,14 +930,12 @@ def fox_derivative(w, gen):
 def apply_word(rep, w):
     """(matrix, degree) of a word under a representation, letter by letter;
     every generator has degree 1."""
-    from gnk.talex import _mat_id, _mat_inv, _mat_mul
-
-    mat = _mat_id(rep.dim)
+    mat = mat_identity(rep.dim)
     deg = 0
     for g, e in w.syllables:
-        base = rep.images[g] if e > 0 else _mat_inv(rep.p, rep.images[g])
+        base = rep.images[g] if e > 0 else mat_inverse(rep.p, rep.images[g])
         for _ in range(abs(e)):
-            mat = _mat_mul(rep.p, mat, base)
+            mat = mat_product(rep.p, mat, base)
         deg += e
     return mat, deg
 
@@ -994,7 +1014,7 @@ def validate_representation(pres, rep):
     """Replay every relator through the representation, matrix by matrix."""
     if rep.table != pres.gens:
         raise ValueError("representation is over different generators")
-    ident = tuple(tuple(int(i == j) for j in range(rep.dim)) for i in range(rep.dim))
+    ident = mat_identity(rep.dim)
     for r in pres.relators:
         mat, deg = apply_word(rep, r)
         if mat != ident or deg != 0:

@@ -339,6 +339,19 @@ def test_extend_rejects_repeated_assignment(capsys):
         assert err == "error: base assigns d more than once\n"
 
 
+def test_empty_cycle_text_is_refused(capsys):
+    # empty text used to read as the identity of S4: 10 square roots of it,
+    # and 10 valid extensions of the trivial base
+    for argv in (
+        ("roots", "--target", "S4", "--element", "", "--n", "2"),
+        ("extend", "--target", "S4", "--n", "2", "--knot", "SK",
+         "--base", "d=; b=; e="),
+    ):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, "")
+        assert err == "error: bad cycle text ''\n"
+
+
 # -- witness ----------------------------------------------------------------------
 
 

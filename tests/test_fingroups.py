@@ -105,6 +105,12 @@ def test_cycle_text_errors():
         parse_cycles("(1,5)", 4)
     with pytest.raises(ValueError):
         parse_cycles("1,2", 4)
+    # empty text is refused, not read as the identity; these spellings are it
+    for text in ("", "  "):
+        with pytest.raises(ValueError, match="bad cycle text"):
+            parse_cycles(text, 4)
+    for text in ("()", "e", "1", " e "):
+        assert parse_cycles(text, 4) == (0, 1, 2, 3)
 
 
 def test_enumeration_is_gated_but_arithmetic_is_not():

@@ -4,6 +4,7 @@ import os
 
 import pytest
 
+import gnk.talex
 from gnk import harness
 from gnk.harness import (
     CHIRAL_PAIRS,
@@ -118,6 +119,10 @@ def test_sort_records_canonical():
     c = make_record(target="S3", n=1, knot="GK")
     d = make_record(target="S3", n=1, knot="SK")
     assert sort_records([a, b, c, d]) == [c, d, b, a]
+    # the key alone orders records: a later timestamp decides nothing
+    first = make_record(timestamp="2024-01-02T00:00:00Z")
+    second = make_record(timestamp="2024-01-01T00:00:00Z")
+    assert sort_records([first, second]) == [first, second]
 
 
 # -- cells ----------------------------------------------------------------------
@@ -198,14 +203,14 @@ def test_cell_talex_digest_stable():
 )
 def test_cell_talex_matches_per_hom_oracle(knot, n, target, monkeypatch):
     evaluated = []
-    real = harness._talex_lines
+    real = gnk.talex.cell_lines
 
     def spy(*args):
         out = real(*args)
         evaluated.append(out)
         return out
 
-    monkeypatch.setattr(harness, "_talex_lines", spy)
+    monkeypatch.setattr(harness, "cell_lines", spy)  # the harness's binding
     classes, talex = run_cell(knot, n, target, ("classes", "talex"))
     digest, homs, distinct = per_hom_talex(knot, n, target)
     assert talex.value == digest
@@ -371,13 +376,13 @@ GL_CLASSES = {("SL2_3", 1): 15, ("SL2_3", 2): 15, ("SL2_3", 3): 5, ("SL2_5", 3):
 )
 def test_talex_evaluates_once_per_gl_class(knot, n, target, monkeypatch):
     batches = []
-    real = harness.twisted_alexanders
+    real = gnk.talex.twisted_alexanders
 
     def spy(pres, reps):
         batches.append(reps)
         return real(pres, reps)
 
-    monkeypatch.setattr(harness, "twisted_alexanders", spy)
+    monkeypatch.setattr(gnk.talex, "twisted_alexanders", spy)
     classes, _ = run_cell(knot, n, target, ("classes", "talex"))
     (evaluated,) = batches  # one batch per cell
     if target == "PSL2_7":

@@ -34,7 +34,7 @@ from gnk.homsearch import (
     orbit_representatives,
     sharded_search,
     structured_count,
-    _row_locator,
+    row_locator,
     _Check,
     _Free,
     _Pin,
@@ -434,7 +434,7 @@ def test_fibers_match_full_search(knot, raw, n, target):
         assert buckets == {**want, "class_representatives": len(full_reps)}
         # each fiber orbit lies in one full orbit of the same size, and
         # every full orbit is met exactly once
-        hit = full_roots[_row_locator(full)(fibers)]
+        hit = full_roots[row_locator(full)(fibers)]
         assert (hit == hit[roots]).all()
         assert sorted(hit[reps].tolist()) == full_reps.tolist()
         assert dict(zip(hit[reps].tolist(), sizes.tolist())) == dict(
@@ -451,7 +451,7 @@ def test_into_fibers_lands_on_class_representatives():
     gen = compile_plan(pres)[0].gen
     data = class_data(group)
     assert (moved[:, gen] == data.reps[data.label[full[:, gen]]]).all()
-    assert len(_row_locator(fibers)(moved)) == len(full)  # every row is found
+    assert len(row_locator(fibers)(moved)) == len(full)  # every row is found
 
 
 def test_row_locator_matches_dict_oracle():
@@ -460,7 +460,7 @@ def test_row_locator_matches_dict_oracle():
     matrix = np.unique(rng.integers(0, 2184, size=(3000, 6)), axis=0)
     matrix = matrix[rng.permutation(len(matrix))].astype(np.int32)
     lookup = {tuple(row): i for i, row in enumerate(matrix.tolist())}
-    locate = _row_locator(matrix)
+    locate = row_locator(matrix)
     block = matrix[rng.integers(0, len(matrix), size=500)]
     want = [lookup[tuple(row)] for row in block.tolist()]
     assert locate(block).tolist() == want

@@ -1,7 +1,7 @@
 """Layout guards: every public name in src/gnk, and every public method of a
 public class there, is used, documented or traced; every private function
-and class there is used in src/; and every function the benchmark's tracer
-wraps exists."""
+and class there is used in src/; no module imports another's private
+name; and every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -123,6 +123,21 @@ def test_every_private_definition_is_used_in_src():
         )
     ]
     assert unused == [], unused
+
+
+def test_no_module_imports_a_private_name():
+    # a name that another module needs is public: a private name stays
+    # inside the module that defines it
+    crossing = [
+        f"{module} imports {node.module or '.'}.{alias.name}"
+        for module, tree in _sources().items()
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom)
+        and (node.level or (node.module or "").startswith("gnk"))
+        for alias in node.names
+        if alias.name.startswith("_") and not alias.name.endswith("__")
+    ]
+    assert crossing == [], crossing
 
 
 def test_one_process_pool():

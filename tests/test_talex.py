@@ -20,10 +20,9 @@ from gnk.presentations import (
 from gnk.talex import (
     Representation,
     _check_chain_rule,
-    _denominator,
-    _grid,
+    _denominators,
+    _grids,
     _mat_inv,
-    _mat_mul,
     _normalized,
     _pivot_product,
     _poly_text,
@@ -55,6 +54,7 @@ from oracle_utils import (
     laurent,
     laurent_divmod,
     mat3_order,
+    mat_product,
     plain_poly,
     poly_cofactor_det,
     poly_det,
@@ -495,7 +495,7 @@ def test_inverse_cache_keys_on_p():
     inverses = set()
     for p in (3, 5, 3, 5):
         rep = Representation(gens, 2, p, (m,))
-        assert _mat_mul(p, rep.images[0], rep.inverses[0]) == ident
+        assert mat_product(p, rep.images[0], rep.inverses[0]) == ident
         inverses.add((p, rep.inverses[0]))
     assert len(inverses) == 2
     for _ in range(2):
@@ -506,7 +506,7 @@ def test_inverse_cache_keys_on_p():
         with pytest.raises(ValueError, match="matrix is singular"):
             Representation(gens, 2, 3, (odd,))
         rep = Representation(gens, 2, 5, (odd,))
-        assert _mat_mul(5, rep.images[0], rep.inverses[0]) == ident
+        assert mat_product(5, rep.images[0], rep.inverses[0]) == ident
 
 
 def test_each_image_is_inverted_once_per_process(monkeypatch):
@@ -614,14 +614,14 @@ def test_every_evaluation_checks_the_chain_rule(monkeypatch):
 
     # a sweep cell evaluates one batch: every member is covered by a check
     evaluated = []
-    real_batch = gnk.harness.twisted_alexanders
+    real_batch = gnk.talex.twisted_alexanders
 
     def batch_spy(pres, reps):
         out = real_batch(pres, reps)
         evaluated.extend(reps)
         return out
 
-    monkeypatch.setattr(gnk.harness, "twisted_alexanders", batch_spy)
+    monkeypatch.setattr(gnk.talex, "twisted_alexanders", batch_spy)
     checked.clear()
     (rec,) = gnk.harness.run_cell("GK", 3, "PSL2_7", ("talex",))
     assert rec.status == "ok" and len(evaluated) == 54
@@ -636,7 +636,7 @@ def test_wada_shape():
     wm = wada_matrix(pres, (representation_from_sl2_hom(pres, hom),))
     assert len(wada_blocks(wm)) == 3
     assert all(len(row) == 3 for row in wada_blocks(wm))
-    grid = _grid(_ring_for(3), wm.coeffs[0][:, 1:])
+    (grid,) = _grids(_ring_for(3), wm.coeffs[:, :, 1:])
     assert len(grid) == 6 and all(len(row) == 4 for row in grid)
 
 
@@ -648,14 +648,45 @@ def test_grid_reads_entries_over_any_degree_span():
     for p in (2, 5):
         ring = _ring_for(p)
         for span in (2, 3, 63, 64, 70):
-            coeffs = rng.integers(0, p, size=(2, 3, span, 2, 2))
-            coeffs[:, :, 0] = 0  # the common power of t is divided out
-            coeffs[0, 0, 1, 0, 0] = 1
-            grid = _grid(ring, coeffs)
-            for i, j, u, v in itertools.product(range(2), range(3), range(2), range(2)):
-                entry = plain_poly(ring, coeffs[i, j, 1:, u, v].tolist())
-                got = grid[i * 2 + u][j * 2 + v]
+            coeffs = rng.integers(0, p, size=(2, 2, 3, span, 2, 2))
+            coeffs[:, :, :, 0] = 0  # the common power of t is divided out
+            coeffs[1, 0, 0, 1, 0, 0] = 1
+            grids = _grids(ring, coeffs)
+            for r, i, j, u, v in itertools.product(
+                range(2), range(2), range(3), range(2), range(2)
+            ):
+                entry = plain_poly(ring, coeffs[r, i, j, 1:, u, v].tolist())
+                got = grids[r][i * 2 + u][j * 2 + v]
                 assert list(ring.to_coeffs(got)) == list(ring.to_coeffs(entry))
+
+
+def _spread_batch(pres, group, members, build):
+    """members representations of homs spread evenly over the search."""
+    homs = list(enumerate_homs(pres, group))
+    step = max(1, len(homs) // members)
+    return [build(pres, hom) for hom in homs[::step][:members]]
+
+
+def test_batched_grids_match_deleted_flat_oracle():
+    # one conversion grids a whole batch; each member's grid is its Wada
+    # matrix without the first column block, under one power of t for all
+    sl23, psl27 = SL2Group(3), PSL2Group(7)
+    cases = [
+        (knot_presentation("SK", 2), sl23, representation_from_sl2_hom),
+        (knot_presentation("SK", 50), sl23, representation_from_sl2_hom),
+        (knot_presentation("SK", 2), psl27, representation_from_psl27_hom),
+    ]
+    for pres, group, build in cases:
+        wm = wada_matrix(pres, _spread_batch(pres, group, 5, build))
+        assert len(wm.reps) == 5
+        ring = _ring_for(wm.reps[0].p)
+        grids = _grids(ring, wm.coeffs[:, :, 1:])
+        flats = [deleted_flat(wm, 0, member) for member in range(5)]
+        shift = min(e.low for flat in flats for row in flat for e in row if e.coeffs)
+        for grid, flat in zip(grids, flats):
+            assert len(grid) == len(flat)
+            for got_row, want_row in zip(grid, flat):
+                assert [from_plain(ring, e, shift) for e in got_row] == want_row
 
 
 def test_wada_matches_fox_oracle():
@@ -753,20 +784,20 @@ def test_batch_computes_each_denominator_once(target, distinct, monkeypatch):
     batches = _class_key_batches(monkeypatch, KNOTS_NS, target)
     monkeypatch.undo()
     calls = []
-    real = gnk.talex._denominator
+    real = gnk.talex._denominators
 
-    def spy(ring, image):
-        calls.append(image)
-        return real(ring, image)
+    def spy(ring, images):
+        calls.append(images)
+        return real(ring, images)
 
-    monkeypatch.setattr(gnk.talex, "_denominator", spy)
+    monkeypatch.setattr(gnk.talex, "_denominators", spy)
     total = tried = 0
     for wm in batches:
         calls.clear()
         got = twisted_alexanders(wm.pres, wm.reps)
-        assert len(calls) == len({rep.images[0] for rep in wm.reps})
-        assert {ta.column for ta in got} == {0}
-        total += len(calls)
+        (images,) = calls  # one call per batch
+        assert sorted(images) == sorted({rep.images[0] for rep in wm.reps})
+        total += len(images)
         tried += len(got)
         alone = [twisted_alexander(wm.pres, rep).line() for rep in wm.reps]
         assert [ta.line() for ta in got] == alone
@@ -818,7 +849,6 @@ def test_trefoil_classical_values():
     ):
         ta = twisted_alexander(pres, trivial_representation(pres, p))
         assert ta.line() == f"{num} | {den}"
-        assert ta.column == 0
 
 
 def test_composite_knots_square_the_trefoil():
@@ -860,46 +890,44 @@ def test_braid_and_reduced_presentations_agree_per_hom():
         assert a.line() == b.line()
 
 
-def test_column_choice_is_immaterial():
-    pres = knot_presentation("SK", 2)
-    group = SL2Group(3)
-    homs = list(enumerate_homs(pres, group))
-    rep = representation_from_sl2_hom(pres, homs[len(homs) // 2])
-    results = [twisted_alexander(pres, rep, column=j) for j in range(3)]
-    for a, b in itertools.combinations(results, 2):
-        lhs = (laurent(3, a.numerator) * laurent(3, b.denominator)).normalized()
-        rhs = (laurent(3, b.numerator) * laurent(3, a.denominator)).normalized()
-        assert lhs == rhs
-
-
-def test_column_defaults_to_zero_and_is_range_checked():
-    sk = knot_presentation("SK", 1)
-    rep = trivial_representation(sk, 5)
-    assert twisted_alexander(sk, rep).column == 0
+def test_numerator_does_not_depend_on_the_deleted_column():
+    # the kernel always deletes the first column; every generator is a
+    # meridian, so deleting any other gives the same minors gcd
+    sk1, sk2 = knot_presentation("SK", 1), knot_presentation("SK", 2)
+    homs = list(enumerate_homs(sk2, SL2Group(3)))
+    cases = [
+        (sk1, trivial_representation(sk1, 5)),
+        (sk2, representation_from_sl2_hom(sk2, homs[len(homs) // 2])),
+        (sk2, representation_from_sl2_hom(sk2, homs[-1])),
+    ]
+    for pres, rep in cases:
+        ta = twisted_alexander(pres, rep)
+        wm = wada_matrix(pres, (rep,))
+        for j in range(len(pres.gens)):
+            flat = deleted_flat(wm, j)
+            oracle = poly_minors_gcd(rep.p, flat, len(flat[0]))
+            assert oracle.normalized().coeffs == ta.numerator
     line = "1 + 3*t + 3*t^2 + 3*t^3 + t^4 | 1 + 4*t"
-    assert {twisted_alexander(sk, rep, column=j).line() for j in range(3)} == {line}
-    # out-of-range columns are refused, not wrapped around or left to index
-    for column in (-1, 3):
-        with pytest.raises(ValueError, match="out of range"):
-            twisted_alexander(sk, rep, column=column)
+    assert twisted_alexander(*cases[0]).line() == line
 
 
 def test_denominators_never_vanish():
     # det(A t - 1) has constant term det(-1) = (-1)^k, so no column needs
     # skipping: checked on every element of SL2_3 and SL2_5 and every matrix
     # of the PSL2_7 dictionary
-    images = [
-        (p, ((a, b), (c, d)))
+    images = {
+        p: [((a, b), (c, d)) for a, b, c, d in SL2Group(p).elements()]
         for p in (3, 5)
-        for a, b, c, d in SL2Group(p).elements()
-    ]
-    images += [(2, m) for m in psl27_matrix_dictionary().values()]
-    assert len(images) == 24 + 120 + 168
-    for p, image in images:
+    }
+    images[2] = list(psl27_matrix_dictionary().values())
+    assert [len(images[p]) for p in (3, 5, 2)] == [24, 120, 168]
+    for p, batch in images.items():
         ring = _ring_for(p)
-        den = _denominator(ring, image)
-        assert den != ring.zero
-        assert _normalized(ring, den)[0] == 1
+        dens = _denominators(ring, batch)
+        assert len(dens) == len(batch)
+        for den in dens:
+            assert den != ring.zero
+            assert _normalized(ring, den)[0] == 1
 
 
 def test_numerator_matches_minors_oracle():
@@ -914,7 +942,7 @@ def test_numerator_matches_minors_oracle():
     cases.append((pres2, representation_from_sl2_hom(pres2, hom)))
     for pres, rep in cases:
         ta = twisted_alexander(pres, rep)
-        flat = deleted_flat(wada_matrix(pres, (rep,)), ta.column)
+        flat = deleted_flat(wada_matrix(pres, (rep,)), 0)
         oracle = poly_minors_gcd(rep.p, flat, len(flat[0]))
         assert ta.numerator == oracle.normalized().coeffs
 
@@ -925,7 +953,7 @@ def test_psl27_numerator_matches_minors_oracle():
     hom = next(iter(enumerate_homs(pres, psl)))
     rep = representation_from_psl27_hom(pres, hom)
     ta = twisted_alexander(pres, rep)
-    flat = deleted_flat(wada_matrix(pres, (rep,)), ta.column)
+    flat = deleted_flat(wada_matrix(pres, (rep,)), 0)
     minors = [
         poly_det(2, [flat[i] for i in rows])
         for rows in itertools.combinations(range(9), 6)
