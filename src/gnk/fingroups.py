@@ -479,21 +479,25 @@ class DirectProductGroup(FiniteGroup):
 
     def parse_element(self, text: str):
         t = text.strip()
-        if not (t.startswith("(") and t.endswith(")")):
+        parts = split_outside_brackets(t[1:-1])
+        if not (t.startswith("(") and t.endswith(")")) or len(parts) != 2:
             raise ValueError(f"bad product element {text!r}")
-        inner = t[1:-1]
-        depth = 0
-        for i, ch in enumerate(inner):
-            if ch in "([":
-                depth += 1
-            elif ch in ")]":
-                depth -= 1
-            elif ch == ";" and depth == 0:
-                return (
-                    self.left.parse_element(inner[:i]),
-                    self.right.parse_element(inner[i + 1 :]),
-                )
-        raise ValueError(f"bad product element {text!r}")
+        return self.left.parse_element(parts[0]), self.right.parse_element(parts[1])
+
+
+def split_outside_brackets(text: str) -> list[str]:
+    """text split at each semicolon that no round or square bracket holds."""
+    pieces, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == ";" and depth == 0:
+            pieces.append(text[start:i])
+            start = i + 1
+    pieces.append(text[start:])
+    return pieces
 
 
 # -- group-level utilities ------------------------------------------------------

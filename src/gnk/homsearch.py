@@ -38,7 +38,7 @@ from .presentations import (
     g1_braid_presentation,
     knot_presentation,
 )
-from .words import GeneratorTable, Word, evaluate, word_inverse, word_product
+from .words import Word, word_inverse, word_product
 
 BLOCK_ROWS = 1 << 17
 
@@ -256,16 +256,10 @@ def _solve_for(relator: Word, pos: int) -> Word:
     return word_product(v, u)
 
 
+@lru_cache(maxsize=None)
 def compile_plan(pres: Presentation) -> tuple:
     """Assignment steps for pres; _Pin and _Check refer to relator positions."""
-    # Presentation equality ignores relator order, so the cache keys on the
-    # ordered relators instead.
-    return _compile_plan(pres.gens, pres.relators)
-
-
-@lru_cache(maxsize=None)
-def _compile_plan(gens: GeneratorTable, relators: tuple[Word, ...]) -> tuple:
-    count = len(gens)
+    relators, count = pres.relators, len(pres.gens)
     known: set[int] = set()
     used: set[int] = set()
     steps: list = []
@@ -657,7 +651,9 @@ def lift_roots(
 
 @dataclass(frozen=True)
 class ExtensionCandidate:
-    """One attempted lift of a base homomorphism along an n-th root."""
+    """One attempted lift of a base homomorphism along an n-th root.  root_ok
+    and braid_ok hold for every candidate (d_hat is an n-th root of D, and
+    extend_g1_hom refuses a non-braid base); only third_ok can fail."""
 
     knot: str
     n: int
@@ -679,14 +675,15 @@ def extend_g1_hom(
 ) -> tuple[ExtensionCandidate, ...]:
     """All root lifts of one base homomorphism, valid or not.
 
-    base is the (D, B, E) image triple; see lift_roots.
+    base is the (D, B, E) image triple; see lift_roots.  A base that breaks
+    a braid relator raises ValueError, before the knot is checked.
     """
     indices = np.array([[group.index_of(x) for x in base]], dtype=np.int32)
+    idx, cols = indexed_tables(group), dict(enumerate(indices.T))
+    braid = g1_braid_presentation().relators
+    if any(_eval_on_columns(r, cols, idx, 1)[0] != idx.ident for r in braid):
+        raise ValueError("base images do not satisfy the braid relations")
     _, d_hat, b_hat, e_hat, third_ok = lift_roots(group, indices, n, knot)
-    braid_ok = all(
-        evaluate(r, base, group) == group.identity
-        for r in g1_braid_presentation().relators
-    )
     els = group.elements()
     return tuple(
         ExtensionCandidate(
@@ -696,8 +693,8 @@ def extend_g1_hom(
             d_hat=els[d],
             b_hat=els[b],
             e_hat=els[e],
-            root_ok=True,  # d_hat is drawn from the n-th roots of D
-            braid_ok=braid_ok,
+            root_ok=True,
+            braid_ok=True,
             third_ok=ok,
         )
         for d, b, e, ok in zip(

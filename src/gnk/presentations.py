@@ -8,8 +8,8 @@ swap.  At n = 1 this is the usual Wirtinger relation.
 Relators are stored cyclically reduced and canonicalized: among all
 rotations of the relator and of its inverse we keep the lexicographically
 least syllable tuple.  Two relators that present the same cyclic word
-therefore compare equal, which makes presentation equality a multiset
-comparison.
+therefore compare equal.  A presentation is its fields: two compare equal
+when their generators, ordered relators, n and label do.
 """
 
 from __future__ import annotations
@@ -101,13 +101,10 @@ def equality_relator(lhs: Word, rhs: Word) -> Word:
     return word_product(lhs, word_inverse(rhs))
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class Presentation:
-    """Generators, canonicalized relators, and the twist level n.
-
-    Relators keep their construction order; equality and hashing compare
-    the relator multiset (and generators and n) and ignore the label.
-    """
+    """Generators, canonicalized relators in construction order, the twist
+    level n and a label."""
 
     gens: GeneratorTable
     relators: tuple[Word, ...]
@@ -123,21 +120,6 @@ class Presentation:
         object.__setattr__(
             self, "relators", tuple(canonical_relator(r) for r in self.relators)
         )
-
-    def _key(self):
-        return (
-            self.gens.names,
-            self.n,
-            tuple(sorted(r.syllables for r in self.relators)),
-        )
-
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Presentation):
-            return NotImplemented
-        return self._key() == other._key()
-
-    def __hash__(self) -> int:
-        return hash(self._key())
 
 
 # -- diagram to presentation ------------------------------------------------

@@ -36,9 +36,11 @@ degree, before any invariant is computed from them.  One transpose and
 reshape of the array then reads every member's deleted matrix as plain
 F_p[t] elements under one common power of t, and one more reads every
 distinct denominator block.  Members that send the deleted generator to
-the same matrix share one denominator, and each image in GL_k(F_p) is
-inverted once per process.  Both results are kept as coefficient tuples
-(c_0, ..., c_d) with c_0 = 1, and () for zero.
+the same matrix share one denominator.  No matrix is inverted here: each
+representation carries its images' inverses, read off the group, and one
+product checks a whole batch's inverses mod p before the walk.  Both
+results are kept as coefficient tuples (c_0, ..., c_d) with c_0 = 1, and
+() for zero.
 
 A sweep cell's invariant lines come from `cell_lines`: it picks the
 target's representation route, merges the cell's conjugation orbits into
@@ -47,7 +49,7 @@ GL_k(F_p) classes, and evaluates one batch of the classes' rows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
 from typing import Sequence
@@ -251,58 +253,22 @@ def _pivot_product(ring, grid: list[list]):
 # -- representations and the block matrix --------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def _mat_inv(p: int, a: tuple) -> tuple:
-    """The inverse of a over F_p, computed once per (p, a) in a process.  A
-    singular a raises on every call: exceptions are not cached."""
-    k = len(a)
-    aug = [
-        [a[i][j] % p for j in range(k)]
-        + [1 if i == j else 0 for j in range(k)]
-        for i in range(k)
-    ]
-    for col in range(k):
-        piv = next((r for r in range(col, k) if aug[r][col]), None)
-        if piv is None:
-            raise ValueError("matrix is singular")
-        aug[col], aug[piv] = aug[piv], aug[col]
-        inv = pow(aug[col][col], -1, p)
-        aug[col] = [v * inv % p for v in aug[col]]
-        for r in range(k):
-            if r != col and aug[r][col]:
-                c = aug[r][col]
-                aug[r] = [
-                    (x - c * y) % p for x, y in zip(aug[r], aug[col])
-                ]
-    return tuple(tuple(row[k:]) for row in aug)
-
-
 @dataclass(frozen=True)
 class Representation:
-    """Generator images in GL_k(F_p).
+    """Generator images in GL_k(F_p), and their inverses.
 
     Every generator is a meridian, so x contributes the block image(x) * t;
     the map is admissible for a presentation when every relator lands on
-    the identity block with total degree zero.
+    the identity block with total degree zero.  The builders read each
+    inverse off the group; wada_matrix checks a whole batch, shapes and
+    image times inverse = 1 mod p, before its walk.
     """
 
     table: GeneratorTable
     dim: int
     p: int
     images: tuple
-    inverses: tuple = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self) -> None:
-        if len(self.images) != len(self.table):
-            raise ValueError("one image per generator")
-        fixed = []
-        for m in self.images:
-            if len(m) != self.dim or any(len(row) != self.dim for row in m):
-                raise ValueError("image has the wrong shape")
-            fixed.append(tuple(tuple(v % self.p for v in row) for row in m))
-        object.__setattr__(self, "images", tuple(fixed))
-        # raises when an image is singular
-        object.__setattr__(self, "inverses", tuple(_mat_inv(self.p, m) for m in fixed))
+    inverses: tuple
 
 
 @dataclass(frozen=True, eq=False)
@@ -310,18 +276,28 @@ class WadaMatrix:
     """The block matrices of a batch of representations, by degree.
 
     coeffs[r, i, j, d] is the k x k coefficient matrix of t^(low + d) in
-    the block of relator i and generator j for member r, reduced mod p.
+    the block of relator i and generator j for member r, reduced mod p;
+    images[j, r] is member r's image of generator j, reduced mod p.
     """
 
     pres: Presentation
     reps: tuple[Representation, ...]
     low: int
     coeffs: np.ndarray
+    images: np.ndarray
 
 
 def _stack(reps, attr: str) -> np.ndarray:
-    """Each generator's images (or inverses) over the batch, (gens, R, k, k)."""
-    return np.array([getattr(r, attr) for r in reps], np.int64).swapaxes(0, 1)
+    """Each generator's images (or inverses) over the batch, (gens, R, k, k),
+    reduced mod p; anything but one k x k matrix per generator raises."""
+    k, gens = reps[0].dim, len(reps[0].table)
+    try:
+        arr = np.array([getattr(r, attr) for r in reps], np.int64)
+    except ValueError:  # ragged
+        arr = np.empty(0)
+    if arr.shape[1:] != (gens, k, k):
+        raise ValueError(f"need one {k} x {k} {attr[:-1]} per generator")
+    return arr.swapaxes(0, 1) % reps[0].p
 
 
 def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatrix:
@@ -331,8 +307,10 @@ def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatri
     letter count, one for the whole batch.  Walking relator r letter by
     letter with prefix w, a letter x_j adds Phi(w) t^deg(w) to block j and
     a letter x_j^-1 subtracts Phi(w x_j^-1) t^deg(w x_j^-1): the Fox
-    derivative dr/dx_j pushed through the representation.  Each letter is one stacked product
-    over the batch.  Every member's walk must end on the identity at degree
+    derivative dr/dx_j pushed through the representation.  Each letter is
+    one stacked product over the batch.  Before the walk every image times
+    its given inverse must be the identity mod p, in one product for the
+    batch; after it every member's walk must end on the identity at degree
     0, and the blocks must pass the chain-rule check.
     """
     reps = tuple(reps)
@@ -352,6 +330,8 @@ def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatri
     span = max((d for *_, degs in walks for d in degs), default=0) - low + 1
     images, inverses = _stack(reps, "images"), _stack(reps, "inverses")
     ident = np.broadcast_to(np.eye(k, dtype=np.int64), (len(reps), k, k))
+    if (images @ inverses % p != ident).any():
+        raise ValueError("an image times its inverse is not 1 mod p")
     acc = np.zeros((len(walks), len(pres.gens), span, len(reps), k, k), np.int64)
     for i, (rel, letters, degs) in enumerate(walks):
         prefix = ident
@@ -364,7 +344,7 @@ def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatri
                 acc[i, g, degs[n + 1] - low] -= prefix
         if degs[-1] != 0 or (prefix != ident).any():
             raise ValueError(f"relator {rel.syllables} is not respected")
-    wm = WadaMatrix(pres, reps, low, np.moveaxis(acc, 3, 0) % p)
+    wm = WadaMatrix(pres, reps, low, np.moveaxis(acc, 3, 0) % p, images)
     _check_chain_rule(wm)
     return wm
 
@@ -372,12 +352,11 @@ def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatri
 def _check_chain_rule(wm: WadaMatrix) -> None:
     """sum_j C_ij(t) (A_j t - 1) = 0 for each member and relator i, degree
     by degree."""
-    images = _stack(wm.reps, "images")
     members, rels, gens, span, k, _ = wm.coeffs.shape
     total = np.zeros((members, rels, span + 1, k, k), np.int64)
     for j in range(gens):
         block = wm.coeffs[:, :, j]
-        total[:, :, 1:] += block @ images[j][:, None, None]
+        total[:, :, 1:] += block @ wm.images[j][:, None, None]
         total[:, :, :-1] -= block
     if (total % wm.reps[0].p).any():
         raise RuntimeError("free-calculus identity failed; the matrix is wrong")
@@ -405,10 +384,11 @@ def _grids(ring, blocks: np.ndarray) -> list[list[list]]:
     return [[list(map(ring._trim, row)) for row in grid] for grid in flat.tolist()]
 
 
-def _denominators(ring, images: list[tuple]) -> list:
-    """det(A t - 1) in the plain ring for each image A, from one _grids
-    call.  Its constant term is det(-1) = (-1)^k, so it never vanishes."""
-    k = len(images[0])
+def _denominators(ring, images: np.ndarray) -> list:
+    """det(A t - 1) in the plain ring for each image A of images, (D, k, k),
+    from one _grids call.  Its constant term is det(-1) = (-1)^k, so it
+    never vanishes."""
+    k = images.shape[-1]
     blocks = np.zeros((len(images), 1, 1, 2, k, k), np.int64)
     blocks[:, 0, 0, 0] = -np.eye(k, dtype=np.int64)
     blocks[:, 0, 0, 1] = images
@@ -437,20 +417,17 @@ def twisted_alexanders(
     Every member deletes the first generator's column block.  Every
     generator is a meridian and all of them are conjugate, so any other
     column would give the same pair.  A denominator depends only on the
-    deleted generator's image, so members sharing the image share one.
+    deleted generator's image, so members sharing the reduced image share
+    one.
     """
     wm = wada_matrix(pres, reps)
     ring = _ring_for(wm.reps[0].p)
-    images = list(dict.fromkeys(rep.images[0] for rep in wm.reps))
-    dens = {
-        image: _normalized(ring, den)
-        for image, den in zip(images, _denominators(ring, images))
-    }
+    distinct, which = np.unique(wm.images[0], axis=0, return_inverse=True)
+    dens = [_normalized(ring, den) for den in _denominators(ring, distinct)]
+    grids = _grids(ring, wm.coeffs[:, :, 1:])
     return [
-        TwistedAlexander(
-            _normalized(ring, _pivot_product(ring, grid)), dens[rep.images[0]]
-        )
-        for rep, grid in zip(wm.reps, _grids(ring, wm.coeffs[:, :, 1:]))
+        TwistedAlexander(_normalized(ring, _pivot_product(ring, grid)), dens[i])
+        for i, grid in zip(which.reshape(-1).tolist(), grids)
     ]
 
 
@@ -468,29 +445,35 @@ def twisted_alexander(pres: Presentation, rep: Representation) -> TwistedAlexand
 
 
 def representation_from_sl2_hom(pres: Presentation, hom) -> Representation:
-    """Natural 2-dimensional representation of an SL2-valued homomorphism."""
-    group = hom.group
-    images = tuple(
-        ((a, b), (c, d)) for a, b, c, d in hom.images()
-    )
+    """Natural 2-dimensional representation of an SL2-valued homomorphism;
+    the inverses are the group's."""
+    group, elements = hom.group, hom.images()
+
+    def matrices(xs):
+        return tuple(((a, b), (c, d)) for a, b, c, d in xs)
+
     return Representation(
         table=pres.gens,
         dim=2,
         p=group.p,
-        images=images,
+        images=matrices(elements),
+        inverses=matrices(map(group.inv, elements)),
     )
 
 
 def representation_from_psl27_hom(pres: Presentation, hom) -> Representation:
-    """3-dimensional F_2 representation through the 168-element dictionary."""
-    if not isinstance(hom.group, PSL2Group) or hom.group.p != 7:
+    """3-dimensional F_2 representation through the 168-element dictionary;
+    an inverse is the dictionary's matrix of the group's inverse."""
+    group, elements = hom.group, hom.images()
+    if not isinstance(group, PSL2Group) or group.p != 7:
         raise ValueError("homomorphism must land in PSL2_7")
     table = psl27_matrix_dictionary()
     return Representation(
         table=pres.gens,
         dim=3,
         p=2,
-        images=tuple(table[x] for x in hom.images()),
+        images=tuple(table[x] for x in elements),
+        inverses=tuple(table[group.inv(x)] for x in elements),
     )
 
 

@@ -14,7 +14,7 @@ right, and evaluation applies the leftmost letter first.  So evaluating
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 Syllable = tuple[int, int]
 
@@ -107,20 +107,6 @@ def word_product(*words: Word) -> Word:
 
 def word_inverse(w: Word) -> Word:
     return Word(w.table, tuple((g, -e) for g, e in reversed(w.syllables)))
-
-
-def evaluate(w: Word, images: Sequence, group) -> object:
-    """Image of a word under generator assignments, left to right.
-
-    ``images[i]`` is the image of generator ``i``; ``group`` supplies
-    ``identity``, ``mul`` and ``power``.
-    """
-    if len(images) != len(w.table):
-        raise ValueError("one image per generator required")
-    acc = group.identity
-    for gen, exp in w.syllables:
-        acc = group.mul(acc, group.power(images[gen], exp))
-    return acc
 
 
 def format_word(w: Word) -> str:

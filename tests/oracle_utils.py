@@ -31,16 +31,20 @@ check that the PSL2_7 dictionary is onto GL_3(F_2) and keeps orders;
 these matrix oracles and the relator replay multiply and invert matrices
 with their own entry-by-entry product and powers.
 
-Other helpers serve the tests as fixtures or as oracles: word powers,
-next to the Fox derivatives that use them; conjugation, next to the
-conjugacy classes; and at the end the trivial representation, a
-stand-in process pool, word substitution, the powered third relation,
-homomorphism checks, and text forms of presentations, diagrams and
-Cayley tables.
+Other helpers serve the tests as fixtures or as oracles: relator
+multisets, next to the canonical relator; word powers, next to the Fox
+derivatives that use them; conjugation, next to the conjugacy classes;
+and at the end the trivial representation, a stand-in process pool, the
+benchmark's modules loaded from their files, word
+evaluation in any group with identity, mul and power, word substitution,
+the powered third relation, homomorphism checks, and text forms of
+presentations, diagrams and Cayley tables.
 """
 
 import hashlib
+import importlib.util
 import itertools
+import os
 import random
 from dataclasses import dataclass
 from math import gcd
@@ -60,7 +64,6 @@ from gnk.talex import Representation
 from gnk.words import (
     GeneratorTable,
     Word,
-    evaluate,
     parse_word,
     reduce,
     word_inverse,
@@ -201,6 +204,11 @@ def rotation_canonical_relator(w):
             if best is None or cand < best:
                 best = cand
     return Word(w.table, best)
+
+
+def relator_multiset(relators):
+    """Relators as a sorted list of syllable tuples, forgetting their order."""
+    return sorted(r.syllables for r in relators)
 
 
 # -- integer matrices and the abelianization ----------------------------------------
@@ -1053,11 +1061,13 @@ def per_hom_talex(knot, n, target):
 def trivial_representation(pres, p):
     """Every generator to the 1 x 1 identity over F_p, and to t under the
     degree map: the classical Alexander polynomial."""
+    images = (((1,),),) * len(pres.gens)
     return Representation(
         table=pres.gens,
         dim=1,
         p=p,
-        images=(((1,),),) * len(pres.gens),
+        images=images,
+        inverses=tuple(mat_inverse(p, m) for m in images),
     )
 
 
@@ -1081,7 +1091,32 @@ def recording_pool(sizes):
     return Pool
 
 
+def bench_module(name):
+    """bench/<name>.py, loaded from its file; the benchmark's modules that
+    tests read import only the standard library."""
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    path = os.path.join(root, "bench", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(f"bench_{name}", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
 # -- homomorphisms, words, presentations and tables as text -----------------------
+
+
+def evaluate(w, images, group):
+    """Image of a word under generator assignments, left to right.
+
+    images[i] is the image of generator i; group supplies identity, mul
+    and power.
+    """
+    if len(images) != len(w.table):
+        raise ValueError("one image per generator required")
+    acc = group.identity
+    for gen, exp in w.syllables:
+        acc = group.mul(acc, group.power(images[gen], exp))
+    return acc
 
 
 def hom_is_valid(hom):

@@ -322,6 +322,23 @@ def test_extend_rejects_non_braid_base(capsys):
     assert "braid relations" in err
 
 
+def test_extend_reads_product_elements(capsys):
+    # "(x; y)" holds a semicolon, which used to split the base there
+    element = "(0; (1,2,3))"
+    base = f"d={element}; b={element}; e={element}"
+    code, out, err = run(capsys, "extend", "--target", "Z2xS3", "--n", "2",
+                         "--knot", "SK", "--base", base)
+    assert (code, err) == (0, "")
+    assert out.splitlines() == [
+        "d_hat=(0; (1,3,2)) root=ok braid=ok third=ok valid",
+        "d_hat=(1; (1,3,2)) root=ok braid=ok third=ok valid",
+        "valid extensions: 2 of 2",
+    ]
+    code, out, err = run(capsys, "extend", "--target", "Z2xS3", "--n", "2",
+                         "--knot", "SK", "--base", base + ";")
+    assert (code, out, err) == (1, "", "error: bad base assignment ''\n")
+
+
 def test_extend_rejects_incomplete_base(capsys):
     code, _, err = run(capsys, "extend", "--target", "S4", "--n", "2",
                        "--knot", "SK", "--base", "d=(1,2)")

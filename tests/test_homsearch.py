@@ -44,7 +44,7 @@ from gnk.presentations import (
     g1_braid_presentation,
     knot_presentation,
 )
-from gnk.words import GeneratorTable, evaluate, parse_word
+from gnk.words import GeneratorTable, parse_word
 
 from oracle_utils import (
     brute_force_homs,
@@ -52,6 +52,7 @@ from oracle_utils import (
     cayley_table,
     conjugacy_classes,
     conjugate,
+    evaluate,
     format_cayley_table,
     full_base_property_t,
     g1_base_matrix,
@@ -59,6 +60,7 @@ from oracle_utils import (
     hom_is_valid,
     naive_index_tables,
     recording_pool,
+    relator_multiset,
     scalar_lifts,
     scalar_property_t,
     serialize_hom,
@@ -102,13 +104,14 @@ def test_plan_covers_presentations_without_relators():
 
 
 def test_plan_cache_respects_relator_order():
-    # Reordered presentations compare equal, but plan steps hold relator
-    # positions, so each ordering needs its own plan.
+    # Reordered presentations share gens, n and the relator multiset, but
+    # plan steps hold relator positions, so each ordering needs its own plan.
     pres = knot_presentation("SK", 2, raw=True)
     assert count_homs(pres, S3)[0] == 6
     for order in itertools.permutations(pres.relators):
         moved = Presentation(pres.gens, order, pres.n, pres.label)
-        assert moved == pres
+        assert (moved.gens, moved.n) == (pres.gens, pres.n)
+        assert relator_multiset(moved.relators) == relator_multiset(pres.relators)
         assert count_homs(moved, S3)[0] == 6
 
 
@@ -529,6 +532,22 @@ def test_powered_relation_agrees_with_third_relator():
 def test_extension_unknown_knot():
     with pytest.raises(KeyError):
         extend_g1_hom(S3, (S3.identity,) * 3, 2, "unknot")
+
+
+def test_extension_refuses_a_non_braid_base():
+    # checked before the roots and the knot: a 4-cycle has no square root
+    # in S4, so no candidate would show the fault, and a trefoil would skip
+    braid = g1_braid_presentation()
+    swap, four, other = (S4.parse_element(x) for x in ("(1,2)", "(1,2,3,4)", "(3,4)"))
+    assert nth_roots(S4, four, 2) == ()
+    for base in ((swap, swap, other), (four, swap, other)):
+        assert any(evaluate(r, base, S4) != S4.identity for r in braid.relators)
+        for knot in ("SK", "GK", "trefoil_r"):
+            with pytest.raises(ValueError, match="braid relations") as info:
+                extend_g1_hom(S4, base, 2, knot)
+            assert not isinstance(info.value, CapabilityError)
+    with pytest.raises(CapabilityError):  # a braid base still skips the trefoil
+        extend_g1_hom(S4, (S4.identity,) * 3, 2, "trefoil_r")
 
 
 # -- property T and structured counts ----------------------------------------------

@@ -5,21 +5,13 @@ name; and every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
-import importlib.util
 import os
 import re
 
+from oracle_utils import bench_module
+
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 SRC = os.path.join(ROOT, "src", "gnk")
-
-
-def _spans():
-    """bench/spans.py, loaded from its file (it imports only the stdlib)."""
-    path = os.path.join(ROOT, "bench", "spans.py")
-    spec = importlib.util.spec_from_file_location("bench_spans", path)
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
-    return module
 
 
 def _sources():
@@ -56,7 +48,7 @@ def _referenced(node, skip=None):
 
 
 def test_wrapped_functions_resolve():
-    spans = _spans()
+    spans = bench_module("spans")
     for module, function in spans.WRAPPED:
         mod = importlib.import_module(f"gnk.{module}")
         assert callable(getattr(mod, function, None)), (module, function)
@@ -67,7 +59,7 @@ def test_wrapped_functions_resolve():
 def test_every_public_name_is_used_documented_or_traced():
     trees = _sources()
     readme = _readme_words()
-    wrapped = {(module, function) for module, function in _spans().WRAPPED}
+    wrapped = {(module, function) for module, function in bench_module("spans").WRAPPED}
     unused = []
     for module, tree in trees.items():
         for node in tree.body:
@@ -94,7 +86,7 @@ def test_every_public_method_is_used_documented_or_traced():
         for node in ast.walk(tree)
         if isinstance(node, ast.Attribute)
     }
-    allowed = read | _readme_words() | {f for _, f in _spans().WRAPPED}
+    allowed = read | _readme_words() | {f for _, f in bench_module("spans").WRAPPED}
     unused = [
         f"{module}.{cls.name}.{fn.name}"
         for module, tree in trees.items()

@@ -1,6 +1,4 @@
 import itertools
-import json
-import os
 import random
 
 import numpy as np
@@ -22,7 +20,6 @@ from gnk.talex import (
     _check_chain_rule,
     _denominators,
     _grids,
-    _mat_inv,
     _normalized,
     _pivot_product,
     _poly_text,
@@ -54,6 +51,7 @@ from oracle_utils import (
     laurent,
     laurent_divmod,
     mat3_order,
+    mat_inverse,
     mat_product,
     plain_poly,
     poly_cofactor_det,
@@ -462,17 +460,39 @@ def test_degree_map_rejects_nonzero_exponent_sum():
 # -- representations and the block matrix ------------------------------------------
 
 
+def hand_rep(pres, p, images):
+    """A representation by hand, each inverse from the oracle."""
+    k = len(images[0])
+    inverses = tuple(mat_inverse(p, m) for m in images)
+    return Representation(pres.gens, k, p, tuple(images), inverses)
+
+
 def test_representation_validation():
     pres = trefoil_right_reduced(1)
     rep = trivial_representation(pres, 5)
     validate_representation(pres, rep)
     wada_matrix(pres, (rep,))
-    with pytest.raises(ValueError, match="singular"):
-        Representation(pres.gens, 1, 5, (((0,),), ((1,),)))
-    with pytest.raises(ValueError, match="per generator"):
-        Representation(pres.gens, 1, 5, (((1,),),))
+    ones = (((1,),), ((1,),))
+
+    def by_hand(images, inverses):
+        return Representation(pres.gens, 1, 5, images, inverses)
+
+    cases = (
+        # a wrong inverse of a unit image
+        ("inverse", by_hand(ones, (((1,),), ((2,),)))),
+        # a singular image, which no inverse can pass
+        ("inverse", by_hand((((0,),), ((1,),)), ones)),
+        # an image of the wrong shape
+        ("1 x 1 image", by_hand((((1,),), ((1, 0), (0, 1))), ones)),
+        # a missing image
+        ("image per generator", by_hand((((1,),),), ones)),
+    )
+    for match, bad in cases:
+        for batch in ((bad,), (rep, bad)):  # alone and beside a valid member
+            with pytest.raises(ValueError, match=match):
+                wada_matrix(pres, batch)
     # the trefoil's relation makes both generators' characters equal
-    bad_image = Representation(pres.gens, 1, 5, (((1,),), ((2,),)))
+    bad_image = hand_rep(pres, 5, (((1,),), ((2,),)))
     other = Presentation(GeneratorTable(("x",)), ())
     # the replay oracle and the kernel's walk reject the same inputs
     def batch_of_one(pres, rep):
@@ -485,53 +505,42 @@ def test_representation_validation():
             check(other, rep)
 
 
-def test_inverse_cache_keys_on_p():
-    # one integer matrix under p = 3 and p = 5 gets each modulus's own
-    # inverse; a singular image raises on every construction, and a matrix
-    # singular mod 3 only builds under 5 after failing under 3
-    gens = GeneratorTable(("x",))
-    ident = ((1, 0), (0, 1))
-    m = ((1, 2), (1, 1))
-    inverses = set()
-    for p in (3, 5, 3, 5):
-        rep = Representation(gens, 2, p, (m,))
-        assert mat_product(p, rep.images[0], rep.inverses[0]) == ident
-        inverses.add((p, rep.inverses[0]))
-    assert len(inverses) == 2
-    for _ in range(2):
-        with pytest.raises(ValueError, match="matrix is singular"):
-            Representation(gens, 2, 5, (((1, 2), (2, 4)),))
-    odd = ((1, 1), (1, 4))  # determinant 3
-    for _ in range(2):
-        with pytest.raises(ValueError, match="matrix is singular"):
-            Representation(gens, 2, 3, (odd,))
-        rep = Representation(gens, 2, 5, (odd,))
-        assert mat_product(5, rep.images[0], rep.inverses[0]) == ident
+def test_inverses_are_checked_mod_p():
+    # the inverse of m mod 5 is not its inverse mod 3, so the same record
+    # passes under p = 5 and is refused under p = 3; entries are read mod p
+    pres = Presentation(GeneratorTable(("x",)), ())
+
+    def batch_of_one(p, image, inverse):
+        rep = Representation(pres.gens, 2, p, (image,), (inverse,))
+        return wada_matrix(pres, (rep,))
+
+    m = ((1, 2), (1, 1))  # determinant -1
+    inv5 = mat_inverse(5, m)
+    assert mat_product(3, m, inv5) != ((1, 0), (0, 1))
+    assert batch_of_one(5, m, inv5).images.tolist() == [[[[1, 2], [1, 1]]]]
+    with pytest.raises(ValueError, match="inverse"):
+        batch_of_one(3, m, inv5)
+    batch_of_one(3, m, mat_inverse(3, m))
+    batch_of_one(3, m, tuple(tuple(v + 3 for v in row) for row in mat_inverse(3, m)))
+    odd = ((1, 1), (1, 4))  # determinant 3: singular mod 3, a unit mod 5
+    with pytest.raises(ValueError, match="inverse"):
+        batch_of_one(3, odd, odd)
+    batch_of_one(5, odd, mat_inverse(5, odd))
 
 
-def test_each_image_is_inverted_once_per_process(monkeypatch):
-    # across the benchmark's talex cells every (p, image) is inverted at
-    # most once, while representations ask for inverses many more times,
-    # and the digests are the benchmark's pins
-    import gnk.talex
-    from gnk.harness import run_cell
-
-    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-    with open(os.path.join(root, "bench", "expected.json"), encoding="utf-8") as fh:
-        pins = json.load(fh)["records"]
-    _mat_inv.cache_clear()
-    asked = []
-
-    def spy(p, a):
-        asked.append((p, a))
-        return _mat_inv(p, a)
-
-    monkeypatch.setattr(gnk.talex, "_mat_inv", spy)
-    for knot in ("SK", "GK"):
-        for n in (1, 2, 3):
-            (rec,) = run_cell(knot, n, "SL2_3", ("talex",))
-            assert rec.value == pins[f"{knot}/{n}/SL2_3/talex"][1]
-    assert _mat_inv.cache_info().misses == len(set(asked)) < len(asked)
+@pytest.mark.parametrize("target", ["SL2_2", "SL2_3", "SL2_5", "SL2_7", "PSL2_7"])
+def test_builders_read_inverses_off_the_group(target):
+    # the representation of the one-generator hom x -> g, for every g
+    group = PSL2Group(7) if target == "PSL2_7" else SL2Group(int(target[4:]))
+    build = (
+        representation_from_psl27_hom
+        if target == "PSL2_7"
+        else representation_from_sl2_hom
+    )
+    pres = Presentation(GeneratorTable(("x",)), ())
+    for i in range(group.order):
+        rep = build(pres, Homomorphism(pres, group, (i,)))
+        assert rep.inverses == (mat_inverse(rep.p, rep.images[0]),)
 
 
 def test_relator_check_matches_replay_oracle():
@@ -744,10 +753,7 @@ def _assert_blocks_match_fox(wm):
 def _characters(pres, p):
     """The 1-dimensional representations x -> u of a knot group, one per
     unit u mod p; u = 1 is the trivial representation."""
-    return [
-        Representation(pres.gens, 1, p, (((u,),),) * len(pres.gens))
-        for u in range(1, p)
-    ]
+    return [hand_rep(pres, p, (((u,),),) * len(pres.gens)) for u in range(1, p)]
 
 
 KNOTS_NS = [(knot, n) for knot in ("SK", "GK") for n in (1, 2, 3)]
@@ -796,7 +802,9 @@ def test_batch_computes_each_denominator_once(target, distinct, monkeypatch):
         calls.clear()
         got = twisted_alexanders(wm.pres, wm.reps)
         (images,) = calls  # one call per batch
-        assert sorted(images) == sorted({rep.images[0] for rep in wm.reps})
+        want = {rep.images[0] for rep in wm.reps}
+        assert len(images) == len(want)
+        assert {tuple(map(tuple, m)) for m in images.tolist()} == want
         total += len(images)
         tried += len(got)
         alone = [twisted_alexander(wm.pres, rep).line() for rep in wm.reps]
@@ -815,7 +823,7 @@ def test_batch_failures_name_the_member_fault(monkeypatch):
     for a, b, c, d in SL2Group(5).elements():
         images = list(broken.images)
         images[1] = ((a, b), (c, d))
-        bad = Representation(pres.gens, 2, 5, tuple(images))
+        bad = hand_rep(pres, 5, images)
         try:
             validate_representation(pres, bad)
         except ValueError:
@@ -923,7 +931,7 @@ def test_denominators_never_vanish():
     assert [len(images[p]) for p in (3, 5, 2)] == [24, 120, 168]
     for p, batch in images.items():
         ring = _ring_for(p)
-        dens = _denominators(ring, batch)
+        dens = _denominators(ring, np.array(batch))
         assert len(dens) == len(batch)
         for den in dens:
             assert den != ring.zero

@@ -6,7 +6,6 @@ from hypothesis import given, strategies as st
 from gnk.words import (
     GeneratorTable,
     Word,
-    evaluate,
     format_word,
     parse_word,
     reduce,
@@ -14,7 +13,7 @@ from gnk.words import (
     word_product,
 )
 
-from oracle_utils import generator_words, substitute, word_power
+from oracle_utils import evaluate, generator_words, substitute, word_power
 
 AB = GeneratorTable(("a", "b"))
 ABC = GeneratorTable(("a", "b", "c"))
