@@ -1,12 +1,13 @@
 """Vectorized homomorphism search from finite presentations into finite groups.
 
-The search assigns generator images in a compiled order rather than plain
-presentation order: whenever an unused relator mentions exactly one
-still-unknown generator, exactly once, with exponent +-1, that generator's
-image is forced and gets computed instead of enumerated.  Remaining
-generators are enumerated ("free"), most-constrained first; the first step
-is always free.  Its values are a seed column, so one descent covers every
-seed value, and the image matrix comes back sorted lexicographically by the
+The search assigns one generator image per plan step, in a compiled order
+rather than plain presentation order: whenever an unused relator mentions
+exactly one still-unknown generator, exactly once, with exponent +-1, that
+generator's image is solved from it instead of enumerated.  Remaining
+generators are enumerated, most-constrained first; the first step always
+enumerates.  Each step then checks the relators its assignment completes.
+Step 0's values are a seed column, so one descent covers every seed value,
+and the image matrix comes back sorted lexicographically by the
 presentation's own generator order, so shard outputs merge
 deterministically.
 
@@ -77,8 +78,8 @@ class _Indexed:
     def __init__(self, group: FiniteGroup) -> None:
         els = group.elements()
         n = len(els)
-        idx = {e: i for i, e in enumerate(els)}
-        ident = idx[group.identity]
+        index = group.index_of
+        ident = index(group.identity)
         mul = np.empty((n, n), dtype=np.int32)
         mul[ident] = np.arange(n)
         reached = np.zeros(n, dtype=bool)
@@ -88,7 +89,7 @@ class _Indexed:
         while len(queue) < n:
             g = int(np.argmin(reached))
             gens.append(g)
-            mul[g] = [idx[group.mul(els[g], y)] for y in els]
+            mul[g] = [index(group.mul(els[g], y)) for y in els]
             for x in queue:  # the queue grows while it is walked
                 for h in gens:
                     k = int(mul[h, x])
@@ -102,7 +103,7 @@ class _Indexed:
         self.gens = np.array(gens, dtype=np.int32)
         self.mul = mul
         self.mul_flat = mul.reshape(-1)
-        self.inv = np.array([idx[group.inv(e)] for e in els], dtype=np.int32)
+        self.inv = np.array([index(group.inv(e)) for e in els], dtype=np.int32)
         self._pow: dict[int, np.ndarray] = {
             0: np.full(n, ident, dtype=np.int32),
             1: np.arange(n, dtype=np.int32),
@@ -230,20 +231,14 @@ def class_data(group: FiniteGroup) -> _Classes:
 
 
 @dataclass(frozen=True)
-class _Free:
+class _Step:
+    """Assign gen, enumerated (expr None) or solved from a relator (expr, a
+    word in earlier generators), then keep the rows on which the relators
+    at positions checks hold: those this assignment completes."""
+
     gen: int
-
-
-@dataclass(frozen=True)
-class _Pin:
-    gen: int
-    expr: Word
-    relator_index: int
-
-
-@dataclass(frozen=True)
-class _Check:
-    relator_index: int
+    expr: Word | None
+    checks: tuple[int, ...]
 
 
 def _solve_for(relator: Word, pos: int) -> Word:
@@ -257,25 +252,13 @@ def _solve_for(relator: Word, pos: int) -> Word:
 
 
 @lru_cache(maxsize=None)
-def compile_plan(pres: Presentation) -> tuple:
-    """Assignment steps for pres; _Pin and _Check refer to relator positions."""
+def compile_plan(pres: Presentation) -> tuple[_Step, ...]:
+    """One _Step per generator; checks refer to relator positions."""
     relators, count = pres.relators, len(pres.gens)
     known: set[int] = set()
-    used: set[int] = set()
-    steps: list = []
-
-    def attach_checks() -> None:
-        for ri, r in enumerate(relators):
-            if ri in used:
-                continue
-            if {g for g, _ in r.syllables} <= known:
-                used.add(ri)
-                if r.syllables:
-                    steps.append(_Check(ri))
-
-    attach_checks()
+    used = {ri for ri, r in enumerate(relators) if not r.syllables}
+    steps: list[_Step] = []
     while len(known) < count:
-        pinned = False
         for ri, r in enumerate(relators):
             if ri in used:
                 continue
@@ -285,13 +268,11 @@ def compile_plan(pres: Presentation) -> tuple:
                 if g not in known
             ]
             if known and len(unknown) == 1 and abs(unknown[0][2]) == 1:
-                pos, g, _ = unknown[0]
+                pos, gen, _ = unknown[0]
                 used.add(ri)
-                steps.append(_Pin(g, _solve_for(r, pos), ri))
-                known.add(g)
-                pinned = True
+                expr = _solve_for(r, pos)
                 break
-        if not pinned:
+        else:
             best = None
             for g in range(count):
                 if g in known:
@@ -309,9 +290,15 @@ def compile_plan(pres: Presentation) -> tuple:
                 if best is None or key > best[0]:
                     best = (key, g)
             assert best is not None
-            steps.append(_Free(best[1]))
-            known.add(best[1])
-        attach_checks()
+            gen, expr = best[1], None
+        known.add(gen)
+        checks = tuple(
+            ri
+            for ri, r in enumerate(relators)
+            if ri not in used and {g for g, _ in r.syllables} <= known
+        )
+        used.update(checks)
+        steps.append(_Step(gen, expr, checks))
     return tuple(steps)
 
 
@@ -351,7 +338,7 @@ def hom_image_matrix(
     or with fibers only those whose first free generator maps to a class
     representative (see class_data).
 
-    Plan step 0 is always a _Free.  A seed column takes its place: every
+    Plan step 0 enumerates, and the seed column takes its place: every
     element, or the class representatives.  So one descent covers every
     seed value, and shard s of k takes every k-th seed value from the s-th
     on.  A found row counts weight[x] towards stats.homs, x its first free
@@ -375,41 +362,38 @@ def hom_image_matrix(
     blocks: list[np.ndarray] = []
 
     def descend(i: int, cols: dict[int, np.ndarray], length: int) -> None:
-        if length == 0:
-            return
-        if i == len(steps):
-            stats.homs += int(weight[cols[first]].sum())
-            blocks.append(np.stack([cols[g] for g in range(gen_count)], axis=1))
-            return
-        step = steps[i]
-        if isinstance(step, _Free):
-            total = length * idx.n
-            for lo in range(0, total, BLOCK_ROWS):
-                rows = np.arange(lo, min(lo + BLOCK_ROWS, total), dtype=np.int64)
-                base = rows // idx.n
-                sub = {g: arr[base] for g, arr in cols.items()}
-                sub[step.gen] = (rows % idx.n).astype(np.int32)
-                stats.nodes += len(rows)
-                descend(i + 1, sub, len(rows))
-        elif isinstance(step, _Pin):
-            sub = dict(cols)
-            sub[step.gen] = _eval_on_columns(step.expr, cols, idx, length)
-            stats.nodes += length
-            descend(i + 1, sub, length)
-        else:
-            vals = _eval_on_columns(
-                pres.relators[step.relator_index], cols, idx, length
-            )
+        """Keep the rows that pass step i's checks, then assign step i + 1."""
+        for ri in steps[i].checks:
+            vals = _eval_on_columns(pres.relators[ri], cols, idx, length)
             keep = vals == idx.ident
             kept = int(keep.sum())
             stats.prunes += length - kept
-            if kept == length:
-                descend(i + 1, cols, length)
-            elif kept:
-                descend(i + 1, {g: arr[keep] for g, arr in cols.items()}, kept)
+            if not kept:
+                return
+            if kept < length:
+                cols, length = {g: arr[keep] for g, arr in cols.items()}, kept
+        if i + 1 == len(steps):
+            stats.homs += int(weight[cols[first]].sum())
+            blocks.append(np.stack([cols[g] for g in range(gen_count)], axis=1))
+            return
+        step = steps[i + 1]
+        if step.expr is not None:
+            stats.nodes += length
+            value = _eval_on_columns(step.expr, cols, idx, length)
+            descend(i + 1, {**cols, step.gen: value}, length)
+            return
+        total = length * idx.n
+        for lo in range(0, total, BLOCK_ROWS):
+            rows = np.arange(lo, min(lo + BLOCK_ROWS, total), dtype=np.int64)
+            base = rows // idx.n
+            sub = {g: arr[base] for g, arr in cols.items()}
+            sub[step.gen] = (rows % idx.n).astype(np.int32)
+            stats.nodes += len(rows)
+            descend(i + 1, sub, len(rows))
 
     stats.nodes += len(seed)
-    descend(1, {first: seed}, len(seed))
+    if len(seed):
+        descend(0, {first: seed}, len(seed))
     if blocks:
         matrix = _lex_sorted(np.concatenate(blocks))
     else:
@@ -636,8 +620,7 @@ def lift_roots(
     d_hat = order[first + np.arange(len(row))].astype(np.int32)
 
     def conjugate_roots(x: np.ndarray) -> np.ndarray:
-        x = x[row]
-        return idx.mul[idx.mul[x, d_hat], idx.inv[x]]
+        return _conjugate(idx, d_hat, idx.inv[x[row]])
 
     b_hat = conjugate_roots(idx.mul[D, B])
     if knot == "SK":

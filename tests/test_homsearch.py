@@ -35,9 +35,6 @@ from gnk.homsearch import (
     sharded_search,
     structured_count,
     row_locator,
-    _Check,
-    _Free,
-    _Pin,
 )
 from gnk.presentations import (
     Presentation,
@@ -81,26 +78,95 @@ def rows_of(mat):
 
 def test_reduced_plan_never_pins():
     steps = compile_plan(knot_presentation("SK", 2))
-    kinds = [type(s) for s in steps]
-    assert kinds.count(_Free) == 3
-    assert kinds.count(_Check) == 3
-    assert _Pin not in kinds
+    assert [s.expr for s in steps] == [None] * 3
+    assert sum(len(s.checks) for s in steps) == 3
 
 
 def test_raw_plan_pins_three_generators():
     steps = compile_plan(knot_presentation("SK", 2, raw=True))
-    kinds = [type(s) for s in steps]
-    assert kinds.count(_Free) == 3
-    assert kinds.count(_Pin) == 3
-    assert kinds.count(_Check) == 3
-    covered = {s.gen for s in steps if isinstance(s, (_Free, _Pin))}
-    assert covered == set(range(6))
+    assert sum(s.expr is None for s in steps) == 3
+    assert sum(s.expr is not None for s in steps) == 3
+    assert sum(len(s.checks) for s in steps) == 3
+    assert sorted(s.gen for s in steps) == list(range(6))
 
 
 def test_plan_covers_presentations_without_relators():
     t = GeneratorTable(("x", "y"))
     steps = compile_plan(Presentation(t, ()))
-    assert [type(s) for s in steps] == [_Free, _Free]
+    assert [s.expr for s in steps] == [None, None]
+    assert [s.checks for s in steps] == [(), ()]
+
+
+PLANNED = [
+    knot_presentation(knot, n, raw=raw)
+    for knot in ("SK", "GK", "trefoil_r", "trefoil_l")
+    for n in (1, 2, 3, 4)
+    for raw in (False, True)
+] + [g1_braid_presentation()]
+
+
+@pytest.mark.parametrize("pres", PLANNED, ids=lambda p: p.label)
+def test_plan_assigns_each_generator_once_and_places_each_relator(pres):
+    """Every nonempty relator is completed at one step: the first after
+    which all its generators are assigned.  There it is either checked or
+    the relator that pins the step's generator, which occurs in it once with
+    exponent +-1; each pin comes from exactly one relator.  A pin's word
+    uses only earlier generators, and on every row of the full search into
+    S3 it evaluates (scalar oracle) to the pinned image."""
+    steps = compile_plan(pres)
+    assert sorted(s.gen for s in steps) == list(range(len(pres.gens)))
+    assert steps[0].expr is None
+    assigned = list(itertools.accumulate(({s.gen} for s in steps), set.union))
+    checked = [ri for s in steps for ri in s.checks]
+    assert len(checked) == len(set(checked))
+    pinned_by = []
+    for ri, r in enumerate(pres.relators):
+        gens = {g for g, _ in r.syllables}
+        if not gens:
+            assert ri not in checked
+            continue
+        j = next(j for j, known in enumerate(assigned) if gens <= known)
+        if ri in steps[j].checks:
+            continue
+        assert ri not in checked
+        assert steps[j].expr is not None
+        assert [abs(e) for g, e in r.syllables if g == steps[j].gen] == [1]
+        pinned_by.append(j)
+    pins = [j for j, s in enumerate(steps) if s.expr is not None]
+    assert sorted(pinned_by) == pins
+    rows, _ = hom_image_matrix(pres, S3)
+    assert len(rows)
+    els = S3.elements()
+    for j in pins:
+        step = steps[j]
+        assert {g for g, _ in step.expr.syllables} <= assigned[j - 1]
+        for row in rows.tolist():
+            images = [els[v] for v in row]
+            assert evaluate(step.expr, images, S3) == images[step.gen]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+@pytest.mark.parametrize("group", [S3, S4], ids=["S3", "S4"])
+def test_relator_on_the_first_generator_is_checked_at_step_0(n, group):
+    """a^2 on a trefoil group is complete once a is assigned, so the seed
+    column is filtered by it before anything else is enumerated."""
+    base = knot_presentation("trefoil_r", n)
+    square = parse_word("a^2", base.gens)
+    pres = Presentation(base.gens, base.relators + (square,), n)
+    steps = compile_plan(pres)
+    assert steps[0].gen == 0
+    assert steps[0].checks == (len(base.relators),)
+    want = brute_force_homs(pres, group)
+    full, stats = hom_image_matrix(pres, group)
+    assert rows_of(full) == want
+    els = group.elements()
+    squares_one = sum(group.mul(x, x) == group.identity for x in els)
+    assert stats.nodes == group.order * (1 + squares_one)  # b per kept seed
+    fibers, fiber_stats = hom_image_matrix(pres, group, fibers=True)
+    assert fiber_stats.homs == len(want)
+    moved = into_fibers(pres, group, full)
+    assert len(row_locator(fibers)(moved)) == len(want)
+    assert len(fibers) == len(np.unique(moved, axis=0))
 
 
 def test_plan_cache_respects_relator_order():
