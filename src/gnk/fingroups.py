@@ -8,7 +8,9 @@ dicts and compare across calls.
 Permutations compose left to right: ``mul(x, y)`` applies x first.  Full
 enumeration is refused above MAX_ENUMERABLE_ORDER; arithmetic on individual
 elements works at any order, which is what lets us check a witness inside
-S_24 without ever listing it.
+S_24 without ever listing it.  The twisted Alexander module refuses a cell
+whose Wada coefficient array would pass MAX_WADA_BYTES.  Both refusals
+raise CapabilityError, which a sweep records as a skip.
 """
 
 from __future__ import annotations
@@ -23,9 +25,19 @@ from typing import Iterator
 
 MAX_ENUMERABLE_ORDER = 2500
 
+# Bytes of one talex cell's Wada array: relators x generators x degree span
+# x batch members x k^2 x 8.  A cell's time grows with this size and
+# faster than it, as the echelon's entries lengthen with the span.  On 2
+# vCPUs, cells just under the bound took 0.3-1.1 s (SK into SL2_5 at
+# n = 400: 8.0 MB, 1.1 s; SK into SL2_13 at n = 45: 7.2 MB, 0.85 s), and
+# past it SK into SL2_3 took 1.7 s at n = 800 (10.4 MB) and 5.5 s at
+# n = 1600 (20.7 MB).
+MAX_WADA_BYTES = 2**23
+
 
 class CapabilityError(RuntimeError):
-    """The operation would need to enumerate more than we allow."""
+    """The operation would need more than we allow: a group enumerated past
+    MAX_ENUMERABLE_ORDER, or a Wada array past MAX_WADA_BYTES."""
 
 
 def _is_prime(p: int) -> bool:

@@ -17,9 +17,13 @@ it loses the quotient multiple of the pivot row that leaves its
 remainder, and this repeats until the column is clear below the pivot.
 That row step is one fused ring call, `reduce_row`: it divides the row's
 entry by the pivot and subtracts the quotient multiple of the pivot row
-from the rest of the row in place, skipping the pivot row's zeros.  Over
-F_2 an entry is a bitmask; over F_p the grid holds trimmed coefficient
-lists, and the quotient is applied term by term, mod p per term.
+from the rest of the row in place, skipping the pivot row's zeros.  An
+entry is one int, its coefficients packed w bits apart (Kronecker
+substitution): a bitmask over F_2, where w = 1, and over odd p slots wide
+enough to take a product of residues.  Each quotient term is then one
+shift, one small multiply and one add on a whole entry, and over odd p
+one reduction of every slot mod p at once, by multiplying with a
+precomputed inverse of p and shifting (division by an invariant integer).
 The test suite checks the kernel against a Smith diagonalization and
 cofactor determinants, recomputes small cases by enumerating minors
 directly, and rebuilds the block matrix from Fox derivatives.
@@ -57,6 +61,7 @@ from typing import Sequence
 import numpy as np
 
 from .fingroups import (
+    MAX_WADA_BYTES,
     CapabilityError,
     FiniteGroup,
     PSL2Group,
@@ -70,16 +75,27 @@ from .words import GeneratorTable
 # -- plain polynomial kernels ----------------------------------------------------
 
 
-class _GF2Ring:
-    """F_2[t] with polynomials as bitmasks."""
+class _PackedRing:
+    """F_p[t] with a polynomial packed into one int: the coefficient of
+    t^d, a residue below p, sits in bits [w d, w d + w)."""
 
-    p = 2
     zero = 0
     one = 1
 
-    @staticmethod
-    def deg(a: int) -> int:
-        return a.bit_length() - 1
+    def deg(self, a: int) -> int:
+        return (a.bit_length() - 1) // self.w
+
+    def to_coeffs(self, a: int) -> tuple[int, ...]:
+        return tuple(a >> s & self.slot for s in range(0, a.bit_length(), self.w))
+
+
+class _GF2Ring(_PackedRing):
+    """F_2[t] with polynomials as bitmasks, w = 1, where a step needs no
+    reduction."""
+
+    p = 2
+    w = 1
+    slot = 1
 
     @staticmethod
     def neg(a: int) -> int:
@@ -87,120 +103,125 @@ class _GF2Ring:
 
     @staticmethod
     def mul(a: int, b: int) -> int:
+        """One shifted copy of the longer factor per set bit of the other."""
+        if a > b:
+            a, b = b, a
         out = 0
-        while b:
-            if b & 1:
-                out ^= a
-            a <<= 1
-            b >>= 1
+        while a:
+            if a & 1:
+                out ^= b
+            a >>= 1
+            b <<= 1
         return out
 
-    @classmethod
-    def divmod(cls, a: int, b: int) -> tuple[int, int]:
-        if not b:
-            raise ZeroDivisionError("polynomial division by zero")
-        q = 0
-        db = cls.deg(b)
-        while a and cls.deg(a) >= db:
-            shift = cls.deg(a) - db
-            q ^= 1 << shift
-            a ^= b << shift
-        return q, a
-
     @staticmethod
-    def to_coeffs(a: int) -> tuple[int, ...]:
-        return tuple((a >> i) & 1 for i in range(a.bit_length()))
-
-    @classmethod
-    def reduce_row(cls, row: list, top: list, t: int) -> None:
+    def reduce_row(row: list, top: list, t: int) -> None:
         """row[t] becomes its remainder by top[t], and every later entry of
         row loses the quotient times top's entry in its column; columns
-        where top is zero are skipped.  Entries are replaced, not mutated."""
-        q, row[t] = cls.divmod(row[t], top[t])
-        for j in range(t + 1, len(row)):
-            if top[j]:
-                row[j] ^= cls.mul(q, top[j])
-
-
-class _GFpRing:
-    """F_p[t] with polynomials as trimmed coefficient tuples; the echelon's
-    grid entries are trimmed coefficient lists."""
-
-    zero = ()
-    one = (1,)
-
-    def __init__(self, p: int) -> None:
-        self.p = p
-
-    @staticmethod
-    def deg(a: Sequence[int]) -> int:
-        return len(a) - 1
-
-    @staticmethod
-    def _trim(cs: list[int]) -> list[int]:
-        while cs and not cs[-1]:
-            cs.pop()
-        return cs
-
-    def neg(self, a: Sequence[int]) -> tuple:
-        return tuple((-c) % self.p for c in a)
-
-    def mul(self, a: Sequence[int], b: Sequence[int]) -> tuple:
-        if not a or not b:
-            return ()
-        p = self.p
-        out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if x:
-                for j, y in enumerate(b, i):
-                    out[j] = (out[j] + x * y) % p
-        return tuple(self._trim(out))
-
-    @staticmethod
-    def to_coeffs(a: Sequence[int]) -> Sequence[int]:
-        return a
-
-    def reduce_row(self, row: list, top: list, t: int) -> None:
-        """As in the F_2 ring.  Long division finds the quotient's terms
-        c t^s; each term times top's entry is subtracted from a later entry
-        coefficient by coefficient, in a fresh list, mod p per term."""
-        p, piv = self.p, top[t]
-        d = len(piv) - 1
-        rem = list(row[t])
-        size = len(rem) - d  # quotient terms c t^s have s < size
-        inv_lead = pow(piv[-1], -1, p)
-        terms = []
-        for s in range(size - 1, -1, -1):
-            c = -rem[s + d] * inv_lead % p
-            if c:
-                terms.append((s, c))
-                for i, y in enumerate(piv, s):
-                    rem[i] = (rem[i] + c * y) % p
-        row[t] = self._trim(rem)
+        where top is zero are skipped.  Long division finds the quotient's terms t^s, and each term is one
+        shift and one xor on row[t] and on every later entry."""
+        piv = top[t]
+        d = piv.bit_length()
+        rem, shifts = row[t], []
+        while rem.bit_length() >= d:
+            shifts.append(rem.bit_length() - d)
+            rem ^= piv << shifts[-1]
+        row[t] = rem
         for j in range(t + 1, len(row)):
             b = top[j]
             if b:
-                out = list(row[j])
-                out += [0] * (size + len(b) - 1 - len(out))
-                for s, c in terms:
-                    for i, y in enumerate(b, s):
-                        out[i] = (out[i] + c * y) % p
-                row[j] = self._trim(out)
+                e = row[j]
+                for shift in shifts:
+                    e ^= b << shift
+                row[j] = e
 
 
-def _ring_for(p: int):
-    return _GF2Ring if p == 2 else _GFpRing(p)
+class _GFpRing(_PackedRing):
+    """F_p[t] for odd p, with slots wide enough for a product of residues.
+
+    This is Kronecker substitution (Harvey, J. Symbolic Comput. 44, 2009):
+    a step c t^s b adds (c * b) << w s to an entry, a few big-int
+    operations on the whole polynomial, which leaves every slot below p^2.
+    _reduce then takes every slot mod p at once, by division by the
+    invariant integer p (Granlund and Montgomery, PLDI 1994): with
+    m = ceil(2^k / p), a slot v < p^2 has quotient floor(v m / 2^k), so the
+    quotients are the packed int times m, shifted right by k and masked to
+    each slot's low w - k bits.  k is the least with (p^2 - 1) e < 2^k for
+    e = m p - 2^k, which makes that quotient exact, and w is the width of
+    (p^2 - 1) m, so no slot's product spills into the next.
+    """
+
+    def __init__(self, p: int) -> None:
+        self.p = p
+        k = p.bit_length()
+        while (p * p - 1) * (-(1 << k) % p) >= 1 << k:
+            k += 1
+        self.k, self.m = k, -(-(1 << k) // p)
+        self.w = ((p * p - 1) * self.m).bit_length()
+        self.slot = (1 << self.w) - 1
+        self._quotients = (1 << (self.w - k)) - 1  # grows by doubling
+        self._span = self.w
+        self._neg_inv = [0] + [-pow(c, -1, p) % p for c in range(1, p)]
+
+    def _reduce(self, a: int) -> int:
+        """a with every slot, each below p^2, taken mod p."""
+        q = a * self.m >> self.k
+        while q.bit_length() > self._span:
+            self._quotients |= self._quotients << self._span
+            self._span *= 2
+        return a - (q & self._quotients) * self.p
+
+    def neg(self, a: int) -> int:
+        return self._reduce(a * (self.p - 1))
+
+    def mul(self, a: int, b: int) -> int:
+        """One shifted multiple of the longer factor per term of the other."""
+        if a > b:
+            a, b = b, a
+        out, shift = 0, 0
+        while a:
+            if a & self.slot:
+                out = self._reduce(out + ((a & self.slot) * b << shift))
+            a >>= self.w
+            shift += self.w
+        return out
+
+    def reduce_row(self, row: list, top: list, t: int) -> None:
+        """As in the F_2 ring.  Long division finds the quotient's terms
+        c t^s, and each term is one packed step on row[t] and on every
+        later entry where top is nonzero."""
+        p, w, reduce, piv = self.p, self.w, self._reduce, top[t]
+        d = (piv.bit_length() - 1) // w
+        neg_inv = self._neg_inv[piv >> w * d]
+        rem, terms = row[t], []
+        for shift in range(w * ((rem.bit_length() - 1) // w - d), -1, -w):
+            # slots above shift / w + d are already clear
+            c = (rem >> shift + w * d) * neg_inv % p
+            if c:
+                terms.append((c, shift))
+                rem = reduce(rem + (c * piv << shift))
+        row[t] = rem
+        for j in range(t + 1, len(row)):
+            b = top[j]
+            if b:
+                e = row[j]
+                for c, shift in terms:
+                    e = reduce(e + (c * b << shift))
+                row[j] = e
+
+
+@lru_cache(maxsize=None)
+def _ring_for(p: int) -> _PackedRing:
+    return _GF2Ring() if p == 2 else _GFpRing(p)
 
 
 def _normalized(ring, a) -> tuple[int, ...]:
     """The associate of a with lowest degree 0 and lowest coefficient 1, as
     coefficients from degree 0 upward; () for zero."""
-    cs = ring.to_coeffs(a)
-    low = next((i for i, c in enumerate(cs) if c), len(cs))
-    if low == len(cs):
+    if not a:
         return ()
-    unit = pow(cs[low], -1, ring.p)
-    return tuple(c * unit % ring.p for c in cs[low:])
+    a >>= ((a & -a).bit_length() - 1) // ring.w * ring.w  # the empty low slots
+    return ring.to_coeffs(ring.mul(a, pow(a & ring.slot, -1, ring.p)))
 
 
 def _poly_text(cs: tuple[int, ...]) -> str:
@@ -226,15 +247,15 @@ def _pivot_product(ring, grid: list[list]):
     product.  So for rows >= columns this is the gcd of the maximal minors
     up to a unit, and for a square grid it is the determinant exactly: the
     sign is flipped once per row swap.  Zero when a column has no pivot.
-    Entries are tuples or lists over F_p and ints over F_2; the result is a
-    tuple or an int.  Rows are reduced in place, entries replaced, never
-    mutated.
+    Entries and the result are packed ints.  Rows are reduced in place.
     """
     n = len(grid[0]) if grid else 0
     prod, negate = ring.one, False
     for t in range(n):
         while True:
-            live = [(ring.deg(r[t]), i) for i, r in enumerate(grid[t:], t) if r[t]]
+            # bit length orders by degree first, as a leading coefficient
+            # takes at most w bits
+            live = [(r[t].bit_length(), i) for i, r in enumerate(grid[t:], t) if r[t]]
             if not live:
                 return ring.zero
             piv = min(live)[1]
@@ -311,7 +332,9 @@ def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatri
     one stacked product over the batch.  Before the walk every image times
     its given inverse must be the identity mod p, in one product for the
     batch; after it every member's walk must end on the identity at degree
-    0, and the blocks must pass the chain-rule check.
+    0, and the blocks must pass the chain-rule check.  A batch whose
+    coefficient array would pass MAX_WADA_BYTES raises CapabilityError
+    before any of this.
     """
     reps = tuple(reps)
     if not reps:
@@ -321,13 +344,26 @@ def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatri
     p, k = reps[0].p, reps[0].dim
     if any((rep.p, rep.dim) != (p, k) for rep in reps):
         raise ValueError("a batch must share p and dim")
+    # a prefix's degree is monotone along a syllable, so its extremes sit
+    # at syllable ends
+    ends = [
+        d
+        for rel in pres.relators
+        for d in accumulate((e for _, e in rel.syllables), initial=0)
+    ]
+    low = min(ends, default=0)
+    span = max(ends, default=0) - low + 1
+    size = len(pres.relators) * len(pres.gens) * span * len(reps) * k * k * 8
+    if size > MAX_WADA_BYTES:
+        raise CapabilityError(
+            f"the Wada array would take {size} bytes, past the bound of "
+            f"{MAX_WADA_BYTES} (MAX_WADA_BYTES)"
+        )
     walks = []
     for rel in pres.relators:
         letters = [(g, e // abs(e)) for g, e in rel.syllables for _ in range(abs(e))]
         degs = accumulate((s for _, s in letters), initial=0)
         walks.append((rel, letters, list(degs)))
-    low = min((d for *_, degs in walks for d in degs), default=0)
-    span = max((d for *_, degs in walks for d in degs), default=0) - low + 1
     images, inverses = _stack(reps, "images"), _stack(reps, "inverses")
     ident = np.broadcast_to(np.eye(k, dtype=np.int64), (len(reps), k, k))
     if (images @ inverses % p != ident).any():
@@ -362,26 +398,25 @@ def _check_chain_rule(wm: WadaMatrix) -> None:
         raise RuntimeError("free-calculus identity failed; the matrix is wrong")
 
 
-def _grids(ring, blocks: np.ndarray) -> list[list[list]]:
-    """Each member's matrix of k x k blocks as ring elements: bitmasks over
-    F_2, trimmed coefficient lists over F_p.
+def _grids(ring, blocks: np.ndarray) -> list[list[list[int]]]:
+    """Each member's matrix of k x k blocks as packed ring elements.
 
     blocks[r, i, j, d] is the coefficient matrix of t^d in block (i, j) of
     member r, reduced mod p.  Entry (u, v) of that block lands in row
     i*k + u and column j*k + v.  Every entry of every member is divided by
     the same power of t, the least one with a nonzero coefficient in the
     batch: a common power of t changes no pivot choice, and normalizing
-    strips it from the product.
+    strips it from the product.  One product with the slot weights 2^(w d)
+    packs every entry, in int64 while w times the span fits in 63 bits.
     """
     live = np.flatnonzero(blocks.any(axis=(0, 1, 2, 4, 5)))
     lo, hi = (live[0], live[-1] + 1) if live.size else (0, 0)
     members, rows, cols, _, k, _ = blocks.shape
     flat = blocks[:, :, :, lo:hi].transpose(0, 1, 4, 2, 5, 3)
     flat = flat.reshape(members, rows * k, cols * k, hi - lo)
-    if ring is _GF2Ring:
-        bits = [1 << d for d in range(hi - lo)]
-        return (flat @ np.array(bits, np.int64 if hi - lo < 63 else object)).tolist()
-    return [[list(map(ring._trim, row)) for row in grid] for grid in flat.tolist()]
+    weights = [1 << ring.w * d for d in range(hi - lo)]
+    dtype = np.int64 if ring.w * (hi - lo) <= 63 else object
+    return (flat @ np.array(weights, dtype)).tolist()
 
 
 def _denominators(ring, images: np.ndarray) -> list:
@@ -422,12 +457,15 @@ def twisted_alexanders(
     """
     wm = wada_matrix(pres, reps)
     ring = _ring_for(wm.reps[0].p)
-    distinct, which = np.unique(wm.images[0], axis=0, return_inverse=True)
-    dens = [_normalized(ring, den) for den in _denominators(ring, distinct)]
+    firsts = {}  # each distinct image's first member
+    which = [firsts.setdefault(a.tobytes(), r) for r, a in enumerate(wm.images[0])]
+    rows = list(firsts.values())
+    dens = _denominators(ring, wm.images[0][rows])
+    dens = {r: _normalized(ring, den) for r, den in zip(rows, dens)}
     grids = _grids(ring, wm.coeffs[:, :, 1:])
     return [
-        TwistedAlexander(_normalized(ring, _pivot_product(ring, grid)), dens[i])
-        for i, grid in zip(which.reshape(-1).tolist(), grids)
+        TwistedAlexander(_normalized(ring, _pivot_product(ring, grid)), dens[r])
+        for r, grid in zip(which, grids)
     ]
 
 

@@ -399,13 +399,8 @@ def poly_cofactor_det(p, rows):
 
 def plain_poly(ring, coeffs):
     """Coefficients from degree 0 upward as an element of a talex F_p[t]
-    ring: a bitmask over F_2, else a trimmed tuple."""
-    if ring.p == 2:
-        return sum(1 << i for i, c in enumerate(coeffs) if c % 2)
-    cs = [c % ring.p for c in coeffs]
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
+    ring: residues packed ring.w bits apart, a bitmask over F_2."""
+    return sum((c % ring.p) << ring.w * d for d, c in enumerate(coeffs))
 
 
 def ring_add(ring, a, b):

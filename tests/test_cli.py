@@ -10,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import gnk
 from gnk.cli import main
-from gnk.fingroups import group_from_spec
+from gnk.fingroups import MAX_WADA_BYTES, group_from_spec
 from gnk.harness import ENGINE, ResultRecord, write_records
 
 
@@ -408,6 +408,15 @@ def test_talex_skip_for_permutation_target(capsys):
     assert "skip:" in err
 
 
+def test_talex_skips_past_the_wada_bound(capsys):
+    # 1.3 GB of Wada coefficients at n = 100000: refused before allocating
+    code, out, err = run(capsys, "talex", "--knot", "SK", "--n", "100000",
+                         "--target", "SL2_3")
+    assert code == 2 and out == ""
+    assert err.startswith("skip: the Wada array would take 1296008640 bytes")
+    assert str(MAX_WADA_BYTES) in err and "Traceback" not in err
+
+
 # -- sweep and report -------------------------------------------------------------
 
 
@@ -558,7 +567,6 @@ KNOT_TEXT = st.sampled_from(["SK", "gk", "trefoil_r", "Trefoil_L"]) | st.sampled
     ["figure8", "", "S K"]
 )
 TWISTS = st.integers(-5, 12) | st.integers(-5, 10**7)
-SMALL_TWISTS = st.integers(-5, 6)  # talex: no time bound yet at large n
 GROUP_TEXT = (
     st.sampled_from(["S3", "S4", "A4", "D4", "Z5", "Z2xZ4", "SL2_3", "SL2_5", "PSL2_7"])
     | st.sampled_from(["S0", "Z0", "D1", "SL2_4", "SL2_3x", "xZ2", "x", "Z2xxZ3", "Q8",
@@ -593,10 +601,9 @@ def _config_text(draw):
     tasks = draw(st.lists(st.sampled_from(["count", "classes", "property_t",
                                            "structured", "talex", "mystery"]),
                           min_size=1, max_size=2))
-    twists = SMALL_TWISTS if "talex" in tasks else TWISTS
     config = {
         "knots": draw(st.lists(KNOT_TEXT, min_size=1, max_size=2)),
-        "n_values": draw(st.lists(twists, min_size=1, max_size=2)),
+        "n_values": draw(st.lists(TWISTS, min_size=1, max_size=2)),
         "targets": draw(st.lists(GROUP_TEXT, min_size=1, max_size=2)),
         "tasks": tasks,
     }
@@ -621,7 +628,7 @@ def argument_vectors(draw, files):
          "verify-witness", "talex", "sweep", "report"]
     ))
     knot = ["--knot", draw(KNOT_TEXT)]
-    n = ["--n", str(draw(SMALL_TWISTS if command == "talex" else TWISTS))]
+    n = ["--n", str(draw(TWISTS))]
     target = ["--target", draw(GROUP_TEXT)]
     if command == "present":
         argv = knot + n + draw(st.sampled_from([[], ["--raw"]]))

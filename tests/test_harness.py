@@ -188,6 +188,15 @@ def test_cell_talex_skip_without_matrix_route():
     assert "representation route" in rec.stats["reason"]
 
 
+def test_cell_talex_skip_past_the_wada_bound():
+    (rec,) = run_cell("GK", 400, "SL2_3", ("talex",))
+    assert rec.status == "skip" and rec.value is None
+    assert rec.stats["reason"] == (
+        "the Wada array would take 8648640 bytes, past the bound of 8388608 "
+        "(MAX_WADA_BYTES)"
+    )
+
+
 def test_cell_talex_digest_stable():
     a, = run_cell("SK", 2, "SL2_3", ("talex",))
     b, = run_cell("SK", 2, "SL2_3", ("talex",))

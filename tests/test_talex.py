@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnk.fingroups import PSL2Group, SL2Group, SymmetricGroup
+from gnk.fingroups import CapabilityError, PSL2Group, SL2Group, SymmetricGroup
 from gnk.homsearch import Homomorphism, enumerate_homs
 from gnk.presentations import (
     KNOT_NAMES,
@@ -59,6 +59,7 @@ from oracle_utils import (
     poly_gcd,
     poly_minors_gcd,
     ring_add,
+    ring_sub,
     trivial_representation,
     validate_representation,
     wada_blocks,
@@ -287,10 +288,11 @@ def test_pivot_product_matches_smith_and_cofactor_oracles(monkeypatch):
 
 
 def _canonical(ring, e):
-    """A bitmask over F_2; over F_p a trimmed list or tuple of residues."""
-    if ring.p == 2:
-        return isinstance(e, int) and e >= 0
-    return (not e or e[-1] != 0) and all(0 <= c < ring.p for c in e)
+    """A nonnegative int whose every w-bit slot holds a residue mod p."""
+    if not isinstance(e, int) or e < 0:
+        return False
+    cs = ring.to_coeffs(e)
+    return all(c < ring.p for c in cs) and plain_poly(ring, cs) == e
 
 
 @pytest.mark.parametrize("p", [2, 3, 5, 7, 13])
@@ -325,8 +327,6 @@ def test_reduce_row_matches_laurent_oracle(p):
         top[t], row[t] = entry(top_deg), entry(row_deg)
         if case % 5 == 3:
             top[-1], row[-1] = ring.zero, entry(rng.randint(0, 60))
-        if p != 2 and case % 2:
-            row = [list(e) for e in row]  # the echelon's grids hold lists
         kept, top_before = [list(ring.to_coeffs(e)) for e in row], list(top)
         q, r = laurent_divmod(from_plain(ring, row[t]), from_plain(ring, top[t]))
         out = list(row)
@@ -343,6 +343,61 @@ def test_reduce_row_matches_laurent_oracle(p):
         seen["degree-0 quotient"] += not q.is_zero and q.high == 0
         seen["degree 60"] += max(map(ring.deg, row + top)) == 60
     assert min(seen.values()) > 10
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13, 17, 31])
+def test_slot_reduction_takes_every_value_below_p_squared_mod_p(p):
+    # every sum a step leaves in a slot is below p^2; each such value, in
+    # four slots of one packed int beside random neighbours below p^2, must
+    # come out as itself mod p, and no slot may disturb the next
+    rng = random.Random(p)
+    ring = _ring_for(p)
+    mine = (0, 1, 7, 31)
+    for v in range(p * p):
+        slots = [v if d in mine else rng.randrange(p * p) for d in range(32)]
+        packed = sum(x << ring.w * d for d, x in enumerate(slots))
+        got = ring._reduce(packed)
+        assert [got >> ring.w * d & ring.slot for d in range(32)] == [
+            x % p for x in slots
+        ]
+        assert got < 1 << ring.w * 32
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 13])
+def test_packed_ring_matches_laurent_oracle_at_long_degrees(p):
+    # to_coeffs, neg, mul and reduce_row on entries up to degree 2000,
+    # packed ints thousands of bits long, against LaurentPoly arithmetic;
+    # the row steps have quotients from 1 to about 150 terms and later
+    # entries longer and shorter than the pivot
+    rng = random.Random(2000 + p)
+    ring = _ring_for(p)
+
+    def coeffs(deg):
+        """Coefficients of a random polynomial of exactly this degree."""
+        return [rng.randrange(p) for _ in range(deg)] + [1 + rng.randrange(p - 1)]
+
+    for deg_a, deg_b in [(2000, 0), (2000, 1), (2000, 150), (700, 40), (61, 60)]:
+        a_cs, b_cs = coeffs(deg_a), coeffs(deg_b)
+        a, b = plain_poly(ring, a_cs), plain_poly(ring, b_cs)
+        big, small = laurent(p, a_cs), laurent(p, b_cs)
+        assert list(ring.to_coeffs(a)) == a_cs and ring.deg(a) == deg_a
+        assert from_plain(ring, ring.neg(a)) == -big
+        assert from_plain(ring, ring_sub(ring, b, a)) == small - big
+        assert ring_sub(ring, a, a) == ring.zero
+        assert from_plain(ring, ring.mul(a, b)) == big * small
+        assert ring.mul(b, a) == ring.mul(a, b)
+    for deg_row, deg_top in [(2000, 1850), (2000, 2000), (1200, 1100), (300, 299)]:
+        top = [plain_poly(ring, coeffs(deg_top)), plain_poly(ring, coeffs(2000)),
+               ring.zero, plain_poly(ring, coeffs(3))]
+        row = [plain_poly(ring, coeffs(deg_row)), plain_poly(ring, coeffs(5)),
+               plain_poly(ring, coeffs(1999)), ring.zero]
+        q, r = laurent_divmod(from_plain(ring, row[0]), from_plain(ring, top[0]))
+        out = list(row)
+        ring.reduce_row(out, top, 0)
+        assert from_plain(ring, out[0]) == r and ring.deg(out[0]) < deg_top
+        for j in (1, 2, 3):
+            want = from_plain(ring, row[j]) - q * from_plain(ring, top[j])
+            assert from_plain(ring, out[j]) == want and _canonical(ring, out[j])
 
 
 # -- Fox calculus ----------------------------------------------------------------
@@ -649,24 +704,42 @@ def test_wada_shape():
     assert len(grid) == 6 and all(len(row) == 4 for row in grid)
 
 
+def test_wada_bound_counts_every_byte(monkeypatch):
+    # the bound is checked before the walk, on relators x generators x
+    # degree span x members x k^2 x 8 bytes: the array's exact size
+    import gnk.talex
+
+    pres = knot_presentation("GK", 2)
+    batch = _spread_batch(pres, SL2Group(3), 3, representation_from_sl2_hom)
+    size = wada_matrix(pres, batch).coeffs.nbytes
+    monkeypatch.setattr(gnk.talex, "MAX_WADA_BYTES", size)
+    assert wada_matrix(pres, batch).coeffs.nbytes == size
+    monkeypatch.setattr(gnk.talex, "MAX_WADA_BYTES", size - 1)
+    text = f"would take {size} bytes, past the bound of {size - 1}"
+    with pytest.raises(CapabilityError, match=text):
+        wada_matrix(pres, batch)
+
+
 def test_grid_reads_entries_over_any_degree_span():
-    # GF(2) entries are packed as bitmasks, so spans past 62 degrees must
-    # not overflow; every entry must equal its coefficients read directly,
-    # trimmed (over F_p the grid holds lists, the oracle gives tuples)
+    # entries are packed w bits a coefficient, in int64 while w times the
+    # span fits in 63 bits and as Python ints past it; every entry must
+    # equal its coefficients packed directly, on both sides of that switch
     rng = np.random.default_rng(20261018)
-    for p in (2, 5):
+    for p in (2, 3, 5, 7, 13):
         ring = _ring_for(p)
-        for span in (2, 3, 63, 64, 70):
+        edge = 63 // ring.w + 1  # span + 1: degree 0 is cleared below
+        for span in sorted({2, 3, edge, edge + 1, 64, 70}):
             coeffs = rng.integers(0, p, size=(2, 2, 3, span, 2, 2))
             coeffs[:, :, :, 0] = 0  # the common power of t is divided out
             coeffs[1, 0, 0, 1, 0, 0] = 1
+            coeffs[0, 1, 2, -1, 1, 0] = 1  # the top degree is live
             grids = _grids(ring, coeffs)
             for r, i, j, u, v in itertools.product(
                 range(2), range(2), range(3), range(2), range(2)
             ):
                 entry = plain_poly(ring, coeffs[r, i, j, 1:, u, v].tolist())
                 got = grids[r][i * 2 + u][j * 2 + v]
-                assert list(ring.to_coeffs(got)) == list(ring.to_coeffs(entry))
+                assert type(got) is int and got == entry
 
 
 def _spread_batch(pres, group, members, build):
@@ -987,6 +1060,29 @@ def test_invariant_is_conjugation_invariant():
 
 
 # -- the 168-element dictionary ---------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "knot, n, target, homs, digest",
+    [
+        ("SK", 100, "SL2_3", 264,
+         "dd5ebb602b8ed20b568520a9ddb87164f39abe2537770c3d565d086d93ad38b7"),
+        ("GK", 100, "SL2_3", 264,
+         "dd5ebb602b8ed20b568520a9ddb87164f39abe2537770c3d565d086d93ad38b7"),
+        ("SK", 20, "SL2_5", 2040,
+         "903b9b71af1eb88c375d54990201e40998a56feb6e20681e8d49883c77fb19f7"),
+        ("GK", 20, "PSL2_7", 5880,
+         "2d540585acdc44d9d705fefe3c613d08283bbac0fd020ce8ab83da0860bc1413"),
+    ],
+)
+def test_large_n_digests_are_pinned(knot, n, target, homs, digest):
+    # cells whose entries run to hundreds of coefficients, so their grids
+    # take the Python-int packing; digests recorded with coefficient-list
+    # entries
+    from gnk.harness import run_cell
+
+    (rec,) = run_cell(knot, n, target, ("talex",))
+    assert (rec.status, rec.value, rec.stats["homs"]) == ("ok", digest, homs)
 
 
 def test_dictionary_is_isomorphism():
