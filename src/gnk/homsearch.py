@@ -58,10 +58,6 @@ class Homomorphism:
     group: FiniteGroup
     image_indices: tuple[int, ...]
 
-    def images(self) -> tuple:
-        els = self.group.elements()
-        return tuple(els[i] for i in self.image_indices)
-
 
 class _Indexed:
     """Generators, multiplication, inverse, and power tables over element
@@ -108,6 +104,7 @@ class _Indexed:
             0: np.full(n, ident, dtype=np.int32),
             1: np.arange(n, dtype=np.int32),
         }
+        self._roots: dict[int, tuple[np.ndarray, ...]] = {}
 
     def pow_map(self, k: int) -> np.ndarray:
         """pow_map(k)[i] is the index of the k-th power of element i.
@@ -126,6 +123,18 @@ class _Indexed:
                 e >>= 1
             self._pow[k] = out
         return out
+
+    def root_buckets(self, k: int) -> tuple[np.ndarray, ...]:
+        """(order, starts, counts): the k-th roots of element t, in
+        enumeration order, are order[starts[t] : starts[t] + counts[t]];
+        cached per residue of k, as pow_map is."""
+        k %= self.n
+        if k not in self._roots:
+            powers = self.pow_map(k)
+            counts = np.bincount(powers, minlength=self.n)
+            order = np.argsort(powers, kind="stable")
+            self._roots[k] = order, np.cumsum(counts) - counts, counts
+        return self._roots[k]
 
 
 def indexed_tables(group: FiniteGroup) -> _Indexed:
@@ -588,15 +597,6 @@ def require_composite(task: str, knot: str) -> None:
         raise CapabilityError(f"{task} is defined for the composite knots only")
 
 
-def root_buckets(group: FiniteGroup, n: int) -> tuple[np.ndarray, ...]:
-    """(order, starts, counts): the n-th roots of element t, in enumeration
-    order, are order[starts[t] : starts[t] + counts[t]]."""
-    powers = indexed_tables(group).pow_map(n)
-    order = np.argsort(powers, kind="stable")
-    counts = np.bincount(powers, minlength=len(powers))
-    return order, np.cumsum(counts) - counts, counts
-
-
 def lift_roots(
     group: FiniteGroup, base: np.ndarray, n: int, knot: str
 ) -> tuple[np.ndarray, ...]:
@@ -612,7 +612,7 @@ def lift_roots(
     relators = knot_presentation(knot, n).relators  # bad n or knot raise here
     require_composite("property_t", knot)
     idx = indexed_tables(group)
-    order, starts, counts = root_buckets(group, n)
+    order, starts, counts = idx.root_buckets(n)
     D, B, E = base.T.astype(np.int64)
     per_row = counts[D]
     row = np.repeat(np.arange(len(base)), per_row)
@@ -741,6 +741,6 @@ def structured_count(group: FiniteGroup, n: int) -> int:
     Equals the twisted homomorphism count whenever every root lift is
     valid; when lifts can fail, the difference is data worth recording.
     """
-    _, _, counts = root_buckets(group, n)
+    _, _, counts = indexed_tables(group).root_buckets(n)
     base, weights = g1_base_fibers(group)
     return int((counts[base[:, 0]] * weights).sum())

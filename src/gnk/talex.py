@@ -29,26 +29,26 @@ cofactor determinants, recomputes small cases by enumerating minors
 directly, and rebuilds the block matrix from Fox derivatives.
 
 The block matrices are built for a batch of representations at once,
-such as one sweep cell's class representatives: they share p and the
-dimension, and a relator prefix's degree is its signed letter count for
-all of them, so one walk per relator serves every member, each letter
-one stacked matrix product into an integer array of coefficients by
-degree.  The same walk checks that the relator lands on the identity at
-degree 0 for every member, and the finished blocks must satisfy the
-chain-rule identity sum_j Phi(dr/dx_j) (Phi(x_j) - 1) = 0, degree by
-degree, before any invariant is computed from them.  One transpose and
-reshape of the array then reads every member's deleted matrix as plain
-F_p[t] elements under one common power of t, and one more reads every
-distinct denominator block.  Members that send the deleted generator to
-the same matrix share one denominator.  No matrix is inverted here: each
-representation carries its images' inverses, read off the group, and one
-product checks a whole batch's inverses mod p before the walk.  Both
-results are kept as coefficient tuples (c_0, ..., c_d) with c_0 = 1, and
-() for zero.
+such as one sweep cell's class representatives.  A `Representation` is
+that batch: arrays of images and of their inverses, (members,
+generators, k, k) over one p, gathered from a matrix target's table of
+element matrices, the inverses through the group's inverse table; no
+matrix is inverted here.  A relator prefix's degree is its signed letter
+count for every member, so one walk per relator serves the batch, each
+letter one stacked matrix product into an integer array of coefficients
+by degree.  One product checks the batch's inverses mod p before the
+walk, the walk checks that each relator lands on the identity at
+degree 0, and the blocks must satisfy the chain-rule identity
+sum_j Phi(dr/dx_j) (Phi(x_j) - 1) = 0, degree by degree.  One transpose
+and reshape then reads every member's deleted matrix as plain F_p[t]
+elements under one common power of t.  A denominator depends only on p
+and the deleted generator's image, so a process computes each once.
+Both results are kept as coefficient tuples (c_0, ..., c_d) with
+c_0 = 1, and () for zero.
 
-A sweep cell's invariant lines come from `cell_lines`: it picks the
-target's representation route, merges the cell's conjugation orbits into
-GL_k(F_p) classes, and evaluates one batch of the classes' rows.
+A sweep cell's invariant lines come from `cell_lines`: it merges the
+cell's conjugation orbits into GL_k(F_p) classes and evaluates one batch
+gathered for the classes' rows.
 """
 
 from __future__ import annotations
@@ -56,7 +56,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import accumulate
-from typing import Sequence
 
 import numpy as np
 
@@ -68,7 +67,7 @@ from .fingroups import (
     SL2Group,
     group_from_spec,
 )
-from .homsearch import Homomorphism, indexed_tables, into_fibers, row_locator
+from .homsearch import indexed_tables, into_fibers, row_locator
 from .presentations import Presentation
 from .words import GeneratorTable
 
@@ -274,22 +273,24 @@ def _pivot_product(ring, grid: list[list]):
 # -- representations and the block matrix --------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Representation:
-    """Generator images in GL_k(F_p), and their inverses.
+    """A batch of representations of one presentation's group in GL_k(F_p).
 
-    Every generator is a meridian, so x contributes the block image(x) * t;
-    the map is admissible for a presentation when every relator lands on
-    the identity block with total degree zero.  The builders read each
-    inverse off the group; wada_matrix checks a whole batch, shapes and
-    image times inverse = 1 mod p, before its walk.
+    images[r, j] is member r's image of generator j, a k x k integer
+    matrix, and inverses[r, j] is its inverse; both arrays are (members,
+    generators, k, k).  Every generator is a meridian, so x contributes the
+    block image(x) * t; a member is admissible for a presentation when
+    every relator lands on the identity block with total degree zero.  The
+    builders gather both arrays from the target's matrix table, the
+    inverses through the group's inverse table; wada_matrix checks the
+    shapes, and image times inverse = 1 mod p, before its walk.
     """
 
     table: GeneratorTable
-    dim: int
     p: int
-    images: tuple
-    inverses: tuple
+    images: np.ndarray
+    inverses: np.ndarray
 
 
 @dataclass(frozen=True, eq=False)
@@ -298,52 +299,39 @@ class WadaMatrix:
 
     coeffs[r, i, j, d] is the k x k coefficient matrix of t^(low + d) in
     the block of relator i and generator j for member r, reduced mod p;
-    images[j, r] is member r's image of generator j, reduced mod p.
+    rep is the batch with its images and inverses reduced mod p, in int64.
     """
 
     pres: Presentation
-    reps: tuple[Representation, ...]
+    rep: Representation
     low: int
     coeffs: np.ndarray
-    images: np.ndarray
 
 
-def _stack(reps, attr: str) -> np.ndarray:
-    """Each generator's images (or inverses) over the batch, (gens, R, k, k),
-    reduced mod p; anything but one k x k matrix per generator raises."""
-    k, gens = reps[0].dim, len(reps[0].table)
-    try:
-        arr = np.array([getattr(r, attr) for r in reps], np.int64)
-    except ValueError:  # ragged
-        arr = np.empty(0)
-    if arr.shape[1:] != (gens, k, k):
-        raise ValueError(f"need one {k} x {k} {attr[:-1]} per generator")
-    return arr.swapaxes(0, 1) % reps[0].p
-
-
-def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatrix:
+def wada_matrix(pres: Presentation, rep: Representation) -> WadaMatrix:
     """Check a batch against pres and build its blocks, one walk per relator.
 
-    The members must share p and dim.  A prefix's degree is its signed
-    letter count, one for the whole batch.  Walking relator r letter by
-    letter with prefix w, a letter x_j adds Phi(w) t^deg(w) to block j and
-    a letter x_j^-1 subtracts Phi(w x_j^-1) t^deg(w x_j^-1): the Fox
-    derivative dr/dx_j pushed through the representation.  Each letter is
-    one stacked product over the batch.  Before the walk every image times
-    its given inverse must be the identity mod p, in one product for the
-    batch; after it every member's walk must end on the identity at degree
-    0, and the blocks must pass the chain-rule check.  A batch whose
-    coefficient array would pass MAX_WADA_BYTES raises CapabilityError
-    before any of this.
+    A prefix's degree is its signed letter count, one for the whole batch.
+    Walking relator r letter by letter with prefix w, a letter x_j adds
+    Phi(w) t^deg(w) to block j and a letter x_j^-1 subtracts
+    Phi(w x_j^-1) t^deg(w x_j^-1): the Fox derivative dr/dx_j pushed
+    through the representation.  Each letter is one stacked product over
+    the batch.  The batch must hold one k x k image and inverse per
+    generator for at least one member.  A batch whose coefficient array
+    would pass MAX_WADA_BYTES then raises CapabilityError before anything
+    is allocated.  Before the walk every image times its given inverse
+    must be the identity mod p, in one product for the batch; after it
+    every member's walk must end on the identity at degree 0, and the
+    blocks must pass the chain-rule check.
     """
-    reps = tuple(reps)
-    if not reps:
-        raise ValueError("a batch needs at least one representation")
-    if any(rep.table != pres.gens for rep in reps):
+    if rep.table != pres.gens:
         raise ValueError("representation is over different generators")
-    p, k = reps[0].p, reps[0].dim
-    if any((rep.p, rep.dim) != (p, k) for rep in reps):
-        raise ValueError("a batch must share p and dim")
+    shape = rep.images.shape
+    members, k = len(rep.images), shape[-1] if len(shape) == 4 else 0
+    if shape != (members, len(pres.gens), k, k) or rep.inverses.shape != shape:
+        raise ValueError(f"need one {k} x {k} image per generator, and its inverse")
+    if not members:
+        raise ValueError("a batch needs at least one representation")
     # a prefix's degree is monotone along a syllable, so its extremes sit
     # at syllable ends
     ends = [
@@ -353,34 +341,34 @@ def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatri
     ]
     low = min(ends, default=0)
     span = max(ends, default=0) - low + 1
-    size = len(pres.relators) * len(pres.gens) * span * len(reps) * k * k * 8
+    size = len(pres.relators) * len(pres.gens) * span * members * k * k * 8
     if size > MAX_WADA_BYTES:
         raise CapabilityError(
             f"the Wada array would take {size} bytes, past the bound of "
             f"{MAX_WADA_BYTES} (MAX_WADA_BYTES)"
         )
-    walks = []
-    for rel in pres.relators:
-        letters = [(g, e // abs(e)) for g, e in rel.syllables for _ in range(abs(e))]
-        degs = accumulate((s for _, s in letters), initial=0)
-        walks.append((rel, letters, list(degs)))
-    images, inverses = _stack(reps, "images"), _stack(reps, "inverses")
-    ident = np.broadcast_to(np.eye(k, dtype=np.int64), (len(reps), k, k))
+    p = rep.p
+    images = rep.images.astype(np.int64) % p
+    inverses = rep.inverses.astype(np.int64) % p
+    ident = np.eye(k, dtype=np.int64)
     if (images @ inverses % p != ident).any():
         raise ValueError("an image times its inverse is not 1 mod p")
-    acc = np.zeros((len(walks), len(pres.gens), span, len(reps), k, k), np.int64)
-    for i, (rel, letters, degs) in enumerate(walks):
-        prefix = ident
-        for n, (g, s) in enumerate(letters):
-            if s > 0:
-                acc[i, g, degs[n] - low] += prefix
-                prefix = prefix @ images[g] % p
-            else:
-                prefix = prefix @ inverses[g] % p
-                acc[i, g, degs[n + 1] - low] -= prefix
-        if degs[-1] != 0 or (prefix != ident).any():
+    acc = np.zeros((len(pres.relators), len(pres.gens), span, members, k, k), np.int64)
+    for i, rel in enumerate(pres.relators):
+        prefix, deg = ident, -low
+        for g, e in rel.syllables:
+            for _ in range(e):
+                acc[i, g, deg] += prefix
+                prefix = prefix @ images[:, g] % p
+                deg += 1
+            for _ in range(-e):
+                deg -= 1
+                prefix = prefix @ inverses[:, g] % p
+                acc[i, g, deg] -= prefix
+        if deg != -low or (prefix != ident).any():
             raise ValueError(f"relator {rel.syllables} is not respected")
-    wm = WadaMatrix(pres, reps, low, np.moveaxis(acc, 3, 0) % p, images)
+    rep = Representation(rep.table, p, images, inverses)
+    wm = WadaMatrix(pres, rep, low, np.moveaxis(acc, 3, 0) % p)
     _check_chain_rule(wm)
     return wm
 
@@ -388,13 +376,11 @@ def wada_matrix(pres: Presentation, reps: Sequence[Representation]) -> WadaMatri
 def _check_chain_rule(wm: WadaMatrix) -> None:
     """sum_j C_ij(t) (A_j t - 1) = 0 for each member and relator i, degree
     by degree."""
-    members, rels, gens, span, k, _ = wm.coeffs.shape
+    members, rels, _, span, k, _ = wm.coeffs.shape
     total = np.zeros((members, rels, span + 1, k, k), np.int64)
-    for j in range(gens):
-        block = wm.coeffs[:, :, j]
-        total[:, :, 1:] += block @ wm.images[j][:, None, None]
-        total[:, :, :-1] -= block
-    if (total % wm.reps[0].p).any():
+    total[:, :, 1:] = (wm.coeffs @ wm.rep.images[:, None, :, None]).sum(axis=2)
+    total[:, :, :-1] -= wm.coeffs.sum(axis=2)
+    if (total % wm.rep.p).any():
         raise RuntimeError("free-calculus identity failed; the matrix is wrong")
 
 
@@ -444,37 +430,46 @@ class TwistedAlexander:
         return f"{_poly_text(self.numerator)} | {_poly_text(self.denominator)}"
 
 
+# normalized det(A t - 1) by (p, the bytes of A as int64 reduced mod p), for
+# every image A any batch of this process has deleted
+_DENOMINATORS: dict[tuple[int, bytes], tuple[int, ...]] = {}
+
+
 def twisted_alexanders(
-    pres: Presentation, reps: Sequence[Representation]
+    pres: Presentation, rep: Representation
 ) -> list[TwistedAlexander]:
     """The invariant of each member of a batch, from one wada_matrix call.
 
     Every member deletes the first generator's column block.  Every
     generator is a meridian and all of them are conjugate, so any other
-    column would give the same pair.  A denominator depends only on the
-    deleted generator's image, so members sharing the reduced image share
-    one.
+    column would give the same pair.  A denominator depends only on p and
+    the deleted generator's reduced image, so it is computed once per
+    image per process, for the images no earlier batch has seen.
     """
-    wm = wada_matrix(pres, reps)
-    ring = _ring_for(wm.reps[0].p)
-    firsts = {}  # each distinct image's first member
-    which = [firsts.setdefault(a.tobytes(), r) for r, a in enumerate(wm.images[0])]
-    rows = list(firsts.values())
-    dens = _denominators(ring, wm.images[0][rows])
-    dens = {r: _normalized(ring, den) for r, den in zip(rows, dens)}
+    wm = wada_matrix(pres, rep)
+    p, ring = wm.rep.p, _ring_for(wm.rep.p)
+    firsts = wm.rep.images[:, 0]
+    keys = [(p, a.tobytes()) for a in firsts]
+    new = {key: r for r, key in enumerate(keys) if key not in _DENOMINATORS}
+    if new:
+        dens = _denominators(ring, firsts[list(new.values())])
+        _DENOMINATORS.update(zip(new, (_normalized(ring, den) for den in dens)))
     grids = _grids(ring, wm.coeffs[:, :, 1:])
     return [
-        TwistedAlexander(_normalized(ring, _pivot_product(ring, grid)), dens[r])
-        for r, grid in zip(which, grids)
+        TwistedAlexander(
+            _normalized(ring, _pivot_product(ring, grid)), _DENOMINATORS[key]
+        )
+        for key, grid in zip(keys, grids)
     ]
 
 
 def twisted_alexander(pres: Presentation, rep: Representation) -> TwistedAlexander:
-    """The invariant of one representation: a batch of one."""
-    return twisted_alexanders(pres, (rep,))[0]
+    """The invariant of a batch of one."""
+    (invariant,) = twisted_alexanders(pres, rep)
+    return invariant
 
 
-# -- representation builders ---------------------------------------------------
+# -- matrix tables and representation builders ------------------------------------
 #
 # Every generator of a G_n(K) presentation is a meridian, so the degree map
 # onto Z sends each one to t, which Representation assumes.  Under that map
@@ -482,68 +477,68 @@ def twisted_alexander(pres: Presentation, rep: Representation) -> TwistedAlexand
 # check rejects any presentation on which it is not a homomorphism.
 
 
+def _matrix_table(group: FiniteGroup) -> tuple:
+    """(p, mats, twin) for a matrix target, built once per group; every
+    other target raises CapabilityError.
+
+    mats[x] is the matrix of element index x over F_p, int64 and reduced
+    mod p: SL2_p's natural representation, or the 168-element dictionary
+    of PSL2_7 onto GL_3(F_2).  twin[x] is the element index of P x P^-1,
+    for P = diag(1, r) and r the least quadratic non-residue mod p.
+    Conjugation by P is not inner for odd p, and together with the inner
+    automorphisms it gives every conjugation by GL_2(F_p).  There is no
+    twin (None) for p = 2, where every unit is a square and GL_2(F_2) =
+    SL_2(F_2), nor for PSL2_7, which is all of GL_3(F_2): every
+    conjugation is inner, and its outer automorphism dualizes the
+    representation.
+    """
+    table = getattr(group, "_matrix_table", None)
+    if table is not None:
+        return table
+    if isinstance(group, PSL2Group) and group.p == 7:
+        table = 2, psl27_matrix_dictionary(), None
+    elif not isinstance(group, SL2Group) or isinstance(group, PSL2Group):
+        raise CapabilityError(f"no matrix representation route for {group.name}")
+    else:
+        p = group.p
+        mats = np.array(group.elements(), dtype=np.int64).reshape(-1, 2, 2) % p
+        mats.flags.writeable = False
+        twin = None
+        if p != 2:
+            r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+            moved = (mats * [[1, pow(r, -1, p)], [r, 1]] % p).reshape(-1, 4).tolist()
+            twin = np.array([group.index_of(tuple(x)) for x in moved])
+        table = p, mats, twin
+    group._matrix_table = table
+    return table
+
+
+def _gather(pres: Presentation, group: FiniteGroup, rows) -> Representation:
+    """The batch of the homomorphisms with these image rows, (members,
+    generators) element indices: each image is its element's matrix, and
+    each inverse the matrix of the group's inverse of that element."""
+    p, mats, _ = _matrix_table(group)
+    inverses = mats[indexed_tables(group).inv[rows]]
+    return Representation(pres.gens, p, mats[rows], inverses)
+
+
 def representation_from_sl2_hom(pres: Presentation, hom) -> Representation:
-    """Natural 2-dimensional representation of an SL2-valued homomorphism;
-    the inverses are the group's."""
-    group, elements = hom.group, hom.images()
-
-    def matrices(xs):
-        return tuple(((a, b), (c, d)) for a, b, c, d in xs)
-
-    return Representation(
-        table=pres.gens,
-        dim=2,
-        p=group.p,
-        images=matrices(elements),
-        inverses=matrices(map(group.inv, elements)),
-    )
+    """Natural 2-dimensional representation of an SL2-valued homomorphism,
+    a batch of one."""
+    if not isinstance(hom.group, SL2Group) or isinstance(hom.group, PSL2Group):
+        raise ValueError("homomorphism must land in SL2_p")
+    return _gather(pres, hom.group, np.array([hom.image_indices]))
 
 
 def representation_from_psl27_hom(pres: Presentation, hom) -> Representation:
-    """3-dimensional F_2 representation through the 168-element dictionary;
-    an inverse is the dictionary's matrix of the group's inverse."""
-    group, elements = hom.group, hom.images()
-    if not isinstance(group, PSL2Group) or group.p != 7:
+    """3-dimensional F_2 representation through the 168-element dictionary,
+    a batch of one."""
+    if not isinstance(hom.group, PSL2Group) or hom.group.p != 7:
         raise ValueError("homomorphism must land in PSL2_7")
-    table = psl27_matrix_dictionary()
-    return Representation(
-        table=pres.gens,
-        dim=3,
-        p=2,
-        images=tuple(table[x] for x in elements),
-        inverses=tuple(table[group.inv(x)] for x in elements),
-    )
+    return _gather(pres, hom.group, np.array([hom.image_indices]))
 
 
 # -- a sweep cell's lines ----------------------------------------------------------
-
-
-def _route(group: FiniteGroup):
-    """(representation builder, diag(1, r) twin map or None) for a matrix
-    target; every other target raises CapabilityError.
-
-    The twin map gives the element index of P x P^-1 for each element x,
-    P = diag(1, r) and r the least quadratic non-residue mod p.
-    Conjugation by P is not inner for odd p, and together with the inner
-    automorphisms it gives every conjugation by GL_2(F_p).  There is no
-    twin for p = 2, where every unit is a square and GL_2(F_2) = SL_2(F_2),
-    nor for PSL2_7, which is all of GL_3(F_2): every conjugation is inner,
-    and its outer automorphism dualizes the representation.
-    """
-    if isinstance(group, PSL2Group) and group.p == 7:
-        return representation_from_psl27_hom, None
-    if not isinstance(group, SL2Group) or isinstance(group, PSL2Group):
-        raise CapabilityError(f"no matrix representation route for {group.name}")
-    p = group.p
-    if p == 2:
-        return representation_from_sl2_hom, None
-    r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
-    r_inv = pow(r, -1, p)
-    twin = [
-        group.index_of((a, b * r_inv % p, c * r % p, d))
-        for a, b, c, d in group.elements()
-    ]
-    return representation_from_sl2_hom, np.array(twin, dtype=np.int64)
 
 
 def cell_lines(
@@ -566,20 +561,17 @@ def cell_lines(
     every member of every orbit in the class.  With a twin map an orbit's
     class is itself and the orbit of its conjugates by diag(1, r), whose
     rows are conjugated back into the fibers to be found; without one it
-    is the orbit alone.  The classes' rows are one twisted_alexanders batch.
+    is the orbit alone.  The classes' rows are one twisted_alexanders batch,
+    gathered from the matrix table.
     """
-    builder, twin = _route(group)
+    twin = _matrix_table(group)[2]
     keys = reps
     if twin is not None:
         twins = into_fibers(pres, group, twin[matrix[reps]])
         keys = np.minimum(reps, roots[row_locator(matrix)(twins)])
     keys = keys.tolist()
     distinct = list(dict.fromkeys(keys))
-    batch = [
-        builder(pres, Homomorphism(pres, group, tuple(matrix[key].tolist())))
-        for key in distinct
-    ]
-    invariants = twisted_alexanders(pres, batch)
+    invariants = twisted_alexanders(pres, _gather(pres, group, matrix[distinct]))
     lines = {key: ta.line() for key, ta in zip(distinct, invariants)}
     return [(lines[key], size) for key, size in zip(keys, sizes.tolist())]
 
@@ -588,8 +580,9 @@ def cell_lines(
 
 
 @lru_cache(maxsize=None)
-def psl27_matrix_dictionary() -> dict:
-    """Isomorphism from PSL2_7 elements onto GL_3(F_2) matrices.
+def psl27_matrix_dictionary() -> np.ndarray:
+    """Isomorphism from PSL2_7 onto GL_3(F_2), as a (168, 3, 3) int64 array
+    whose row x is the matrix of element index x.
 
     The stored images of the two standard generators are extended along
     the Cayley graph of the shared group's index table, one 3 x 3 product
@@ -610,19 +603,19 @@ def psl27_matrix_dictionary() -> dict:
     ]
     mats = np.zeros((idx.n, 3, 3), np.int64)
     mats[idx.ident] = np.eye(3, dtype=np.int64)
-    reached = {idx.ident: None}  # in the order the walk reaches them
+    reached = {idx.ident}
     frontier = [idx.ident]
     while frontier:
         x = frontier.pop()
         for gen, img in gens:
             y = int(idx.mul[x, gen])
             if y not in reached:
-                reached[y] = None
+                reached.add(y)
                 mats[y] = mats[x] @ img % 2
                 frontier.append(y)
     if len(reached) != idx.n or len(np.unique(mats.reshape(-1, 9), axis=0)) != idx.n:
         raise RuntimeError("generator images do not give a bijection")
     if not ((mats[:, None] @ mats[None]) % 2 == mats[idx.mul]).all():
         raise RuntimeError("dictionary failed the pair check")
-    els = psl.elements()
-    return {els[x]: tuple(map(tuple, mats[x].tolist())) for x in reached}
+    mats.flags.writeable = False
+    return mats

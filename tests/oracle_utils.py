@@ -27,18 +27,22 @@ and of its inverse, each reduced afresh, checks the canonical relator.
 An integer Smith form of the exponent-sum matrix gives the abelianization
 and its map onto Z, which checks the package's degree map: t on every
 generator.  All 168 invertible 3x3 matrices over F_2 and their orders
-check that the PSL2_7 dictionary is onto GL_3(F_2) and keeps orders;
-these matrix oracles and the relator replay multiply and invert matrices
-with their own entry-by-entry product and powers.
+check that the PSL2_7 dictionary is onto GL_3(F_2) and keeps orders, and
+a walk of PSL2_7 by group.mul rebuilds it element by element.  Each
+element's matrix and its inverse's as nested tuples, the form the
+per-homomorphism builders once returned, check the batches talex gathers
+from its matrix tables.  These matrix oracles and the relator replay
+multiply and invert matrices with their own entry-by-entry product and
+powers.
 
 Other helpers serve the tests as fixtures or as oracles: relator
 multisets, next to the canonical relator; word powers, next to the Fox
 derivatives that use them; conjugation, next to the conjugacy classes;
-and at the end the trivial representation, a stand-in process pool, the
-benchmark's modules loaded from their files, word
-evaluation in any group with identity, mul and power, word substitution,
-the powered third relation, homomorphism checks, and text forms of
-presentations, diagrams and Cayley tables.
+and at the end the trivial and hand-built representation batches, a
+stand-in process pool, the benchmark's modules loaded from their files,
+word evaluation in any group with identity, mul and power, word
+substitution, the powered third relation, homomorphism checks, and text
+forms of presentations, diagrams and Cayley tables.
 """
 
 import hashlib
@@ -930,25 +934,36 @@ def fox_derivative(w, gen):
     return group_ring(table, terms)
 
 
-def apply_word(rep, w):
-    """(matrix, degree) of a word under a representation, letter by letter;
-    every generator has degree 1."""
-    mat = mat_identity(rep.dim)
+def member_matrices(rep, member=0):
+    """(images, inverses) of one member of a Representation batch, each
+    a tuple of nested-tuple matrices, one per generator."""
+    return tuple(
+        tuple(tuple(map(tuple, m)) for m in mats[member].tolist())
+        for mats in (rep.images, rep.inverses)
+    )
+
+
+def apply_word(rep, w, member=0):
+    """(matrix, degree) of a word under one member of a representation
+    batch, letter by letter; every generator has degree 1."""
+    images, _ = member_matrices(rep, member)
+    mat = mat_identity(len(images[0]))
     deg = 0
     for g, e in w.syllables:
-        base = rep.images[g] if e > 0 else mat_inverse(rep.p, rep.images[g])
+        base = images[g] if e > 0 else mat_inverse(rep.p, images[g])
         for _ in range(abs(e)):
             mat = mat_product(rep.p, mat, base)
         deg += e
     return mat, deg
 
 
-def fox_block(rep, elem):
-    """The image of a group-ring element: sum of c * rep(word) * t^deg(word)."""
-    k, p = rep.dim, rep.p
+def fox_block(rep, elem, member=0):
+    """The image of a group-ring element under one member of a batch: sum
+    of c * rep(word) * t^deg(word)."""
+    k, p = rep.images.shape[-1], rep.p
     block = [[laurent(p, ()) for _ in range(k)] for _ in range(k)]
     for word, c in elem.terms:
-        mat, deg = apply_word(rep, word)
+        mat, deg = apply_word(rep, word, member)
         for u in range(k):
             for v in range(k):
                 block[u][v] = block[u][v] + laurent(p, (c * mat[u][v],), deg)
@@ -1004,7 +1019,7 @@ def wada_blocks(wm, member=0):
 def deleted_flat(wm, column, member=0):
     """One member's Wada matrix without one generator's column block, as
     Laurent rows."""
-    k, p = wm.reps[member].dim, wm.reps[member].p
+    k, p = wm.rep.images.shape[-1], wm.rep.p
     rows = []
     for row in wada_blocks(wm, member):
         blocks = [laurent_block(p, k, terms) for j, terms in enumerate(row) if j != column]
@@ -1014,14 +1029,16 @@ def deleted_flat(wm, column, member=0):
 
 
 def validate_representation(pres, rep):
-    """Replay every relator through the representation, matrix by matrix."""
+    """Replay every relator through every member of a representation
+    batch, matrix by matrix."""
     if rep.table != pres.gens:
         raise ValueError("representation is over different generators")
-    ident = mat_identity(rep.dim)
-    for r in pres.relators:
-        mat, deg = apply_word(rep, r)
-        if mat != ident or deg != 0:
-            raise ValueError(f"relator {r.syllables} is not respected")
+    ident = mat_identity(rep.images.shape[-1])
+    for member in range(len(rep.images)):
+        for r in pres.relators:
+            mat, deg = apply_word(rep, r, member)
+            if mat != ident or deg != 0:
+                raise ValueError(f"relator {r.syllables} is not respected")
 
 
 # -- twisted Alexander, one evaluation per homomorphism -----------------------------
@@ -1055,15 +1072,82 @@ def per_hom_talex(knot, n, target):
 
 def trivial_representation(pres, p):
     """Every generator to the 1 x 1 identity over F_p, and to t under the
-    degree map: the classical Alexander polynomial."""
-    images = (((1,),),) * len(pres.gens)
+    degree map: the classical Alexander polynomial; a batch of one."""
+    return hand_representation(pres, p, [(((1,),),) * len(pres.gens)])
+
+
+def hand_representation(pres, p, members):
+    """A batch from nested-tuple images, one tuple of k x k matrices per
+    member, each inverse from the oracle's mat_inverse."""
+    inverses = [[mat_inverse(p, m) for m in images] for images in members]
     return Representation(
-        table=pres.gens,
-        dim=1,
-        p=p,
-        images=images,
-        inverses=tuple(mat_inverse(p, m) for m in images),
+        pres.gens, p, np.array(members, np.int64), np.array(inverses, np.int64)
     )
+
+
+def batch_member(rep, member):
+    """One member of a batch as a batch of one."""
+    pick = slice(member, member + 1)
+    return Representation(rep.table, rep.p, rep.images[pick], rep.inverses[pick])
+
+
+def joined_batch(*reps):
+    """The members of several batches over one table and p, in order, as
+    one batch."""
+    return Representation(
+        reps[0].table,
+        reps[0].p,
+        np.concatenate([rep.images for rep in reps]),
+        np.concatenate([rep.inverses for rep in reps]),
+    )
+
+
+# -- matrix images by element, the per-homomorphism builders' nested tuples --------
+
+def psl27_oracle_dictionary(psl):
+    """{element: GL_3(F_2) matrix} for PSL2_7, extended from the images of
+    the standard generators breadth first with group.mul and
+    entry-by-entry products."""
+    gens = [
+        (psl.parse_element(text), img)
+        for text, img in (
+            ("[[0,1],[6,0]]", ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+            ("[[1,1],[0,1]]", ((0, 1, 1), (0, 0, 1), (1, 0, 0))),
+        )
+    ]
+    table = {psl.identity: mat_identity(3)}
+    frontier = [psl.identity]
+    while frontier:
+        x = frontier.pop(0)
+        for g, img in gens:
+            y = psl.mul(x, g)
+            if y not in table:
+                table[y] = mat_product(2, table[x], img)
+                frontier.append(y)
+    return table
+
+
+def oracle_matrices(group, indices):
+    """(images, inverses) of element indices into SL2_p or PSL2_7 as
+    nested-tuple matrices: each image is its element's matrix, and each
+    inverse the matrix of group.inv of that element."""
+    from gnk.fingroups import PSL2Group
+
+    els = group.elements()
+    if isinstance(group, PSL2Group):
+        table = psl27_oracle_dictionary(group)
+
+        def matrix(x):
+            return table[x]
+
+    else:
+
+        def matrix(x):
+            a, b, c, d = x
+            return ((a, b), (c, d))
+
+    xs = [els[i] for i in indices]
+    return tuple(map(matrix, xs)), tuple(matrix(group.inv(x)) for x in xs)
 
 
 def recording_pool(sizes):
@@ -1114,9 +1198,15 @@ def evaluate(w, images, group):
     return acc
 
 
+def hom_images(hom):
+    """The group elements a Homomorphism sends its generators to."""
+    els = hom.group.elements()
+    return tuple(els[i] for i in hom.image_indices)
+
+
 def hom_is_valid(hom):
     """Every relator evaluates to the identity under the homomorphism."""
-    images = hom.images()
+    images = hom_images(hom)
     return all(
         evaluate(r, images, hom.group) == hom.group.identity
         for r in hom.presentation.relators
@@ -1127,7 +1217,7 @@ def serialize_hom(hom):
     """name=element for each generator, in generator order."""
     return " ".join(
         f"{name}={hom.group.format_element(img)}"
-        for name, img in zip(hom.presentation.gens.names, hom.images())
+        for name, img in zip(hom.presentation.gens.names, hom_images(hom))
     )
 
 

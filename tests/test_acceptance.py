@@ -281,18 +281,18 @@ def test_criterion_10_property_suites(suite_records):
     from gnk.talex import _check_chain_rule, representation_from_sl2_hom
 
     trefoil = knot_presentation("trefoil_r", 1)
-    wm = wada_matrix(trefoil, (trivial_representation(trefoil, 5),))
+    wm = wada_matrix(trefoil, trivial_representation(trefoil, 5))
     sk = knot_presentation("SK", 2)
     sl23 = group_from_spec("SL2_3")
     hom = next(iter(enumerate_homs(sk, sl23)))
-    wm2 = wada_matrix(sk, (representation_from_sl2_hom(sk, hom),))
+    wm2 = wada_matrix(sk, representation_from_sl2_hom(sk, hom))
     for built in (wm, wm2):
         # adding the identity to one block shifts that row's telescoping
         # sum by Phi(x_0) - 1, which is never zero
-        k = built.reps[0].dim
+        k = built.rep.images.shape[-1]
         coeffs = built.coeffs.copy()
         coeffs[0, 0, 0, -built.low] += np.eye(k, dtype=coeffs.dtype)
-        broken = dataclasses.replace(built, coeffs=coeffs % built.reps[0].p)
+        broken = dataclasses.replace(built, coeffs=coeffs % built.rep.p)
         with pytest.raises(RuntimeError, match="identity failed"):
             _check_chain_rule(broken)
 

@@ -22,7 +22,7 @@ from gnk.fingroups import (
     parse_cycles,
     permutation_parity,
 )
-from gnk.homsearch import indexed_tables, root_buckets
+from gnk.homsearch import indexed_tables
 
 from oracle_utils import (
     cayley_table,
@@ -176,12 +176,22 @@ def test_nth_roots_counts():
 
 
 def test_root_table_matches_nth_roots():
-    # the root buckets behind property T, extend and structured counts
-    for spec in ("S4", "D6", "Z12", "SL2_3"):
-        g = group_from_spec(spec) if spec != "Z12" else CyclicGroup(12)
+    # the root buckets behind property T, extend and structured counts, on
+    # a cold cache (a fresh group) and a warm one (the same tables again,
+    # and n + |H|, which has the same residue)
+    for make in (
+        lambda: SymmetricGroup(4),
+        lambda: DihedralGroup(6),
+        lambda: CyclicGroup(12),
+        lambda: SL2Group(3),
+    ):
+        g = make()
         els = g.elements()
-        for n in (2, 3):
-            order, starts, counts = root_buckets(g, n)
+        built = {}
+        for n in (2, 3, 2, 3 + g.order):
+            buckets = indexed_tables(g).root_buckets(n)
+            assert built.setdefault(n % g.order, buckets) is buckets
+            order, starts, counts = buckets
             for t, target in enumerate(els):
                 bucket = order[starts[t] : starts[t] + counts[t]]
                 assert tuple(els[i] for i in bucket) == nth_roots(g, target, n)

@@ -64,6 +64,14 @@ from oracle_utils import (
     validate_representation,
     wada_blocks,
 )
+from oracle_utils import (
+    batch_member,
+    hand_representation,
+    joined_batch,
+    member_matrices,
+    oracle_matrices,
+    psl27_oracle_dictionary,
+)
 
 AB = GeneratorTable(("a", "b"))
 
@@ -239,6 +247,7 @@ def _talex_grids(monkeypatch):
         return real(ring, grid)
 
     monkeypatch.setattr(gnk.talex, "_pivot_product", spy)
+    monkeypatch.setattr(gnk.talex, "_DENOMINATORS", {})  # a cold process
     for knot in ("SK", "GK"):
         for n in (1, 2, 3):
             run_cell(knot, n, "SL2_3", ("talex",))
@@ -253,7 +262,7 @@ def test_pivot_product_matches_smith_and_cofactor_oracles(monkeypatch):
     # algorithm through many quotient steps per column
     rng = random.Random(20261018)
     cases = _talex_grids(monkeypatch)
-    assert len(cases) == 100  # 70 numerators and 30 distinct denominators
+    assert len(cases) == 75  # 70 numerators and 5 distinct denominators
     for p in (2, 3, 5, 7, 13):
         ring = _ring_for(p)
         for _ in range(150):
@@ -499,7 +508,7 @@ def test_degrees_of_knot_presentations():
         psl = representation_from_psl27_hom(pres, hom)
         for rep in (sl2, psl):
             validate_representation(pres, rep)
-            wada_matrix(pres, (rep,))
+            wada_matrix(pres, rep)
 
 
 def test_degree_map_rejects_nonzero_exponent_sum():
@@ -516,44 +525,46 @@ def test_degree_map_rejects_nonzero_exponent_sum():
 
 
 def hand_rep(pres, p, images):
-    """A representation by hand, each inverse from the oracle."""
-    k = len(images[0])
-    inverses = tuple(mat_inverse(p, m) for m in images)
-    return Representation(pres.gens, k, p, tuple(images), inverses)
+    """A batch of one by hand, each inverse from the oracle."""
+    return hand_representation(pres, p, [images])
 
 
 def test_representation_validation():
     pres = trefoil_right_reduced(1)
     rep = trivial_representation(pres, 5)
     validate_representation(pres, rep)
-    wada_matrix(pres, (rep,))
-    ones = (((1,),), ((1,),))
+    wada_matrix(pres, rep)
+    ones = [[[[1]], [[1]]]]
 
     def by_hand(images, inverses):
-        return Representation(pres.gens, 1, 5, images, inverses)
+        return Representation(
+            pres.gens, 5, np.array(images, np.int64), np.array(inverses, np.int64)
+        )
 
+    # a wrong inverse of a unit image, and a singular image, which no
+    # inverse can pass: alone and beside a valid member
+    for bad in (by_hand(ones, [[[[1]], [[2]]]]), by_hand([[[[0]], [[1]]]], ones)):
+        for batch in (bad, joined_batch(rep, bad)):
+            with pytest.raises(ValueError, match="inverse"):
+                wada_matrix(pres, batch)
     cases = (
-        # a wrong inverse of a unit image
-        ("inverse", by_hand(ones, (((1,),), ((2,),)))),
-        # a singular image, which no inverse can pass
-        ("inverse", by_hand((((0,),), ((1,),)), ones)),
-        # an image of the wrong shape
-        ("1 x 1 image", by_hand((((1,),), ((1, 0), (0, 1))), ones)),
+        # images of the wrong shape
+        ("2 x 2 image", by_hand([[[[1, 0]], [[0, 1]]]], ones)),
         # a missing image
-        ("image per generator", by_hand((((1,),),), ones)),
+        ("image per generator", by_hand([[[[1]]]], ones)),
+        # inverses of another shape than the images
+        ("image per generator", by_hand(ones, [[[[1, 0], [0, 1]]] * 2])),
+        # an array that is not one matrix per member and generator
+        ("image per generator", by_hand([[1], [1]], [[1], [1]])),
     )
     for match, bad in cases:
-        for batch in ((bad,), (rep, bad)):  # alone and beside a valid member
-            with pytest.raises(ValueError, match=match):
-                wada_matrix(pres, batch)
+        with pytest.raises(ValueError, match=match):
+            wada_matrix(pres, bad)
     # the trefoil's relation makes both generators' characters equal
     bad_image = hand_rep(pres, 5, (((1,),), ((2,),)))
     other = Presentation(GeneratorTable(("x",)), ())
     # the replay oracle and the kernel's walk reject the same inputs
-    def batch_of_one(pres, rep):
-        return wada_matrix(pres, (rep,))
-
-    for check in (validate_representation, batch_of_one, twisted_alexander):
+    for check in (validate_representation, wada_matrix, twisted_alexander):
         with pytest.raises(ValueError, match="not respected"):
             check(pres, bad_image)
         with pytest.raises(ValueError, match="different generators"):
@@ -566,13 +577,13 @@ def test_inverses_are_checked_mod_p():
     pres = Presentation(GeneratorTable(("x",)), ())
 
     def batch_of_one(p, image, inverse):
-        rep = Representation(pres.gens, 2, p, (image,), (inverse,))
-        return wada_matrix(pres, (rep,))
+        rep = Representation(pres.gens, p, np.array([[image]]), np.array([[inverse]]))
+        return wada_matrix(pres, rep)
 
     m = ((1, 2), (1, 1))  # determinant -1
     inv5 = mat_inverse(5, m)
     assert mat_product(3, m, inv5) != ((1, 0), (0, 1))
-    assert batch_of_one(5, m, inv5).images.tolist() == [[[[1, 2], [1, 1]]]]
+    assert batch_of_one(5, m, inv5).rep.images.tolist() == [[[[1, 2], [1, 1]]]]
     with pytest.raises(ValueError, match="inverse"):
         batch_of_one(3, m, inv5)
     batch_of_one(3, m, mat_inverse(3, m))
@@ -585,7 +596,9 @@ def test_inverses_are_checked_mod_p():
 
 @pytest.mark.parametrize("target", ["SL2_2", "SL2_3", "SL2_5", "SL2_7", "PSL2_7"])
 def test_builders_read_inverses_off_the_group(target):
-    # the representation of the one-generator hom x -> g, for every g
+    # the batch of the one-generator hom x -> g, for every g, gathered from
+    # the group's matrix table: image and inverse are the nested-tuple
+    # oracle's, and the inverse is the image's matrix inverse
     group = PSL2Group(7) if target == "PSL2_7" else SL2Group(int(target[4:]))
     build = (
         representation_from_psl27_hom
@@ -593,9 +606,11 @@ def test_builders_read_inverses_off_the_group(target):
         else representation_from_sl2_hom
     )
     pres = Presentation(GeneratorTable(("x",)), ())
+    images, inverses = oracle_matrices(group, range(group.order))
     for i in range(group.order):
         rep = build(pres, Homomorphism(pres, group, (i,)))
-        assert rep.inverses == (mat_inverse(rep.p, rep.images[0]),)
+        assert member_matrices(rep) == ((images[i],), (inverses[i],))
+        assert inverses[i] == mat_inverse(rep.p, images[i])
 
 
 def test_relator_check_matches_replay_oracle():
@@ -617,7 +632,7 @@ def test_relator_check_matches_replay_oracle():
             except ValueError:
                 expected = False
             try:
-                wada_matrix(pres, (rep,))
+                wada_matrix(pres, rep)
                 got = True
             except ValueError:
                 got = False
@@ -634,7 +649,7 @@ def test_representation_apply_inverse():
     word = parse_word("d b^-2 e d^-1", pres.gens)
     mat, deg = apply_word(rep, word)
     imat, ideg = apply_word(rep, word_inverse(word))
-    k = rep.dim
+    k = rep.images.shape[-1]
     ident = tuple(tuple(int(i == j) for j in range(k)) for i in range(k))
     prod = tuple(
         tuple(
@@ -649,7 +664,7 @@ def test_chain_rule_check_rejects_tampering():
     import dataclasses
 
     pres = trefoil_right_reduced(1)
-    wm = wada_matrix(pres, (trivial_representation(pres, 5),))
+    wm = wada_matrix(pres, trivial_representation(pres, 5))
     coeffs = wm.coeffs.copy()
     coeffs[0, 0, 0] = 0
     coeffs[0, 0, 0, [-1 - wm.low, -wm.low]] = 1  # the block t^-1 + 1
@@ -680,24 +695,28 @@ def test_every_evaluation_checks_the_chain_rule(monkeypatch):
     evaluated = []
     real_batch = gnk.talex.twisted_alexanders
 
-    def batch_spy(pres, reps):
-        out = real_batch(pres, reps)
-        evaluated.extend(reps)
+    def batch_spy(pres, rep):
+        out = real_batch(pres, rep)
+        evaluated.append(rep)
         return out
 
     monkeypatch.setattr(gnk.talex, "twisted_alexanders", batch_spy)
     checked.clear()
     (rec,) = gnk.harness.run_cell("GK", 3, "PSL2_7", ("talex",))
-    assert rec.status == "ok" and len(evaluated) == 54
-    covered = {id(rep) for wm in checked for rep in wm.reps}
-    assert all(id(rep) in covered for rep in evaluated)
+    assert rec.status == "ok" and sum(len(rep.images) for rep in evaluated) == 54
+    for rep in evaluated:
+        assert any(
+            np.array_equal(wm.rep.images, rep.images % rep.p)
+            and np.array_equal(wm.rep.inverses, rep.inverses % rep.p)
+            for wm in checked
+        )
 
 
 def test_wada_shape():
     pres = knot_presentation("GK", 2)
     group = SL2Group(3)
     hom = next(iter(enumerate_homs(pres, group)))
-    wm = wada_matrix(pres, (representation_from_sl2_hom(pres, hom),))
+    wm = wada_matrix(pres, representation_from_sl2_hom(pres, hom))
     assert len(wada_blocks(wm)) == 3
     assert all(len(row) == 3 for row in wada_blocks(wm))
     (grid,) = _grids(_ring_for(3), wm.coeffs[:, :, 1:])
@@ -743,10 +762,10 @@ def test_grid_reads_entries_over_any_degree_span():
 
 
 def _spread_batch(pres, group, members, build):
-    """members representations of homs spread evenly over the search."""
+    """One batch of members homs spread evenly over the search."""
     homs = list(enumerate_homs(pres, group))
     step = max(1, len(homs) // members)
-    return [build(pres, hom) for hom in homs[::step][:members]]
+    return joined_batch(*[build(pres, hom) for hom in homs[::step][:members]])
 
 
 def test_batched_grids_match_deleted_flat_oracle():
@@ -760,8 +779,8 @@ def test_batched_grids_match_deleted_flat_oracle():
     ]
     for pres, group, build in cases:
         wm = wada_matrix(pres, _spread_batch(pres, group, 5, build))
-        assert len(wm.reps) == 5
-        ring = _ring_for(wm.reps[0].p)
+        assert len(wm.rep.images) == 5
+        ring = _ring_for(wm.rep.p)
         grids = _grids(ring, wm.coeffs[:, :, 1:])
         flats = [deleted_flat(wm, 0, member) for member in range(5)]
         shift = min(e.low for flat in flats for row in flat for e in row if e.coeffs)
@@ -784,7 +803,7 @@ def test_wada_matches_fox_oracle():
     hom = next(iter(enumerate_homs(gk, PSL2Group(7))))
     cases.append((gk, representation_from_psl27_hom(gk, hom)))
     for pres, rep in cases:
-        wm = wada_matrix(pres, (rep,))
+        wm = wada_matrix(pres, rep)
         for i, rel in enumerate(pres.relators):
             for j in range(len(pres.gens)):
                 fox = fox_block(rep, fox_derivative(rel, j))
@@ -792,22 +811,40 @@ def test_wada_matches_fox_oracle():
 
 
 def _class_key_batches(monkeypatch, knots_ns, target):
-    """Every wada_matrix batch that run_cell builds for talex on the cells."""
+    """Every wada_matrix batch that run_cell builds for talex on the cells.
+
+    Each batch is gathered from the group's matrix table; every member's
+    images and inverses must be the nested-tuple oracle's for its row."""
     import gnk.talex
     from gnk.harness import run_cell
 
-    built = []
-    real = gnk.talex.wada_matrix
+    built, gathered = [], []
+    real, real_gather = gnk.talex.wada_matrix, gnk.talex._gather
 
-    def spy(pres, reps):
-        wm = real(pres, reps)
+    def spy(pres, rep):
+        wm = real(pres, rep)
         built.append(wm)
         return wm
 
+    def gather_spy(pres, group, rows):
+        rep = real_gather(pres, group, rows)
+        gathered.append(rep)
+        images, inverses = oracle_matrices(group, rows.reshape(-1).tolist())
+        gens = rows.shape[1]
+        for member in range(len(rows)):
+            pick = slice(member * gens, (member + 1) * gens)
+            assert member_matrices(rep, member) == (images[pick], inverses[pick])
+        return rep
+
     monkeypatch.setattr(gnk.talex, "wada_matrix", spy)
+    monkeypatch.setattr(gnk.talex, "_gather", gather_spy)
     for knot, n in knots_ns:
         (rec,) = run_cell(knot, n, target, ("talex",))
         assert rec.status == "ok"
+    assert len(gathered) == len(built) == len(knots_ns)
+    for rep, wm in zip(gathered, built):
+        assert np.array_equal(wm.rep.images, rep.images)
+        assert np.array_equal(wm.rep.inverses, rep.inverses)
     return built
 
 
@@ -816,17 +853,18 @@ def _assert_blocks_match_fox(wm):
         [fox_derivative(rel, j) for j in range(len(wm.pres.gens))]
         for rel in wm.pres.relators
     ]
-    for member, rep in enumerate(wm.reps):
+    for member in range(len(wm.rep.images)):
         blocks = wada_blocks(wm, member)
         for i, row in enumerate(fox):
             for j, elem in enumerate(row):
-                assert blocks[i][j] == degree_terms(fox_block(rep, elem))
+                assert blocks[i][j] == degree_terms(fox_block(wm.rep, elem, member))
 
 
 def _characters(pres, p):
-    """The 1-dimensional representations x -> u of a knot group, one per
-    unit u mod p; u = 1 is the trivial representation."""
-    return [hand_rep(pres, p, (((u,),),) * len(pres.gens)) for u in range(1, p)]
+    """The 1-dimensional representations x -> u of a knot group, one
+    member per unit u mod p; u = 1 is the trivial representation."""
+    members = [(((u,),),) * len(pres.gens) for u in range(1, p)]
+    return hand_representation(pres, p, members)
 
 
 KNOTS_NS = [(knot, n) for knot in ("SK", "GK") for n in (1, 2, 3)]
@@ -837,7 +875,7 @@ def test_batched_blocks_match_fox_oracle(target, monkeypatch):
     # every member of every cell's class-key batch, against Fox derivatives
     batches = _class_key_batches(monkeypatch, KNOTS_NS, target)
     assert len(batches) == len(KNOTS_NS)
-    assert all(len(wm.reps) > 1 for wm in batches)
+    assert all(len(wm.rep.images) > 1 for wm in batches)
     for wm in batches:
         _assert_blocks_match_fox(wm)
 
@@ -850,14 +888,18 @@ def test_batched_characters_match_fox_oracle():
             wm = wada_matrix(pres, batch)
             _assert_blocks_match_fox(wm)
             got = [ta.line() for ta in twisted_alexanders(pres, batch)]
-            assert got == [twisted_alexander(pres, rep).line() for rep in batch]
+            alone = [
+                twisted_alexander(pres, batch_member(batch, member)).line()
+                for member in range(p - 1)
+            ]
+            assert got == alone
 
 
-@pytest.mark.parametrize("target,distinct", [("SL2_3", 30), ("PSL2_7", 36)])
+@pytest.mark.parametrize("target,distinct", [("SL2_3", 5), ("PSL2_7", 6)])
 def test_batch_computes_each_denominator_once(target, distinct, monkeypatch):
-    # a denominator depends only on the deleted generator's image, so a
-    # batch computes one per distinct image, and its lines are those of
-    # evaluating every member alone
+    # a denominator depends only on p and the deleted generator's image, so
+    # a process computes one per distinct image over all its batches, and a
+    # batch's lines are those of evaluating every member alone
     import gnk.talex
 
     batches = _class_key_batches(monkeypatch, KNOTS_NS, target)
@@ -870,19 +912,47 @@ def test_batch_computes_each_denominator_once(target, distinct, monkeypatch):
         return real(ring, images)
 
     monkeypatch.setattr(gnk.talex, "_denominators", spy)
-    total = tried = 0
+    monkeypatch.setattr(gnk.talex, "_DENOMINATORS", {})  # a cold process
+    seen, tried = set(), 0
     for wm in batches:
         calls.clear()
-        got = twisted_alexanders(wm.pres, wm.reps)
-        (images,) = calls  # one call per batch
-        want = {rep.images[0] for rep in wm.reps}
-        assert len(images) == len(want)
-        assert {tuple(map(tuple, m)) for m in images.tolist()} == want
-        total += len(images)
+        got = twisted_alexanders(wm.pres, wm.rep)
+        firsts = {member_matrices(wm.rep, r)[0][0] for r in range(len(got))}
+        assert len(calls) == (not firsts <= seen)  # at most one call per batch
+        computed = [tuple(map(tuple, m)) for c in calls for m in c.tolist()]
+        assert sorted(computed) == sorted(firsts - seen)
+        seen |= firsts
         tried += len(got)
-        alone = [twisted_alexander(wm.pres, rep).line() for rep in wm.reps]
+        alone = [
+            twisted_alexander(wm.pres, batch_member(wm.rep, r)).line()
+            for r in range(len(got))
+        ]
         assert [ta.line() for ta in got] == alone
-    assert total == distinct < tried
+    assert len(seen) == len(gnk.talex._DENOMINATORS) == distinct < tried
+
+
+def test_denominators_are_cached_per_p(monkeypatch):
+    # one integer matrix, reduced alike mod 3 and mod 5, gets one entry
+    # under each p, and each matches a fresh evaluation
+    import gnk.talex
+
+    pres = Presentation(GeneratorTable(("x",)), ())
+    m = ((1, 2), (1, 1))  # determinant -1, a unit mod 3 and mod 5
+    monkeypatch.setattr(gnk.talex, "_DENOMINATORS", {})
+    dens = {}
+    for p in (3, 5):
+        rep = Representation(
+            pres.gens, p, np.array([[m]]), np.array([[mat_inverse(p, m)]])
+        )
+        dens[p] = twisted_alexander(pres, rep).denominator
+        ring = _ring_for(p)
+        (fresh,) = _denominators(ring, np.array([m]))
+        assert dens[p] == _normalized(ring, fresh)
+    assert set(gnk.talex._DENOMINATORS) == {
+        (3, np.array(m, np.int64).tobytes()),
+        (5, np.array(m, np.int64).tobytes()),
+    }
+    assert dens[3] != dens[5]
 
 
 def test_batch_failures_name_the_member_fault(monkeypatch):
@@ -890,32 +960,106 @@ def test_batch_failures_name_the_member_fault(monkeypatch):
 
     pres = knot_presentation("SK", 2)
     (wm,) = _class_key_batches(monkeypatch, [("SK", 2)], "SL2_5")
-    reps = list(wm.reps)
+    members = len(wm.rep.images)
     # one member with a generator image swapped breaks a relator
-    broken = reps[len(reps) // 2]
+    images, _ = member_matrices(wm.rep, members // 2)
     for a, b, c, d in SL2Group(5).elements():
-        images = list(broken.images)
-        images[1] = ((a, b), (c, d))
-        bad = hand_rep(pres, 5, images)
+        bad = hand_rep(pres, 5, (images[0], ((a, b), (c, d)), *images[2:]))
         try:
             validate_representation(pres, bad)
         except ValueError:
             break
+    head, tail = batch_member(wm.rep, 0), batch_member(wm.rep, members - 1)
     with pytest.raises(ValueError, match="not respected"):
-        wada_matrix(pres, reps[:3] + [bad] + reps[3:])
+        wada_matrix(pres, joined_batch(head, bad, tail))
     # a tampered block in one member fails the chain rule
     _check_chain_rule(wm)
     coeffs = wm.coeffs.copy()
-    coeffs[len(reps) - 1, 2, 1, -wm.low] += np.eye(2, dtype=coeffs.dtype)
+    coeffs[members - 1, 2, 1, -wm.low] += np.eye(2, dtype=coeffs.dtype)
     with pytest.raises(RuntimeError, match="identity failed"):
         _check_chain_rule(dataclasses.replace(wm, coeffs=coeffs % 5))
-    # members must share p and dim
+    # members share p and dim: a batch has one p, and its images and
+    # inverses one k x k shape
     for other in (trivial_representation(pres, 3), trivial_representation(pres, 5)):
-        with pytest.raises(ValueError, match="share"):
-            wada_matrix(pres, [reps[0], other])
-        wada_matrix(pres, [other])  # valid on its own
+        mixed = dataclasses.replace(wm.rep, inverses=other.inverses)
+        with pytest.raises(ValueError, match="image per generator"):
+            wada_matrix(pres, mixed)
+        wada_matrix(pres, other)  # valid on its own
+    empty = dataclasses.replace(
+        wm.rep, images=wm.rep.images[:0], inverses=wm.rep.inverses[:0]
+    )
     with pytest.raises(ValueError, match="at least one"):
-        wada_matrix(pres, [])
+        wada_matrix(pres, empty)
+
+
+def test_cells_gather_batches_without_homomorphisms(monkeypatch):
+    # a talex cell gathers its one batch from the group's matrix table: it
+    # builds no per-class Homomorphism and calls no per-hom builder
+    import gnk.talex
+    from gnk.harness import run_cell
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("built per homomorphism")
+
+    monkeypatch.setattr(Homomorphism, "__init__", refuse)
+    for name in ("representation_from_sl2_hom", "representation_from_psl27_hom"):
+        monkeypatch.setattr(gnk.talex, name, refuse)
+    with pytest.raises(AssertionError, match="per homomorphism"):
+        Homomorphism(None, None, ())
+    for target in ("SL2_2", "SL2_3", "PSL2_7"):
+        for knot in ("SK", "GK"):
+            (rec,) = run_cell(knot, 2, target, ("talex",))
+            assert rec.status == "ok"
+
+
+@pytest.mark.parametrize("fault", ["bytes", "inverse", "relator", "chain rule"])
+def test_cell_batch_path_runs_every_check(fault, monkeypatch):
+    # each check of wada_matrix fires on the batch that run_cell gathers:
+    # the byte bound skips the cell, and a tampered inverse, a member that
+    # breaks a relator or a tampered block raises
+    import dataclasses
+
+    import gnk.talex
+    from gnk.harness import run_cell
+
+    real_gather, real_chain = gnk.talex._gather, gnk.talex._check_chain_rule
+
+    def gather(pres, group, rows):
+        if fault == "relator":  # the last member's second image moved
+            rows = rows.copy()
+            for x in range(group.order):
+                rows[-1, 1] = x
+                try:
+                    validate_representation(pres, real_gather(pres, group, rows[-1:]))
+                except ValueError:
+                    break
+        rep = real_gather(pres, group, rows)
+        if fault == "inverse":
+            inverses = rep.inverses.copy()
+            inverses[-1, 0, 0, 0] += 1
+            rep = dataclasses.replace(rep, inverses=inverses)
+        return rep
+
+    def chain(wm):
+        coeffs = wm.coeffs.copy()
+        coeffs[-1, 0, 0, -wm.low] += np.eye(coeffs.shape[-1], dtype=coeffs.dtype)
+        real_chain(dataclasses.replace(wm, coeffs=coeffs % wm.rep.p))
+
+    monkeypatch.setattr(gnk.talex, "_gather", gather)
+    if fault == "bytes":
+        monkeypatch.setattr(gnk.talex, "MAX_WADA_BYTES", 1)
+        (rec,) = run_cell("SK", 2, "SL2_5", ("talex",))
+        assert rec.status == "skip" and "MAX_WADA_BYTES" in rec.stats["reason"]
+        return
+    if fault == "chain rule":
+        monkeypatch.setattr(gnk.talex, "_check_chain_rule", chain)
+    error, match = {
+        "inverse": (ValueError, "inverse is not 1"),
+        "relator": (ValueError, "not respected"),
+        "chain rule": (RuntimeError, "identity failed"),
+    }[fault]
+    with pytest.raises(error, match=match):
+        run_cell("SK", 2, "SL2_5", ("talex",))
 
 
 # -- the invariant --------------------------------------------------------------
@@ -983,7 +1127,7 @@ def test_numerator_does_not_depend_on_the_deleted_column():
     ]
     for pres, rep in cases:
         ta = twisted_alexander(pres, rep)
-        wm = wada_matrix(pres, (rep,))
+        wm = wada_matrix(pres, rep)
         for j in range(len(pres.gens)):
             flat = deleted_flat(wm, j)
             oracle = poly_minors_gcd(rep.p, flat, len(flat[0]))
@@ -1000,7 +1144,7 @@ def test_denominators_never_vanish():
         p: [((a, b), (c, d)) for a, b, c, d in SL2Group(p).elements()]
         for p in (3, 5)
     }
-    images[2] = list(psl27_matrix_dictionary().values())
+    images[2] = psl27_matrix_dictionary()
     assert [len(images[p]) for p in (3, 5, 2)] == [24, 120, 168]
     for p, batch in images.items():
         ring = _ring_for(p)
@@ -1023,7 +1167,7 @@ def test_numerator_matches_minors_oracle():
     cases.append((pres2, representation_from_sl2_hom(pres2, hom)))
     for pres, rep in cases:
         ta = twisted_alexander(pres, rep)
-        flat = deleted_flat(wada_matrix(pres, (rep,)), 0)
+        flat = deleted_flat(wada_matrix(pres, rep), 0)
         oracle = poly_minors_gcd(rep.p, flat, len(flat[0]))
         assert ta.numerator == oracle.normalized().coeffs
 
@@ -1034,7 +1178,7 @@ def test_psl27_numerator_matches_minors_oracle():
     hom = next(iter(enumerate_homs(pres, psl)))
     rep = representation_from_psl27_hom(pres, hom)
     ta = twisted_alexander(pres, rep)
-    flat = deleted_flat(wada_matrix(pres, (rep,)), 0)
+    flat = deleted_flat(wada_matrix(pres, rep), 0)
     minors = [
         poly_det(2, [flat[i] for i in rows])
         for rows in itertools.combinations(range(9), 6)
@@ -1085,35 +1229,44 @@ def test_large_n_digests_are_pinned(knot, n, target, homs, digest):
     assert (rec.status, rec.value, rec.stats["homs"]) == ("ok", digest, homs)
 
 
+def _psl27_matrices():
+    """The dictionary's rows as nested tuples, in element-index order."""
+    return [tuple(map(tuple, m)) for m in psl27_matrix_dictionary().tolist()]
+
+
 def test_dictionary_is_isomorphism():
-    table = psl27_matrix_dictionary()
+    # the array in element-index order: onto GL_3(F_2), order-preserving,
+    # and the oracle's own walk of the group by group.mul
+    assert psl27_matrix_dictionary().shape == (168, 3, 3)
+    table = _psl27_matrices()
     psl = PSL2Group(7)
     els = psl.elements()
-    assert len(table) == 168
-    assert set(table.values()) == set(gl32_elements())
+    assert len(set(table)) == 168
+    assert set(table) == set(gl32_elements())
     ident3 = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
-    assert table[psl.identity] == ident3
-    for x in els:
+    assert table[psl.index_of(psl.identity)] == ident3
+    oracle = psl27_oracle_dictionary(psl)
+    assert table == [oracle[x] for x in els]
+    for i, x in enumerate(els):
         order = 1
         acc = x
         while acc != psl.identity:
             acc = psl.mul(acc, x)
             order += 1
-        assert mat3_order(table[x]) == order
+        assert mat3_order(table[i]) == order
 
 
 @settings(max_examples=60, deadline=None)
 @given(st.integers(0, 167), st.integers(0, 167))
 def test_dictionary_multiplicative(i, j):
-    table = psl27_matrix_dictionary()
+    table = _psl27_matrices()
     psl = PSL2Group(7)
     els = psl.elements()
-    x, y = els[i], els[j]
-    prod = table[psl.mul(x, y)]
+    prod = table[psl.index_of(psl.mul(els[i], els[j]))]
     k = 3
     manual = tuple(
         tuple(
-            sum(table[x][r][l] * table[y][l][c] for l in range(k)) % 2
+            sum(table[i][r][l] * table[j][l][c] for l in range(k)) % 2
             for c in range(k)
         )
         for r in range(k)
