@@ -162,26 +162,23 @@ def cmd_extend(args) -> int:
         )
     base = tuple(assignments[name] for name in braid.gens.names)
     candidates = extend_g1_hom(group, base, args.n, args.knot)
-    valid = sum(c.valid for c in candidates)
+    valid = sum(c.third_ok for c in candidates)
     lines = []
     payload_rows = []
     for c in candidates:
-        flags = (
-            f"root={'ok' if c.root_ok else 'NO'} "
-            f"braid={'ok' if c.braid_ok else 'NO'} "
-            f"third={'ok' if c.third_ok else 'NO'}"
-        )
-        mark = "valid" if c.valid else "rejected"
+        # d_hat is an n-th root of D, and extend_g1_hom refuses a non-braid base
+        flags = f"root=ok braid=ok third={'ok' if c.third_ok else 'NO'}"
+        mark = "valid" if c.third_ok else "rejected"
         lines.append(f"d_hat={group.format_element(c.d_hat)} {flags} {mark}")
         payload_rows.append(
             {
                 "d_hat": group.format_element(c.d_hat),
                 "b_hat": group.format_element(c.b_hat),
                 "e_hat": group.format_element(c.e_hat),
-                "root_ok": c.root_ok,
-                "braid_ok": c.braid_ok,
+                "root_ok": True,
+                "braid_ok": True,
                 "third_ok": c.third_ok,
-                "valid": c.valid,
+                "valid": c.third_ok,
             }
         )
     lines.append(f"valid extensions: {valid} of {len(candidates)}")

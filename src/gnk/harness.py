@@ -87,9 +87,6 @@ class SweepConfig:
         if bad or not self.tasks:
             raise ValueError(f"tasks must be a nonempty subset of {TASKS}")
 
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), indent=2) + "\n"
-
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
         data = json.loads(text)

@@ -54,7 +54,6 @@ class SearchStats:
 
 @dataclass(frozen=True)
 class Homomorphism:
-    presentation: Presentation
     group: FiniteGroup
     image_indices: tuple[int, ...]
 
@@ -411,12 +410,10 @@ def hom_image_matrix(
     return matrix, stats
 
 
-def count_homs(
-    pres: Presentation, group: FiniteGroup, shards: int = 1, shard_id: int = 0
-) -> tuple[int, SearchStats]:
+def count_homs(pres: Presentation, group: FiniteGroup) -> tuple[int, SearchStats]:
     """|Hom(pres, group)| = sum over class representatives c of
-    [H : C_H(c)] times the size of c's fiber; shards split the classes."""
-    _, stats = hom_image_matrix(pres, group, shards, shard_id, fibers=True)
+    [H : C_H(c)] times the size of c's fiber."""
+    _, stats = hom_image_matrix(pres, group, fibers=True)
     return stats.homs, stats
 
 
@@ -471,7 +468,7 @@ def sharded_search(
 def enumerate_homs(pres: Presentation, group: FiniteGroup):
     matrix, _ = hom_image_matrix(pres, group)
     for row in matrix:
-        yield Homomorphism(pres, group, tuple(int(v) for v in row))
+        yield Homomorphism(group, tuple(int(v) for v in row))
 
 
 # -- conjugation orbits ---------------------------------------------------------
@@ -634,23 +631,13 @@ def lift_roots(
 
 @dataclass(frozen=True)
 class ExtensionCandidate:
-    """One attempted lift of a base homomorphism along an n-th root.  root_ok
-    and braid_ok hold for every candidate (d_hat is an n-th root of D, and
-    extend_g1_hom refuses a non-braid base); only third_ok can fail."""
+    """One lift of a base homomorphism along an n-th root d_hat of D; it is
+    a homomorphism exactly when third_ok holds."""
 
-    knot: str
-    n: int
-    base: tuple  # (D, B, E) elements
     d_hat: object
     b_hat: object
     e_hat: object
-    root_ok: bool
-    braid_ok: bool
     third_ok: bool
-
-    @property
-    def valid(self) -> bool:
-        return self.root_ok and self.braid_ok and self.third_ok
 
 
 def extend_g1_hom(
@@ -669,17 +656,7 @@ def extend_g1_hom(
     _, d_hat, b_hat, e_hat, third_ok = lift_roots(group, indices, n, knot)
     els = group.elements()
     return tuple(
-        ExtensionCandidate(
-            knot=knot,
-            n=n,
-            base=base,
-            d_hat=els[d],
-            b_hat=els[b],
-            e_hat=els[e],
-            root_ok=True,
-            braid_ok=True,
-            third_ok=ok,
-        )
+        ExtensionCandidate(els[d], els[b], els[e], ok)
         for d, b, e, ok in zip(
             d_hat.tolist(), b_hat.tolist(), e_hat.tolist(), third_ok.tolist()
         )
@@ -694,9 +671,6 @@ class PropertyTReport:
     counterexample is the first failing pair in base-row, then root order.
     """
 
-    group: str
-    n: int
-    knot: str
     holds: bool
     bases: int
     pairs: int
@@ -717,9 +691,6 @@ def check_property_t(group: FiniteGroup, n: int, knot: str) -> PropertyTReport:
     row, d_hat, _, _, third_ok = lift_roots(group, base, n, knot)
     bad = np.flatnonzero(~third_ok)
     report = PropertyTReport(
-        group=group.name,
-        n=n,
-        knot=knot,
         holds=not len(bad),
         bases=int(weights.sum()),
         pairs=int(weights[row].sum()),

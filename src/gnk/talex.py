@@ -81,9 +81,6 @@ class _PackedRing:
     zero = 0
     one = 1
 
-    def deg(self, a: int) -> int:
-        return (a.bit_length() - 1) // self.w
-
     def to_coeffs(self, a: int) -> tuple[int, ...]:
         return tuple(a >> s & self.slot for s in range(0, a.bit_length(), self.w))
 
@@ -117,8 +114,9 @@ class _GF2Ring(_PackedRing):
     def reduce_row(row: list, top: list, t: int) -> None:
         """row[t] becomes its remainder by top[t], and every later entry of
         row loses the quotient times top's entry in its column; columns
-        where top is zero are skipped.  Long division finds the quotient's terms t^s, and each term is one
-        shift and one xor on row[t] and on every later entry."""
+        where top is zero are skipped.  Long division finds the quotient's
+        terms t^s, and each term is one shift and one xor on row[t] and on
+        every later entry."""
         piv = top[t]
         d = piv.bit_length()
         rem, shifts = row[t], []
@@ -295,14 +293,14 @@ class Representation:
 
 @dataclass(frozen=True, eq=False)
 class WadaMatrix:
-    """The block matrices of a batch of representations, by degree.
+    """The block matrices of a batch of representations, by degree, over
+    the presentation that wada_matrix was given.
 
     coeffs[r, i, j, d] is the k x k coefficient matrix of t^(low + d) in
     the block of relator i and generator j for member r, reduced mod p;
     rep is the batch with its images and inverses reduced mod p, in int64.
     """
 
-    pres: Presentation
     rep: Representation
     low: int
     coeffs: np.ndarray
@@ -368,7 +366,7 @@ def wada_matrix(pres: Presentation, rep: Representation) -> WadaMatrix:
         if deg != -low or (prefix != ident).any():
             raise ValueError(f"relator {rel.syllables} is not respected")
     rep = Representation(rep.table, p, images, inverses)
-    wm = WadaMatrix(pres, rep, low, np.moveaxis(acc, 3, 0) % p)
+    wm = WadaMatrix(rep, low, np.moveaxis(acc, 3, 0) % p)
     _check_chain_rule(wm)
     return wm
 
@@ -506,8 +504,8 @@ def _matrix_table(group: FiniteGroup) -> tuple:
         twin = None
         if p != 2:
             r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
-            moved = (mats * [[1, pow(r, -1, p)], [r, 1]] % p).reshape(-1, 4).tolist()
-            twin = np.array([group.index_of(tuple(x)) for x in moved])
+            moved = mats * [[1, pow(r, -1, p)], [r, 1]] % p
+            twin = row_locator(mats.reshape(-1, 4))(moved.reshape(-1, 4))
         table = p, mats, twin
     group._matrix_table = table
     return table

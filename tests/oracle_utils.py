@@ -407,6 +407,11 @@ def plain_poly(ring, coeffs):
     return sum((c % ring.p) << ring.w * d for d, c in enumerate(coeffs))
 
 
+def ring_deg(ring, a):
+    """The degree of a talex F_p[t] ring element, -1 for zero."""
+    return len(ring.to_coeffs(a)) - 1
+
+
 def ring_add(ring, a, b):
     """a + b in a talex F_p[t] ring, coefficient by coefficient."""
     pairs = itertools.zip_longest(ring.to_coeffs(a), ring.to_coeffs(b), fillvalue=0)
@@ -525,7 +530,8 @@ def invariant_factor_product(ring, grid):
             for j in range(t, n):
                 if grid[i][j] and (
                     piv is None
-                    or ring.deg(grid[i][j]) < ring.deg(grid[piv[0]][piv[1]])
+                    or ring_deg(ring, grid[i][j])
+                    < ring_deg(ring, grid[piv[0]][piv[1]])
                 ):
                     piv = (i, j)
         if piv is None:
@@ -1204,20 +1210,21 @@ def hom_images(hom):
     return tuple(els[i] for i in hom.image_indices)
 
 
-def hom_is_valid(hom):
-    """Every relator evaluates to the identity under the homomorphism."""
+def hom_is_valid(pres, hom):
+    """Every relator of pres evaluates to the identity under the
+    homomorphism."""
     images = hom_images(hom)
     return all(
         evaluate(r, images, hom.group) == hom.group.identity
-        for r in hom.presentation.relators
+        for r in pres.relators
     )
 
 
-def serialize_hom(hom):
-    """name=element for each generator, in generator order."""
+def serialize_hom(pres, hom):
+    """name=element for each generator of pres, in generator order."""
     return " ".join(
         f"{name}={hom.group.format_element(img)}"
-        for name, img in zip(hom.presentation.gens.names, hom_images(hom))
+        for name, img in zip(pres.gens.names, hom_images(hom))
     )
 
 

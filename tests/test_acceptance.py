@@ -16,8 +16,7 @@ import pytest
 
 from gnk.fingroups import group_from_spec, nth_roots, s24_witness_report
 from gnk.harness import SweepConfig, compare_report, run_cell, run_sweep
-from gnk.homsearch import count_homs, hom_image_matrix
-from gnk.homsearch import sharded_search
+from gnk.homsearch import hom_image_matrix, sharded_search
 from gnk.presentations import g1_braid_presentation, knot_presentation
 from gnk.talex import twisted_alexander, wada_matrix
 from gnk.words import (
@@ -105,7 +104,7 @@ def test_criterion_02_psl27_hom_count(suite_records):
         group = group_from_spec("PSL2_7")
         start = time.perf_counter()
         total = sum(
-            count_homs(pres, group, shards=8, shard_id=s)[0] for s in range(8)
+            sharded_search(pres, group, 8, shard_id=s)[1]["homs"] for s in range(8)
         )
         elapsed = time.perf_counter() - start
         assert total == 8232

@@ -41,7 +41,7 @@ def make_record(knot="SK", n=2, target="S3", task="count", status="ok",
 
 def test_config_roundtrip():
     cfg = SweepConfig(("SK", "GK"), (1, 2), ("S3",), ("count",), "out.jsonl")
-    again = SweepConfig.from_json(cfg.to_json())
+    again = SweepConfig.from_json(json.dumps(dataclasses.asdict(cfg)))
     assert again == cfg
 
 
@@ -417,7 +417,7 @@ def test_talex_evaluates_once_per_gl_class(knot, n, target, monkeypatch):
         )
         lines = [
             twisted_alexander(
-                pres, representation_from_sl2_hom(pres, Homomorphism(pres, group, row))
+                pres, representation_from_sl2_hom(pres, Homomorphism(group, row))
             ).line()
             for row in (rows[i], twin)
         ]

@@ -249,9 +249,9 @@ def test_n1_reduced_equals_braid_homs():
 def test_matrix_rows_are_valid_homs():
     pres = knot_presentation("SK", 2)
     homs = list(enumerate_homs(pres, S4))
-    assert all(hom_is_valid(h) for h in homs)
+    assert all(hom_is_valid(pres, h) for h in homs)
     assert len(homs) == count_homs(pres, S4)[0]
-    text = serialize_hom(homs[0])
+    text = serialize_hom(pres, homs[0])
     assert text.startswith("d=") and " b=" in text and " e=" in text
 
 
@@ -275,9 +275,9 @@ def test_shard_merge_is_byte_identical():
 def test_shard_validation():
     pres = knot_presentation("SK", 2)
     with pytest.raises(ValueError):
-        count_homs(pres, S3, shards=0)
+        sharded_search(pres, S3, shards=0)
     with pytest.raises(ValueError):
-        count_homs(pres, S3, shards=2, shard_id=2)
+        sharded_search(pres, S3, 2, shard_id=2)
 
 
 def test_sharding_applies_to_pinned_first_generator():
@@ -497,7 +497,10 @@ def test_fibers_match_full_search(knot, raw, n, target):
         fibers, stats = sharded_search(pres, group, shards)
         roots, reps, sizes = fiber_orbits(pres, group, fibers)
         assert stats["homs"] == len(full)
-        parts = [count_homs(pres, group, shards, s)[0] for s in range(shards)]
+        parts = [
+            sharded_search(pres, group, shards, shard_id=s)[1]["homs"]
+            for s in range(shards)
+        ]
         assert sum(parts) == len(full)
         buckets = _count_buckets(group, fibers[reps], sizes)
         assert buckets == {**want, "class_representatives": len(full_reps)}
@@ -553,8 +556,8 @@ def test_extension_bijection(knot, n):
         for row in base:
             triple = tuple(els[i] for i in row)
             for cand in extend_g1_hom(group, triple, n, knot):
-                assert cand.root_ok and cand.braid_ok
-                if cand.valid:
+                assert group.power(cand.d_hat, n) == triple[0]
+                if cand.third_ok:
                     total += 1
                     lifted.add(
                         tuple(
@@ -565,6 +568,21 @@ def test_extension_bijection(knot, n):
         mat, _ = hom_image_matrix(knot_presentation(knot, n), group)
         assert total == len(mat)  # every hom arises exactly once
         assert lifted == set(rows_of(mat))
+
+
+def test_extension_roots_on_product_base():
+    # the base that gnk extend reads from product-element text
+    group = group_from_spec("Z2xS3")
+    D = group.parse_element("(0; (1,2,3))")
+    checked = 0
+    for knot in ("SK", "GK"):
+        for n in (2, 3):
+            cands = extend_g1_hom(group, (D, D, D), n, knot)
+            assert len(cands) == len(nth_roots(group, D, n))
+            for cand in cands:
+                assert group.power(cand.d_hat, n) == D
+                checked += 1
+    assert checked == 4  # two square roots per knot, and no cube root
 
 
 def test_extension_respects_root_structure():
@@ -755,7 +773,6 @@ def test_property_t_matches_naive(spec, n, knot):
     group = group_from_spec(spec)
     report = check_property_t(group, n, knot)
     assert report.holds == naive_property_t(group, n, knot)
-    assert report.knot == knot and report.n == n
 
 
 def test_property_t_report_counts():

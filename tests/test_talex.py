@@ -59,6 +59,7 @@ from oracle_utils import (
     poly_gcd,
     poly_minors_gcd,
     ring_add,
+    ring_deg,
     ring_sub,
     trivial_representation,
     validate_representation,
@@ -350,7 +351,7 @@ def test_reduce_row_matches_laurent_oracle(p):
         seen["zero top"] += any(not top[j] and row[j] for j in range(t + 1, width))
         seen["unit pivot"] += top_deg == 0
         seen["degree-0 quotient"] += not q.is_zero and q.high == 0
-        seen["degree 60"] += max(map(ring.deg, row + top)) == 60
+        seen["degree 60"] += max(ring_deg(ring, e) for e in row + top) == 60
     assert min(seen.values()) > 10
 
 
@@ -389,7 +390,7 @@ def test_packed_ring_matches_laurent_oracle_at_long_degrees(p):
         a_cs, b_cs = coeffs(deg_a), coeffs(deg_b)
         a, b = plain_poly(ring, a_cs), plain_poly(ring, b_cs)
         big, small = laurent(p, a_cs), laurent(p, b_cs)
-        assert list(ring.to_coeffs(a)) == a_cs and ring.deg(a) == deg_a
+        assert list(ring.to_coeffs(a)) == a_cs and ring_deg(ring, a) == deg_a
         assert from_plain(ring, ring.neg(a)) == -big
         assert from_plain(ring, ring_sub(ring, b, a)) == small - big
         assert ring_sub(ring, a, a) == ring.zero
@@ -403,7 +404,7 @@ def test_packed_ring_matches_laurent_oracle_at_long_degrees(p):
         q, r = laurent_divmod(from_plain(ring, row[0]), from_plain(ring, top[0]))
         out = list(row)
         ring.reduce_row(out, top, 0)
-        assert from_plain(ring, out[0]) == r and ring.deg(out[0]) < deg_top
+        assert from_plain(ring, out[0]) == r and ring_deg(ring, out[0]) < deg_top
         for j in (1, 2, 3):
             want = from_plain(ring, row[j]) - q * from_plain(ring, top[j])
             assert from_plain(ring, out[j]) == want and _canonical(ring, out[j])
@@ -608,7 +609,7 @@ def test_builders_read_inverses_off_the_group(target):
     pres = Presentation(GeneratorTable(("x",)), ())
     images, inverses = oracle_matrices(group, range(group.order))
     for i in range(group.order):
-        rep = build(pres, Homomorphism(pres, group, (i,)))
+        rep = build(pres, Homomorphism(group, (i,)))
         assert member_matrices(rep) == ((images[i],), (inverses[i],))
         assert inverses[i] == mat_inverse(rep.p, images[i])
 
@@ -624,7 +625,7 @@ def test_relator_check_matches_replay_oracle():
             images = list(hom.image_indices)
             images[j] = group.index_of(x)
             rep = representation_from_sl2_hom(
-                pres, Homomorphism(pres, group, tuple(images))
+                pres, Homomorphism(group, tuple(images))
             )
             try:
                 validate_representation(pres, rep)
@@ -811,7 +812,8 @@ def test_wada_matches_fox_oracle():
 
 
 def _class_key_batches(monkeypatch, knots_ns, target):
-    """Every wada_matrix batch that run_cell builds for talex on the cells.
+    """Every (pres, wada_matrix batch) that run_cell builds for talex on
+    the cells.
 
     Each batch is gathered from the group's matrix table; every member's
     images and inverses must be the nested-tuple oracle's for its row."""
@@ -823,7 +825,7 @@ def _class_key_batches(monkeypatch, knots_ns, target):
 
     def spy(pres, rep):
         wm = real(pres, rep)
-        built.append(wm)
+        built.append((pres, wm))
         return wm
 
     def gather_spy(pres, group, rows):
@@ -842,16 +844,16 @@ def _class_key_batches(monkeypatch, knots_ns, target):
         (rec,) = run_cell(knot, n, target, ("talex",))
         assert rec.status == "ok"
     assert len(gathered) == len(built) == len(knots_ns)
-    for rep, wm in zip(gathered, built):
+    for rep, (_, wm) in zip(gathered, built):
         assert np.array_equal(wm.rep.images, rep.images)
         assert np.array_equal(wm.rep.inverses, rep.inverses)
     return built
 
 
-def _assert_blocks_match_fox(wm):
+def _assert_blocks_match_fox(pres, wm):
     fox = [
-        [fox_derivative(rel, j) for j in range(len(wm.pres.gens))]
-        for rel in wm.pres.relators
+        [fox_derivative(rel, j) for j in range(len(pres.gens))]
+        for rel in pres.relators
     ]
     for member in range(len(wm.rep.images)):
         blocks = wada_blocks(wm, member)
@@ -875,9 +877,9 @@ def test_batched_blocks_match_fox_oracle(target, monkeypatch):
     # every member of every cell's class-key batch, against Fox derivatives
     batches = _class_key_batches(monkeypatch, KNOTS_NS, target)
     assert len(batches) == len(KNOTS_NS)
-    assert all(len(wm.rep.images) > 1 for wm in batches)
-    for wm in batches:
-        _assert_blocks_match_fox(wm)
+    assert all(len(wm.rep.images) > 1 for _, wm in batches)
+    for pres, wm in batches:
+        _assert_blocks_match_fox(pres, wm)
 
 
 def test_batched_characters_match_fox_oracle():
@@ -886,7 +888,7 @@ def test_batched_characters_match_fox_oracle():
         for p in (2, 5):
             batch = _characters(pres, p)
             wm = wada_matrix(pres, batch)
-            _assert_blocks_match_fox(wm)
+            _assert_blocks_match_fox(pres, wm)
             got = [ta.line() for ta in twisted_alexanders(pres, batch)]
             alone = [
                 twisted_alexander(pres, batch_member(batch, member)).line()
@@ -915,9 +917,9 @@ def test_batch_computes_each_denominator_once(target, distinct, monkeypatch):
     monkeypatch.setattr(gnk.talex, "_denominators", spy)
     monkeypatch.setattr(gnk.talex, "_DENOMINATORS", {})  # a cold process
     seen, total, tried = set(), 0, 0
-    for wm in batches:
+    for pres, wm in batches:
         calls.clear()
-        got = twisted_alexanders(wm.pres, wm.rep)
+        got = twisted_alexanders(pres, wm.rep)
         firsts = {member_matrices(wm.rep, r)[0][0] for r in range(len(got))}
         assert len(calls) == (not firsts <= seen)  # at most one call per batch
         computed = [tuple(map(tuple, m)) for c in calls for m in c.tolist()]
@@ -926,7 +928,7 @@ def test_batch_computes_each_denominator_once(target, distinct, monkeypatch):
         total += len(firsts)
         tried += len(got)
         alone = [
-            twisted_alexander(wm.pres, batch_member(wm.rep, r)).line()
+            twisted_alexander(pres, batch_member(wm.rep, r)).line()
             for r in range(len(got))
         ]
         assert [ta.line() for ta in got] == alone
@@ -963,7 +965,7 @@ def test_batch_failures_name_the_member_fault(monkeypatch):
     import dataclasses
 
     pres = knot_presentation("SK", 2)
-    (wm,) = _class_key_batches(monkeypatch, [("SK", 2)], "SL2_5")
+    ((_, wm),) = _class_key_batches(monkeypatch, [("SK", 2)], "SL2_5")
     members = len(wm.rep.images)
     # one member with a generator image swapped breaks a relator
     images, _ = member_matrices(wm.rep, members // 2)
@@ -1009,11 +1011,28 @@ def test_cells_gather_batches_without_homomorphisms(monkeypatch):
     for name in ("representation_from_sl2_hom", "representation_from_psl27_hom"):
         monkeypatch.setattr(gnk.talex, name, refuse)
     with pytest.raises(AssertionError, match="per homomorphism"):
-        Homomorphism(None, None, ())
+        Homomorphism(None, ())
     for target in ("SL2_2", "SL2_3", "PSL2_7"):
         for knot in ("SK", "GK"):
             (rec,) = run_cell(knot, 2, target, ("talex",))
             assert rec.status == "ok"
+
+
+@pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
+def test_twin_map_matches_index_of_oracle(p):
+    # twin[x] is the index of P x P^-1, P = diag(1, r) for the least
+    # non-square r mod p, looked up element by element
+    import gnk.talex
+
+    group = SL2Group(p)
+    r = min(set(range(1, p)) - {x * x % p for x in range(1, p)})
+    want = [
+        group.index_of((a, b * pow(r, -1, p) % p, c * r % p, d))
+        for a, b, c, d in group.elements()
+    ]
+    twin = gnk.talex._matrix_table(group)[2]
+    assert twin.tolist() == want
+    assert sorted(want) == list(range(len(want)))  # a bijection
 
 
 @pytest.mark.parametrize("fault", ["bytes", "inverse", "relator", "chain rule"])
@@ -1110,12 +1129,7 @@ def test_braid_and_reduced_presentations_agree_per_hom():
     }
     for hom in braid_homs[:25]:
         a = twisted_alexander(braid, representation_from_sl2_hom(braid, hom))
-        b = twisted_alexander(
-            red,
-            representation_from_sl2_hom(
-                red, Homomorphism(red, group, hom.image_indices)
-            ),
-        )
+        b = twisted_alexander(red, representation_from_sl2_hom(red, hom))
         assert a.line() == b.line()
 
 
@@ -1201,8 +1215,8 @@ def test_invariant_is_conjugation_invariant():
         moved = tuple(
             psl.index_of(conjugate(psl, els[i], c)) for i in base.image_indices
         )
-        other = Homomorphism(pres, psl, moved)
-        assert hom_is_valid(other)
+        other = Homomorphism(psl, moved)
+        assert hom_is_valid(pres, other)
         tb = twisted_alexander(pres, representation_from_psl27_hom(pres, other))
         assert (ta.numerator, ta.denominator) == (tb.numerator, tb.denominator)
 
