@@ -20,7 +20,7 @@ import math
 import random
 import re
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterator
 
 MAX_ENUMERABLE_ORDER = 2500
@@ -41,22 +41,29 @@ class CapabilityError(RuntimeError):
 
 
 def _is_prime(p: int) -> bool:
-    if p < 2:
-        return False
-    i = 2
-    while i * i <= p:
-        if p % i == 0:
+    """Miller-Rabin on the first 13 primes: exact below 3.3 * 10^24 (Sorenson
+    and Webster, Math. Comp. 86, 2017); past that it proves only composites."""
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if p < 43:
+        return p in bases
+    s = ((p - 1) & (1 - p)).bit_length() - 1  # p - 1 = d 2^s with d odd
+    for a in bases:
+        x = pow(a, (p - 1) >> s, p)
+        squares = itertools.accumulate(range(s - 1), lambda y, _: y * y % p, initial=x)
+        if x != 1 and p - 1 not in squares:
             return False
-        i += 1
+    if p >= (limit := 3317044064679887385961981):
+        raise ValueError(f"cannot certify {p} prime: past the test's limit {limit}")
     return True
 
 
 class FiniteGroup:
     """Base protocol; subclasses fill in the arithmetic and enumeration."""
 
-    def __init__(self, name: str, order: int, identity) -> None:
+    def __init__(self, name: str, order: int | None, identity) -> None:
         self.name = name
-        self.order = order
+        if order is not None:  # None: the subclass works it out when read
+            self.order = order
         self.identity = identity
         self._elements: tuple | None = None
         self._index: dict | None = None
@@ -70,12 +77,15 @@ class FiniteGroup:
     def _enumerate(self) -> Iterator:
         raise NotImplementedError
 
+    def _order_exceeds(self, bound: int) -> bool:
+        return self.order > bound
+
     def elements(self) -> tuple:
         if self._elements is None:
-            if self.order > MAX_ENUMERABLE_ORDER:
+            if self._order_exceeds(MAX_ENUMERABLE_ORDER):
                 raise CapabilityError(
-                    f"{self.name} has order {self.order}, above the "
-                    f"enumeration bound {MAX_ENUMERABLE_ORDER}"
+                    f"{self.name} has order above the enumeration bound "
+                    f"{MAX_ENUMERABLE_ORDER}"
                 )
             els = tuple(self._enumerate())
             if len(els) != self.order:
@@ -110,7 +120,7 @@ class FiniteGroup:
         raise NotImplementedError
 
     def __repr__(self) -> str:
-        return f"<{type(self).__name__} {self.name} order {self.order}>"
+        return f"<{type(self).__name__} {self.name}>"
 
 
 # -- permutation groups ------------------------------------------------------
@@ -134,13 +144,21 @@ def permutation_parity(perm: tuple[int, ...]) -> int:
 
 
 class SymmetricGroup(FiniteGroup):
-    def __init__(self, degree: int, name: str | None = None) -> None:
+    _LETTER, _INDEX = "S", 1  # the name's letter and the index in S_k
+
+    def __init__(self, degree: int) -> None:
         if degree < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
-        super().__init__(
-            name or f"S{degree}", math.factorial(degree), tuple(range(degree))
-        )
+        super().__init__(f"{self._LETTER}{degree}", None, tuple(range(degree)))
+
+    @cached_property
+    def order(self) -> int:  # worked out when read: k! at k = 10^6 takes seconds
+        return max(1, math.factorial(self.degree) // self._INDEX)
+
+    def _order_exceeds(self, bound: int) -> bool:
+        # lgamma(k + 1) = log k!; the margin 1 > log 2 covers A_k and rounding
+        return math.lgamma(self.degree + 1) > math.log(bound) + 1 or self.order > bound
 
     def mul(self, x, y):
         return tuple(y[i] for i in x)
@@ -162,9 +180,7 @@ class SymmetricGroup(FiniteGroup):
 
 
 class AlternatingGroup(SymmetricGroup):
-    def __init__(self, degree: int) -> None:
-        super().__init__(degree, name=f"A{degree}")
-        self.order = 1 if degree < 2 else math.factorial(degree) // 2
+    _LETTER, _INDEX = "A", 2
 
     def _enumerate(self):
         return (
@@ -538,7 +554,8 @@ def group_from_spec(spec: str) -> FiniteGroup:
     """Parse names like S5, A4, Z6, D4, SL2_3, PSL2_7, Z2xZ4, cayley:path.
 
     One shared group per spec (and, for cayley:, per file content), so the
-    caches hung on a group (index tables, n = 1 bases) outlive each caller.
+    tables cached per group (index tables, class data, n = 1 bases, matrix
+    tables), which key on the group itself, are built once a process.
     """
     s = spec.strip()
     if s.startswith("cayley:"):

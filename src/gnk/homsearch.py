@@ -92,7 +92,6 @@ class _Indexed:
                         reached[k] = True
                         mul[k] = mul[h][mul[x]]
                         queue.append(k)
-        self.group = group
         self.n = n
         self.ident = ident
         self.gens = np.array(gens, dtype=np.int32)
@@ -136,12 +135,9 @@ class _Indexed:
         return self._roots[k]
 
 
+@lru_cache(maxsize=None)
 def indexed_tables(group: FiniteGroup) -> _Indexed:
-    tables = getattr(group, "_index_tables", None)
-    if tables is None:
-        tables = _Indexed(group)
-        group._index_tables = tables
-    return tables
+    return _Indexed(group)
 
 
 def _min_labels(rows: int, targets) -> np.ndarray:
@@ -227,12 +223,9 @@ class _Classes:
             row[: len(cent)] = cent
 
 
+@lru_cache(maxsize=None)
 def class_data(group: FiniteGroup) -> _Classes:
-    cached = getattr(group, "_class_data", None)
-    if cached is None:
-        cached = _Classes(group)
-        group._class_data = cached
-    return cached
+    return _Classes(group)
 
 
 # -- assignment plans ---------------------------------------------------------
@@ -574,18 +567,15 @@ def fiber_orbits(
 # -- n = 1 base homomorphisms and their twisted extensions ----------------------
 
 
+@lru_cache(maxsize=None)
 def g1_base_fibers(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     """(rows, weights): the fibers of the shared n = 1 group, images
     (D, B, E), each row weighted by the size of the class its first free
     generator maps to; cached per group."""
-    cached = getattr(group, "_g1_base_fibers", None)
-    if cached is None:
-        pres = g1_braid_presentation()
-        rows, _ = hom_image_matrix(pres, group, fibers=True)
-        classes = class_data(group)
-        weights = classes.sizes[classes.label[rows[:, compile_plan(pres)[0].gen]]]
-        cached = group._g1_base_fibers = (rows, weights)
-    return cached
+    pres = g1_braid_presentation()
+    rows, _ = hom_image_matrix(pres, group, fibers=True)
+    classes = class_data(group)
+    return rows, classes.sizes[classes.label[rows[:, compile_plan(pres)[0].gen]]]
 
 
 def require_composite(task: str, knot: str) -> None:

@@ -9,7 +9,7 @@ Relators are stored cyclically reduced and canonicalized: among all
 rotations of the relator and of its inverse we keep the lexicographically
 least syllable tuple.  Two relators that present the same cyclic word
 therefore compare equal.  A presentation is its fields: two compare equal
-when their generators, ordered relators, n and label do.
+when their generators, ordered relators and n do.
 """
 
 from __future__ import annotations
@@ -103,13 +103,12 @@ def equality_relator(lhs: Word, rhs: Word) -> Word:
 
 @dataclass(frozen=True)
 class Presentation:
-    """Generators, canonicalized relators in construction order, the twist
-    level n and a label."""
+    """Generators, canonicalized relators in construction order and the
+    twist level n."""
 
     gens: GeneratorTable
     relators: tuple[Word, ...]
     n: int = 1
-    label: str = ""
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -131,7 +130,7 @@ def arc_names(count: int) -> tuple[str, ...]:
     return tuple(f"x{i}" for i in range(count))
 
 
-def gn_from_diagram(diagram: KnotDiagram, n: int, label: str = "") -> Presentation:
+def gn_from_diagram(diagram: KnotDiagram, n: int) -> Presentation:
     """One generator per arc, one twisted conjugation relator per crossing."""
     table = GeneratorTable(arc_names(diagram.arc_count))
     relators = []
@@ -143,7 +142,7 @@ def gn_from_diagram(diagram: KnotDiagram, n: int, label: str = "") -> Presentati
         lhs = Word(table, ((x, 1),))
         rhs = reduce(table, [(over, n), (z, 1), (over, -n)])
         relators.append(equality_relator(lhs, rhs))
-    return Presentation(table, tuple(relators), n=n, label=label)
+    return Presentation(table, tuple(relators), n=n)
 
 
 TREFOIL_RIGHT = KnotDiagram(3, ((1, 1, 0, 2), (1, 2, 1, 0), (1, 0, 2, 1)))
@@ -193,7 +192,7 @@ def trefoil_right_reduced(n: int) -> Presentation:
         _rel(t, f"a b^{n} a^{n}", f"b^{n} a^{n} b"),
         _rel(t, f"b a^{n} b^{n}", f"a^{n} b^{n} a"),
     )
-    return Presentation(t, rels, n=n, label=f"G_{n}(trefoil_r)")
+    return Presentation(t, rels, n=n)
 
 
 def trefoil_left_reduced(n: int) -> Presentation:
@@ -202,7 +201,7 @@ def trefoil_left_reduced(n: int) -> Presentation:
         _rel(t, f"b a^{n} b^{n}", f"a^{n} b^{n} a"),
         _rel(t, f"a b^{n} a^{n}", f"b^{n} a^{n} b"),
     )
-    return Presentation(t, rels, n=n, label=f"G_{n}(trefoil_l)")
+    return Presentation(t, rels, n=n)
 
 
 def square_knot_gn(n: int) -> Presentation:
@@ -212,7 +211,7 @@ def square_knot_gn(n: int) -> Presentation:
         _rel(t, f"e d^{n} e^{n}", f"d^{n} e^{n} d"),
         _rel(t, f"e^{n} d^{n} e d^-{n} e^-{n}", f"b^{n} d^{n} b d^-{n} b^-{n}"),
     )
-    return Presentation(t, rels, n=n, label=f"G_{n}(SK)")
+    return Presentation(t, rels, n=n)
 
 
 def granny_knot_gn(n: int) -> Presentation:
@@ -222,7 +221,7 @@ def granny_knot_gn(n: int) -> Presentation:
         _rel(t, f"d e^{n} d^{n}", f"e^{n} d^{n} e"),
         _rel(t, f"e^-{n} d^-{n} e d^{n} e^{n}", f"b^{n} d^{n} b d^-{n} b^-{n}"),
     )
-    return Presentation(t, rels, n=n, label=f"G_{n}(GK)")
+    return Presentation(t, rels, n=n)
 
 
 @lru_cache(maxsize=None)
@@ -230,7 +229,7 @@ def g1_braid_presentation() -> Presentation:
     """The common n = 1 group of both composite knots, on d, b, e."""
     t = GeneratorTable(("d", "b", "e"))
     rels = (_rel(t, "b d b", "d b d"), _rel(t, "e d e", "d e d"))
-    return Presentation(t, rels, n=1, label="base")
+    return Presentation(t, rels, n=1)
 
 
 REDUCED_BUILDERS = {
@@ -251,7 +250,7 @@ def knot_presentation(knot: str, n: int, raw: bool = False) -> Presentation:
     if knot not in KNOT_NAMES:
         raise KeyError(f"unknown knot {knot!r}")
     if raw:
-        return gn_from_diagram(DIAGRAMS[knot], n, label=f"G_{n}({knot}) raw")
+        return gn_from_diagram(DIAGRAMS[knot], n)
     return REDUCED_BUILDERS[knot](n)
 
 

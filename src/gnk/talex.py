@@ -65,7 +65,6 @@ from .fingroups import (
     FiniteGroup,
     PSL2Group,
     SL2Group,
-    group_from_spec,
 )
 from .homsearch import indexed_tables, into_fibers, row_locator
 from .presentations import Presentation
@@ -475,9 +474,11 @@ def twisted_alexander(pres: Presentation, rep: Representation) -> TwistedAlexand
 # check rejects any presentation on which it is not a homomorphism.
 
 
+@lru_cache(maxsize=None)
 def _matrix_table(group: FiniteGroup) -> tuple:
-    """(p, mats, twin) for a matrix target, built once per group; every
-    other target raises CapabilityError.
+    """(p, mats, twin) for a matrix target, cached on the group for the
+    life of the process; every other target raises CapabilityError, on
+    every call, since a refusal is not cached.
 
     mats[x] is the matrix of element index x over F_p, int64 and reduced
     mod p: SL2_p's natural representation, or the 168-element dictionary
@@ -490,25 +491,19 @@ def _matrix_table(group: FiniteGroup) -> tuple:
     conjugation is inner, and its outer automorphism dualizes the
     representation.
     """
-    table = getattr(group, "_matrix_table", None)
-    if table is not None:
-        return table
     if isinstance(group, PSL2Group) and group.p == 7:
-        table = 2, psl27_matrix_dictionary(), None
-    elif not isinstance(group, SL2Group) or isinstance(group, PSL2Group):
+        return 2, psl27_matrix_dictionary(group), None
+    if not isinstance(group, SL2Group) or isinstance(group, PSL2Group):
         raise CapabilityError(f"no matrix representation route for {group.name}")
-    else:
-        p = group.p
-        mats = np.array(group.elements(), dtype=np.int64).reshape(-1, 2, 2) % p
-        mats.flags.writeable = False
-        twin = None
-        if p != 2:
-            r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
-            moved = mats * [[1, pow(r, -1, p)], [r, 1]] % p
-            twin = row_locator(mats.reshape(-1, 4))(moved.reshape(-1, 4))
-        table = p, mats, twin
-    group._matrix_table = table
-    return table
+    p = group.p
+    mats = np.array(group.elements(), dtype=np.int64).reshape(-1, 2, 2) % p
+    mats.flags.writeable = False
+    twin = None
+    if p != 2:
+        r = next(r for r in range(2, p) if pow(r, (p - 1) // 2, p) == p - 1)
+        moved = mats * [[1, pow(r, -1, p)], [r, 1]] % p
+        twin = row_locator(mats.reshape(-1, 4))(moved.reshape(-1, 4))
+    return p, mats, twin
 
 
 def _gather(pres: Presentation, group: FiniteGroup, rows) -> Representation:
@@ -577,19 +572,17 @@ def cell_lines(
 # -- the 168-element dictionary ----------------------------------------------------
 
 
-@lru_cache(maxsize=None)
-def psl27_matrix_dictionary() -> np.ndarray:
-    """Isomorphism from PSL2_7 onto GL_3(F_2), as a (168, 3, 3) int64 array
-    whose row x is the matrix of element index x.
+def psl27_matrix_dictionary(psl: PSL2Group) -> np.ndarray:
+    """Isomorphism from psl, a PSL2_7, onto GL_3(F_2), as a (168, 3, 3)
+    int64 array whose row x is the matrix of psl's element index x.
 
     The stored images of the two standard generators are extended along
-    the Cayley graph of the shared group's index table, one 3 x 3 product
-    per new element.  The extension must be a bijection, and it is checked
+    the Cayley graph of psl's index table, one 3 x 3 product per new
+    element.  The extension must be a bijection, and it is checked
     multiplicatively on every pair, in one array comparison against the
     index table, before being returned; an edge the extension disagrees
     with fails its pair.
     """
-    psl = group_from_spec("PSL2_7")
     idx = indexed_tables(psl)
     # s and t have orders 2 and 7 and a product of order 3; so do their images
     gens = [

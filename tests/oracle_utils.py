@@ -1258,7 +1258,7 @@ def sk_powered_third_relation(n):
     )
 
 
-def parse_presentation(text, label=""):
+def parse_presentation(text):
     """The inverse of presentations.format_presentation."""
     gens = None
     n = 1
@@ -1286,7 +1286,7 @@ def parse_presentation(text, label=""):
             raise ValueError(f"unknown key {key!r}")
     if gens is None:
         raise ValueError("missing gens line")
-    return Presentation(gens, tuple(relators), n=n, label=label)
+    return Presentation(gens, tuple(relators), n=n)
 
 
 def format_diagram(diagram):

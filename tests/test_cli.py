@@ -69,6 +69,34 @@ def test_commands_load_only_their_layers(argv, heavy):
     assert loaded & HEAVY == heavy
 
 
+@pytest.mark.parametrize(
+    "spec, code, text",
+    [
+        ("SL2_2305843009213693951", 2, "enumeration bound 2500"),
+        ("PSL2_2305843009213693951", 2, "enumeration bound 2500"),
+        ("S3000000", 2, "enumeration bound 2500"),
+        ("S100000", 2, "enumeration bound 2500"),
+        ("A100000", 2, "enumeration bound 2500"),
+        ("S3xS200000", 2, "enumeration bound 2500"),
+        ("SL2_4951760154835678088235319297", 1, "is not prime"),
+    ],
+)
+def test_oversized_targets_exit_at_once(spec, code, text):
+    # p = 2^61 - 1 is prime and (2^31 - 1)(2^61 - 1) is not, past any trial
+    # division; k! for k = 10^6 alone takes seconds, and S_k's order from
+    # k = 1559 up has more digits than int-to-text conversion allows.  A
+    # fresh process, so that the huge groups are not cached in this one
+    src = os.path.dirname(os.path.dirname(os.path.abspath(gnk.__file__)))
+    env = dict(os.environ, PYTHONPATH=src)
+    argv = ["count-homs", "--knot", "SK", "--n", "2", "--target", spec]
+    done = subprocess.run(
+        [sys.executable, "-m", "gnk.cli", *argv],
+        env=env, capture_output=True, text=True, timeout=10,
+    )
+    assert (done.returncode, done.stdout) == (code, ""), done.stderr
+    assert text in done.stderr and len(done.stderr) < 200, done.stderr
+
+
 # -- present ----------------------------------------------------------------------
 
 
@@ -570,7 +598,8 @@ TWISTS = st.integers(-5, 12) | st.integers(-5, 10**7)
 GROUP_TEXT = (
     st.sampled_from(["S3", "S4", "A4", "D4", "Z5", "Z2xZ4", "SL2_3", "SL2_5", "PSL2_7"])
     | st.sampled_from(["S0", "Z0", "D1", "SL2_4", "SL2_3x", "xZ2", "x", "Z2xxZ3", "Q8",
-                       "S9", "PSL2_97", "", " ", "cayley:", "cayley:no/such/file"])
+                       "S9", "PSL2_97", "", " ", "cayley:", "cayley:no/such/file",
+                       "S100000", "PSL2_2305843009213693951"])
     | st.text(max_size=8)
 )
 ELEMENT_TEXT = (

@@ -46,6 +46,9 @@ def test_known_orders():
     orders = {
         "S3": 6,
         "S6": 720,
+        "A1": 1,
+        "A2": 1,
+        "A3": 3,
         "A4": 12,
         "A5": 60,
         "D4": 8,
@@ -118,8 +121,33 @@ def test_enumeration_is_gated_but_arithmetic_is_not():
     assert s24.order == math.factorial(24) > MAX_ENUMERABLE_ORDER
     with pytest.raises(CapabilityError):
         s24.elements()
+    # A7 is just past the bound; at degree 10^5 the gate never forms k!,
+    # whose order is worked out only when read
+    for big in (AlternatingGroup(7), SymmetricGroup(10**5), AlternatingGroup(10**5)):
+        with pytest.raises(CapabilityError, match="bound 2500"):
+            big.elements()
+        assert ("order" in vars(big)) == (big.degree == 7)
+    assert AlternatingGroup(7).order == 2520
     x = s24.parse_element("(3,5,12,7,4,6,11,8)(15,17,24,19,16,18,23,20)")
     assert s24.mul(x, s24.inv(x)) == s24.identity
+
+
+def test_prime_test_is_exact_below_its_limit():
+    # trial division below 5000; the least strong pseudoprimes to the first
+    # 4, 11 and 12 prime bases, and 2^61 - 1; past the limit a composite is
+    # still found, and the limit itself, the least strong pseudoprime to all
+    # 13 bases, is refused
+    from gnk.fingroups import _is_prime
+
+    for p in range(-2, 5000):
+        assert _is_prime(p) == (p > 1 and all(p % d for d in range(2, math.isqrt(p) + 1)))
+    for psp in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(psp)
+    assert _is_prime(2**61 - 1) and not _is_prime((2**31 - 1) * (2**61 - 1))
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        _is_prime(3317044064679887385961981)
+    with pytest.raises(ValueError, match="limit"):
+        SL2Group(2**89 - 1)
 
 
 def test_cyclic_and_dihedral_elements():

@@ -20,7 +20,7 @@ from gnk.harness import (
     write_records,
 )
 
-from gnk.fingroups import group_from_spec
+from gnk.fingroups import CapabilityError, group_from_spec
 from gnk.homsearch import Homomorphism, enumerate_homs
 from gnk.presentations import knot_presentation
 from gnk.talex import representation_from_sl2_hom, twisted_alexander
@@ -186,6 +186,13 @@ def test_cell_talex_skip_without_matrix_route():
     (rec,) = run_cell("SK", 2, "S4", ("talex",))
     assert rec.status == "skip"
     assert "representation route" in rec.stats["reason"]
+    # the matrix table is cached per group, but a refusal is not cached: it
+    # raises again on the next call
+    for spec in ("S4", "PSL2_11"):
+        group = group_from_spec(spec)
+        for _ in range(2):
+            with pytest.raises(CapabilityError, match="route"):
+                gnk.talex._matrix_table(group)
 
 
 def test_cell_talex_skip_past_the_wada_bound():

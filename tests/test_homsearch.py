@@ -97,15 +97,22 @@ def test_plan_covers_presentations_without_relators():
     assert [s.checks for s in steps] == [(), ()]
 
 
+def named(knot, n, raw=False):
+    """knot_presentation(knot, n, raw) as a parameter whose id names it."""
+    name = f"G_{n}({knot})" + " raw" * raw
+    return pytest.param(knot_presentation(knot, n, raw=raw), id=name)
+
+
+BASE = pytest.param(g1_braid_presentation(), id="base")
 PLANNED = [
-    knot_presentation(knot, n, raw=raw)
+    named(knot, n, raw)
     for knot in ("SK", "GK", "trefoil_r", "trefoil_l")
     for n in (1, 2, 3, 4)
     for raw in (False, True)
-] + [g1_braid_presentation()]
+] + [BASE]
 
 
-@pytest.mark.parametrize("pres", PLANNED, ids=lambda p: p.label)
+@pytest.mark.parametrize("pres", PLANNED)
 def test_plan_assigns_each_generator_once_and_places_each_relator(pres):
     """Every nonempty relator is completed at one step: the first after
     which all its generators are assigned.  There it is either checked or
@@ -175,7 +182,7 @@ def test_plan_cache_respects_relator_order():
     pres = knot_presentation("SK", 2, raw=True)
     assert count_homs(pres, S3)[0] == 6
     for order in itertools.permutations(pres.relators):
-        moved = Presentation(pres.gens, order, pres.n, pres.label)
+        moved = Presentation(pres.gens, order, pres.n)
         assert (moved.gens, moved.n) == (pres.gens, pres.n)
         assert relator_multiset(moved.relators) == relator_multiset(pres.relators)
         assert count_homs(moved, S3)[0] == 6
@@ -187,14 +194,13 @@ def test_plan_cache_respects_relator_order():
 @pytest.mark.parametrize(
     "pres",
     [
-        knot_presentation("trefoil_r", 1),
-        knot_presentation("trefoil_r", 2),
-        knot_presentation("trefoil_l", 3),
-        knot_presentation("SK", 2),
-        knot_presentation("GK", 2),
-        g1_braid_presentation(),
+        named("trefoil_r", 1),
+        named("trefoil_r", 2),
+        named("trefoil_l", 3),
+        named("SK", 2),
+        named("GK", 2),
+        BASE,
     ],
-    ids=lambda p: p.label or "base",
 )
 def test_matrix_matches_brute_force_s3(pres):
     want = brute_force_homs(pres, S3)

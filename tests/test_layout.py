@@ -1,7 +1,8 @@
 """Layout guards: every public name in src/gnk, and every public method of
 every class there, is used, documented or traced; every private function
 and class there is used in src/; no module imports another's private
-name; and every function the benchmark's tracer wraps exists."""
+name; no module writes a private attribute onto anything but self; and
+every function the benchmark's tracer wraps exists."""
 
 import ast
 import importlib
@@ -150,3 +151,31 @@ def test_one_process_pool():
         if "ProcessPoolExecutor" in _referenced(node)
     ]
     assert holders == ["homsearch.pool_map"], holders
+
+
+def test_no_module_stamps_private_attributes_on_other_objects():
+    # a table derived from an object is cached by a function keyed on that
+    # object, not written onto it: only self gets underscore attributes, by
+    # assignment (chained or augmented ones included) or by setattr
+    def private_store(node):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            return node.attr, node.value
+        if (
+            isinstance(node, ast.Call)
+            and isinstance(node.func, ast.Name)
+            and node.func.id == "setattr"
+            and len(node.args) == 3
+            and isinstance(node.args[1], ast.Constant)
+        ):
+            return node.args[1].value, node.args[0]
+        return "", None
+
+    stamped = []
+    for module, tree in _sources().items():
+        for node in ast.walk(tree):
+            name, owner = private_store(node)
+            if name.startswith("_") and not (
+                isinstance(owner, ast.Name) and owner.id == "self"
+            ):
+                stamped.append(f"{module}:{node.lineno} {ast.unparse(node)}")
+    assert stamped == [], stamped

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gnk.fingroups import CapabilityError, PSL2Group, SL2Group, SymmetricGroup
+from gnk.fingroups import (
+    CapabilityError,
+    PSL2Group,
+    SL2Group,
+    SymmetricGroup,
+    group_from_spec,
+)
 from gnk.homsearch import Homomorphism, enumerate_homs
 from gnk.presentations import (
     KNOT_NAMES,
@@ -70,6 +76,7 @@ from oracle_utils import (
     hand_representation,
     joined_batch,
     member_matrices,
+    naive_index_tables,
     oracle_matrices,
     psl27_oracle_dictionary,
 )
@@ -494,7 +501,7 @@ def test_meridian_degrees_are_the_abelianization_map():
     ]
     for pres in registry:
         ones = (1,) * len(pres.gens)
-        assert invariant_factors(pres) == (0,), pres.label
+        assert invariant_factors(pres) == (0,), pres
         assert abelianization_map(pres) in (ones, tuple(-v for v in ones))
 
 
@@ -1162,7 +1169,7 @@ def test_denominators_never_vanish():
         p: [((a, b), (c, d)) for a, b, c, d in SL2Group(p).elements()]
         for p in (3, 5)
     }
-    images[2] = psl27_matrix_dictionary()
+    images[2] = psl27_matrix_dictionary(group_from_spec("PSL2_7"))
     assert [len(images[p]) for p in (3, 5, 2)] == [24, 120, 168]
     for p, batch in images.items():
         ring = _ring_for(p)
@@ -1249,13 +1256,17 @@ def test_large_n_digests_are_pinned(knot, n, target, homs, digest):
 
 def _psl27_matrices():
     """The dictionary's rows as nested tuples, in element-index order."""
-    return [tuple(map(tuple, m)) for m in psl27_matrix_dictionary().tolist()]
+    shared = psl27_matrix_dictionary(group_from_spec("PSL2_7"))
+    return [tuple(map(tuple, m)) for m in shared.tolist()]
 
 
 def test_dictionary_is_isomorphism():
     # the array in element-index order: onto GL_3(F_2), order-preserving,
-    # and the oracle's own walk of the group by group.mul
-    assert psl27_matrix_dictionary().shape == (168, 3, 3)
+    # and the oracle's own walk of the group by group.mul; psl, built afresh
+    # rather than shared, gets its own dictionary, multiplicative on its own
+    # index table and equal to the shared group's
+    shared = psl27_matrix_dictionary(group_from_spec("PSL2_7"))
+    assert shared.shape == (168, 3, 3)
     table = _psl27_matrices()
     psl = PSL2Group(7)
     els = psl.elements()
@@ -1272,6 +1283,10 @@ def test_dictionary_is_isomorphism():
             acc = psl.mul(acc, x)
             order += 1
         assert mat3_order(table[i]) == order
+    mats = psl27_matrix_dictionary(psl)
+    mul, _, _ = naive_index_tables(psl)
+    assert ((mats[:, None] @ mats[None]) % 2 == mats[mul]).all()
+    assert np.array_equal(mats, shared)
 
 
 @settings(max_examples=60, deadline=None)
