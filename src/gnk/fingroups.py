@@ -64,7 +64,8 @@ class FiniteGroup:
         self.name = name
         if order is not None:  # None: the subclass works it out when read
             self.order = order
-        self.identity = identity
+        if identity is not None:  # likewise
+            self.identity = identity
         self._elements: tuple | None = None
         self._index: dict | None = None
 
@@ -150,11 +151,15 @@ class SymmetricGroup(FiniteGroup):
         if degree < 1:
             raise ValueError("degree must be positive")
         self.degree = degree
-        super().__init__(f"{self._LETTER}{degree}", None, tuple(range(degree)))
+        super().__init__(f"{self._LETTER}{degree}", None, None)
 
     @cached_property
     def order(self) -> int:  # worked out when read: k! at k = 10^6 takes seconds
         return max(1, math.factorial(self.degree) // self._INDEX)
+
+    @cached_property
+    def identity(self) -> tuple[int, ...]:  # a refused S_k never builds it
+        return tuple(range(self.degree))
 
     def _order_exceeds(self, bound: int) -> bool:
         # lgamma(k + 1) = log k!; the margin 1 > log 2 covers A_k and rounding
@@ -484,11 +489,20 @@ class DirectProductGroup(FiniteGroup):
     def __init__(self, left: FiniteGroup, right: FiniteGroup) -> None:
         self.left = left
         self.right = right
-        super().__init__(
-            f"{left.name}x{right.name}",
-            left.order * right.order,
-            (left.identity, right.identity),
-        )
+        super().__init__(f"{left.name}x{right.name}", None, None)
+
+    @cached_property
+    def order(self) -> int:
+        return self.left.order * self.right.order
+
+    @cached_property
+    def identity(self) -> tuple:
+        return (self.left.identity, self.right.identity)
+
+    def _order_exceeds(self, bound: int) -> bool:
+        if self.left._order_exceeds(bound) or self.right._order_exceeds(bound):
+            return True
+        return self.order > bound
 
     def mul(self, x, y):
         return (self.left.mul(x[0], y[0]), self.right.mul(x[1], y[1]))
@@ -553,13 +567,26 @@ _SPEC_MAKERS = (
 def group_from_spec(spec: str) -> FiniteGroup:
     """Parse names like S5, A4, Z6, D4, SL2_3, PSL2_7, Z2xZ4, cayley:path.
 
-    One shared group per spec (and, for cayley:, per file content), so the
+    A cayley: factor takes the rest of the spec, so it comes last.  One
+    shared group per spec (and, for cayley:, per file content), so the
     tables cached per group (index tables, class data, n = 1 bases, matrix
     tables), which key on the group itself, are built once a process.
     """
     s = spec.strip()
+    head, cayley, path = s.partition("cayley:")
+    parts = head.split("x")
+    parts[-1] += cayley + path
+    if len(parts) > 1:
+        group = None
+        for part in parts:
+            try:
+                factor = group_from_spec(part)
+            except ValueError as exc:
+                raise ValueError(f"bad factor {part!r} in group spec {s!r}: {exc}")
+            group = factor if group is None else _product(group, factor)
+        return group
     if s.startswith("cayley:"):
-        with open(s[len("cayley:") :]) as fh:
+        with open(path) as fh:
             return _cayley_group(fh.read(), s)
     return _named_group(s)
 
@@ -570,16 +597,12 @@ def _cayley_group(text: str, name: str) -> CayleyGroup:
 
 
 @lru_cache(maxsize=None)
+def _product(left: FiniteGroup, right: FiniteGroup) -> DirectProductGroup:
+    return DirectProductGroup(left, right)
+
+
+@lru_cache(maxsize=None)
 def _named_group(s: str) -> FiniteGroup:
-    if "x" in s:
-        group = None
-        for part in s.split("x"):
-            try:
-                factor = group_from_spec(part)
-            except ValueError as exc:
-                raise ValueError(f"bad factor {part!r} in group spec {s!r}: {exc}")
-            group = factor if group is None else DirectProductGroup(group, factor)
-        return group
     for pat, make in _SPEC_MAKERS:
         m = pat.fullmatch(s)
         if m:

@@ -6,10 +6,11 @@ exactly one still-unknown generator, exactly once, with exponent +-1, that
 generator's image is solved from it instead of enumerated.  Remaining
 generators are enumerated, most-constrained first; the first step always
 enumerates.  Each step then checks the relators its assignment completes.
+Every batch is an image matrix, one int32 row of generator images per
+candidate: the search's rows, the root lifts and the extend base alike.
 Step 0's values are a seed column, so one descent covers every seed value,
-and the image matrix comes back sorted lexicographically by the
-presentation's own generator order, so shard outputs merge
-deterministically.
+and the matrix comes back sorted lexicographically by the presentation's
+own generator order, so shard outputs merge deterministically.
 
 The full search seeds every element.  The fiber search seeds one
 representative c of each conjugacy class: its rows are the fibers F_c, the
@@ -306,16 +307,15 @@ def compile_plan(pres: Presentation) -> tuple[_Step, ...]:
 # -- the search ----------------------------------------------------------------
 
 
-def _eval_on_columns(
-    word: Word, cols: dict[int, np.ndarray], idx: _Indexed, length: int
-) -> np.ndarray:
+def _eval_on_columns(word: Word, rows: np.ndarray, idx: _Indexed) -> np.ndarray:
+    """The word's value on each image row: generator g reads rows[:, g]."""
     syllables = word.syllables
     if not syllables:
-        return np.full(length, idx.ident, dtype=np.int32)
+        return np.full(len(rows), idx.ident, dtype=np.int32)
     g0, e0 = syllables[0]
-    val = idx.pow_map(e0)[cols[g0]]
+    val = idx.pow_map(e0)[rows[:, g0]]
     for g, e in syllables[1:]:
-        val = idx.mul_flat[val * idx.n + idx.pow_map(e)[cols[g]]]
+        val = idx.mul_flat[val * idx.n + idx.pow_map(e)[rows[:, g]]]
     return val
 
 
@@ -359,46 +359,42 @@ def hom_image_matrix(
     first = steps[0].gen
     stats = SearchStats()
     started = time.perf_counter()
-    gen_count = len(pres.gens)
+    start = np.zeros((len(seed), len(pres.gens)), dtype=np.int32)
+    start[:, first] = seed
     blocks: list[np.ndarray] = []
 
-    def descend(i: int, cols: dict[int, np.ndarray], length: int) -> None:
+    def descend(i: int, rows: np.ndarray) -> None:
         """Keep the rows that pass step i's checks, then assign step i + 1."""
         for ri in steps[i].checks:
-            vals = _eval_on_columns(pres.relators[ri], cols, idx, length)
-            keep = vals == idx.ident
+            keep = _eval_on_columns(pres.relators[ri], rows, idx) == idx.ident
             kept = int(keep.sum())
-            stats.prunes += length - kept
+            stats.prunes += len(rows) - kept
             if not kept:
                 return
-            if kept < length:
-                cols, length = {g: arr[keep] for g, arr in cols.items()}, kept
+            if kept < len(rows):
+                rows = rows[keep]
         if i + 1 == len(steps):
-            stats.homs += int(weight[cols[first]].sum())
-            blocks.append(np.stack([cols[g] for g in range(gen_count)], axis=1))
+            stats.homs += int(weight[rows[:, first]].sum())
+            blocks.append(rows)
             return
         step = steps[i + 1]
         if step.expr is not None:
-            stats.nodes += length
-            value = _eval_on_columns(step.expr, cols, idx, length)
-            descend(i + 1, {**cols, step.gen: value}, length)
-            return
-        total = length * idx.n
-        for lo in range(0, total, BLOCK_ROWS):
-            rows = np.arange(lo, min(lo + BLOCK_ROWS, total), dtype=np.int64)
-            base = rows // idx.n
-            sub = {g: arr[base] for g, arr in cols.items()}
-            sub[step.gen] = (rows % idx.n).astype(np.int32)
             stats.nodes += len(rows)
-            descend(i + 1, sub, len(rows))
+            # each call holds its own rows, so the solved column goes in place
+            rows[:, step.gen] = _eval_on_columns(step.expr, rows, idx)
+            descend(i + 1, rows)
+            return
+        total = len(rows) * idx.n
+        for lo in range(0, total, BLOCK_ROWS):
+            at = np.arange(lo, min(lo + BLOCK_ROWS, total), dtype=np.int64)
+            block = rows[at // idx.n]
+            block[:, step.gen] = at % idx.n
+            stats.nodes += len(block)
+            descend(i + 1, block)
 
     stats.nodes += len(seed)
-    if len(seed):
-        descend(0, {first: seed}, len(seed))
-    if blocks:
-        matrix = _lex_sorted(np.concatenate(blocks))
-    else:
-        matrix = np.empty((0, gen_count), dtype=np.int32)
+    descend(0, start)
+    matrix = _lex_sorted(np.concatenate([start[:0], *blocks]))
     stats.wall_time = time.perf_counter() - started
     return matrix, stats
 
@@ -589,12 +585,14 @@ def lift_roots(
 ) -> tuple[np.ndarray, ...]:
     """Every root lift of every base row (D, B, E), valid or not.
 
-    Returns (row, d_hat, b_hat, e_hat, third_ok), one entry per pair of a
-    base row and an n-th root d_hat of its D, ordered by row and then root.
-    The other two images are forced: b_hat = (DB) d_hat (DB)^-1, and e_hat
-    is d_hat conjugated by DE (SK) or D^-1 E^-1 (GK).  A lift is a
-    homomorphism of the reduced twisted presentation exactly when its third
-    relator checks out; the braid relators hold whenever the base's do.
+    Returns (row, lifts, third_ok), one entry per pair of a base row and an
+    n-th root d_hat of its D, ordered by row and then root: row is the base
+    row, and lifts holds the images (d_hat, b_hat, e_hat), an image row of
+    knot_presentation(knot, n).  The other two images are forced: b_hat =
+    (DB) d_hat (DB)^-1, and e_hat is d_hat conjugated by DE (SK) or
+    D^-1 E^-1 (GK).  A lift is a homomorphism of the reduced twisted
+    presentation exactly when its third relator checks out; the braid
+    relators hold whenever the base's do.
     """
     relators = knot_presentation(knot, n).relators  # bad n or knot raise here
     require_composite("property_t", knot)
@@ -609,14 +607,15 @@ def lift_roots(
     def conjugate_roots(x: np.ndarray) -> np.ndarray:
         return _conjugate(idx, d_hat, idx.inv[x[row]])
 
-    b_hat = conjugate_roots(idx.mul[D, B])
     if knot == "SK":
-        e_hat = conjugate_roots(idx.mul[D, E])
+        e_by = idx.mul[D, E]
     else:
-        e_hat = conjugate_roots(idx.mul[idx.inv[D], idx.inv[E]])
-    cols = {0: d_hat, 1: b_hat, 2: e_hat}
-    third_ok = _eval_on_columns(relators[2], cols, idx, len(row)) == idx.ident
-    return row, d_hat, b_hat, e_hat, third_ok
+        e_by = idx.mul[idx.inv[D], idx.inv[E]]
+    lifts = np.stack(
+        [d_hat, conjugate_roots(idx.mul[D, B]), conjugate_roots(e_by)], axis=1
+    )
+    third_ok = _eval_on_columns(relators[2], lifts, idx) == idx.ident
+    return row, lifts, third_ok
 
 
 @dataclass(frozen=True)
@@ -639,17 +638,15 @@ def extend_g1_hom(
     a braid relator raises ValueError, before the knot is checked.
     """
     indices = np.array([[group.index_of(x) for x in base]], dtype=np.int32)
-    idx, cols = indexed_tables(group), dict(enumerate(indices.T))
+    idx = indexed_tables(group)
     braid = g1_braid_presentation().relators
-    if any(_eval_on_columns(r, cols, idx, 1)[0] != idx.ident for r in braid):
+    if any(_eval_on_columns(r, indices, idx)[0] != idx.ident for r in braid):
         raise ValueError("base images do not satisfy the braid relations")
-    _, d_hat, b_hat, e_hat, third_ok = lift_roots(group, indices, n, knot)
+    _, lifts, third_ok = lift_roots(group, indices, n, knot)
     els = group.elements()
     return tuple(
-        ExtensionCandidate(els[d], els[b], els[e], ok)
-        for d, b, e, ok in zip(
-            d_hat.tolist(), b_hat.tolist(), e_hat.tolist(), third_ok.tolist()
-        )
+        ExtensionCandidate(*(els[i] for i in lift), ok)
+        for lift, ok in zip(lifts.tolist(), third_ok.tolist())
     )
 
 
@@ -678,7 +675,7 @@ def check_property_t(group: FiniteGroup, n: int, knot: str) -> PropertyTReport:
     fiber rows, lex-sorted like the full base, meet its pairs first.
     """
     base, weights = g1_base_fibers(group)
-    row, d_hat, _, _, third_ok = lift_roots(group, base, n, knot)
+    row, lifts, third_ok = lift_roots(group, base, n, knot)
     bad = np.flatnonzero(~third_ok)
     report = PropertyTReport(
         holds=not len(bad),
@@ -691,7 +688,7 @@ def check_property_t(group: FiniteGroup, n: int, knot: str) -> PropertyTReport:
         report = replace(
             report,
             counterexample_base=tuple(els[i] for i in base[row[j]]),
-            counterexample_root=els[d_hat[j]],
+            counterexample_root=els[lifts[j, 0]],
         )
     return report
 

@@ -11,7 +11,9 @@ the full n = 1 base checks the class-weighted fiber rows behind property T
 and structured counts, and entry-by-entry index tables, a greedy
 generating set closed element by element and a union-find orbit
 partition check the Cayley-graph walk that builds the generators and
-tables, and the label-propagation orbits.  A Smith diagonalization over
+tables, and the label-propagation orbits.  The plan's descent replayed
+one row at a time, with the scalar word evaluation, checks the search's
+work counters.  A Smith diagonalization over
 F_p[t], built from extended-gcd transforms, checks the package's
 Euclidean row-echelon pivot product, and `poly_gcd` with cofactor
 expansion gives the gcd of maximal minors directly.  These oracles add,
@@ -56,7 +58,7 @@ from math import gcd
 import numpy as np
 
 from gnk.fingroups import nth_roots
-from gnk.homsearch import hom_image_matrix, lift_roots
+from gnk.homsearch import compile_plan, hom_image_matrix, lift_roots
 from gnk.presentations import (
     KnotDiagram,
     Presentation,
@@ -602,6 +604,54 @@ def brute_force_homs(pres, group):
     return found
 
 
+def search_work(pres, group, fibers=False, shards=1, shard_id=0):
+    """(nodes, prunes, homs) of the plan's descent, one row at a time.
+
+    Step 0 takes every element, or each class's least index with its class
+    size as weight, shard by shard; each later step gives every surviving
+    row every element, or the scalar value of its solved word.  A step's
+    rows enter its checks, nodes sums them, prunes sums those the checks
+    drop, and homs sums the weights of the rows left after the last step.
+    """
+    els = group.elements()
+    steps = compile_plan(pres)
+    if fibers:
+        seed = [(c[0], len(c)) for c in conjugacy_classes(group)]
+    else:
+        seed = [(i, 1) for i in range(len(els))]
+    rows = []
+    for i, weight in seed[shard_id::shards]:
+        images = [None] * len(pres.gens)
+        images[steps[0].gen] = els[i]
+        rows.append((images, weight))
+    nodes = prunes = 0
+    for i, step in enumerate(steps):
+        if i:
+            grown = []
+            for images, weight in rows:
+                if step.expr is None:
+                    values = els
+                else:
+                    values = [evaluate(step.expr, images, group)]
+                for x in values:
+                    child = list(images)
+                    child[step.gen] = x
+                    grown.append((child, weight))
+            rows = grown
+        kept = [
+            (images, weight)
+            for images, weight in rows
+            if all(
+                evaluate(pres.relators[r], images, group) == group.identity
+                for r in step.checks
+            )
+        ]
+        nodes += len(rows)
+        prunes += len(rows) - len(kept)
+        rows = kept
+    return nodes, prunes, sum(weight for _, weight in rows)
+
+
 # -- finite groups -----------------------------------------------------------------
 
 
@@ -839,12 +889,12 @@ def full_base_property_t(group, base_rows, n, knot):
     """(holds, bases, pairs, first failing (base, root) or None) from every
     row of base_rows, each lifted once; pairs is also the structured count."""
     els = group.elements()
-    row, d_hat, _, _, third_ok = lift_roots(group, base_rows, n, knot)
+    row, lifts, third_ok = lift_roots(group, base_rows, n, knot)
     bad = np.flatnonzero(~third_ok)
     first_fail = None
     if len(bad):
         j = bad[0]
-        first_fail = (tuple(els[i] for i in base_rows[row[j]]), els[d_hat[j]])
+        first_fail = (tuple(els[i] for i in base_rows[row[j]]), els[lifts[j, 0]])
     return not len(bad), len(base_rows), len(row), first_fail
 
 

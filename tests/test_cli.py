@@ -78,6 +78,7 @@ def test_commands_load_only_their_layers(argv, heavy):
         ("S100000", 2, "enumeration bound 2500"),
         ("A100000", 2, "enumeration bound 2500"),
         ("S3xS200000", 2, "enumeration bound 2500"),
+        ("S3xS3000000", 2, "enumeration bound 2500"),
         ("SL2_4951760154835678088235319297", 1, "is not prime"),
     ],
 )
@@ -599,7 +600,8 @@ GROUP_TEXT = (
     st.sampled_from(["S3", "S4", "A4", "D4", "Z5", "Z2xZ4", "SL2_3", "SL2_5", "PSL2_7"])
     | st.sampled_from(["S0", "Z0", "D1", "SL2_4", "SL2_3x", "xZ2", "x", "Z2xxZ3", "Q8",
                        "S9", "PSL2_97", "", " ", "cayley:", "cayley:no/such/file",
-                       "S100000", "PSL2_2305843009213693951"])
+                       "S100000", "PSL2_2305843009213693951", "S3xS3000000",
+                       "Z2xcayley:no/such/table.txt"])
     | st.text(max_size=8)
 )
 ELEMENT_TEXT = (

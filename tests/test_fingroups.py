@@ -1,8 +1,10 @@
 import math
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from gnk.cli import main
 from gnk.fingroups import (
     AlternatingGroup,
     CapabilityError,
@@ -128,6 +130,11 @@ def test_enumeration_is_gated_but_arithmetic_is_not():
             big.elements()
         assert ("order" in vars(big)) == (big.degree == 7)
     assert AlternatingGroup(7).order == 2520
+    # a product asks its factors before it forms its own order
+    product = DirectProductGroup(SymmetricGroup(3), SymmetricGroup(10**6))
+    with pytest.raises(CapabilityError, match="bound 2500"):
+        product.elements()
+    assert "order" not in vars(product) and "order" not in vars(product.right)
     x = s24.parse_element("(3,5,12,7,4,6,11,8)(15,17,24,19,16,18,23,20)")
     assert s24.mul(x, s24.inv(x)) == s24.identity
 
@@ -334,6 +341,43 @@ def test_group_from_spec_cayley_file(tmp_path):
     g = group_from_spec(f"cayley:{path}")
     assert g.order == 8
     assert len(conjugacy_classes(g)) == 5
+
+
+def test_refused_symmetric_group_builds_no_identity():
+    # the identity of S_k is worked out only when read, so a skip of a huge
+    # S_k stays small; reading it here would keep it in the spec cache
+    tracemalloc.start()
+    try:
+        group = group_from_spec("S3000000")
+        with pytest.raises(CapabilityError, match="bound 2500"):
+            group.elements()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20
+    assert "identity" not in vars(group)
+
+
+def test_cayley_factor_takes_the_rest_of_the_spec(tmp_path, capsys):
+    # the path holds an x, which must not split the spec
+    path = tmp_path / "z3.txt"
+    path.write_text(format_cayley_table(CyclicGroup(3)))
+    group = group_from_spec(f"Z2xcayley:{path}")
+    assert group.order == 6
+    assert group.right.name == f"cayley:{path}"
+    argv = ["count-homs", "--knot", "SK", "--n", "2", "--target", f"Z2xcayley:{path}"]
+    assert main(argv) == 0
+    assert capsys.readouterr().out == "6\n"
+    # a rewritten file gives a new product, as it gives a new factor
+    path.write_text(format_cayley_table(CyclicGroup(5)))
+    assert group_from_spec(f"Z2xcayley:{path}").order == 10
+    missing = tmp_path / "no" / "table.txt"
+    with pytest.raises(FileNotFoundError) as info:
+        group_from_spec(f"Z2xcayley:{missing}")
+    assert info.value.filename == str(missing)
+    argv[-1] = f"Z2xcayley:{missing}"
+    assert main(argv) == 1
+    assert str(missing) in capsys.readouterr().err
 
 
 def test_group_from_spec_shares_one_group_per_spec():

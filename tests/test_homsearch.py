@@ -60,6 +60,7 @@ from oracle_utils import (
     relator_multiset,
     scalar_lifts,
     scalar_property_t,
+    search_work,
     serialize_hom,
     sk_powered_third_relation,
     union_find_partition,
@@ -207,6 +208,33 @@ def test_matrix_matches_brute_force_s3(pres):
     mat, stats = hom_image_matrix(pres, S3)
     assert rows_of(mat) == sorted(want)
     assert stats.homs == len(want)
+
+
+@pytest.mark.parametrize("fibers", [False, True], ids=["full", "fibers"])
+@pytest.mark.parametrize("raw", [False, True], ids=["reduced", "raw"])
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("knot", ["SK", "GK", "trefoil_r"])
+def test_work_counters_match_row_by_row_descent(knot, n, raw, fibers):
+    pres = knot_presentation(knot, n, raw=raw)
+    for group in (S3, S4, CyclicGroup(4)):
+        _, stats = hom_image_matrix(pres, group, fibers=fibers)
+        want = search_work(pres, group, fibers=fibers)
+        assert (stats.nodes, stats.prunes, stats.homs) == want, group.name
+
+
+def test_shard_work_counters_match_row_by_row_descent():
+    # a^2 prunes the whole seed of the odd shard of Z4 at step 0
+    trefoil = knot_presentation("trefoil_r", 2)
+    square = Presentation(
+        trefoil.gens, trefoil.relators + (parse_word("a^2", trefoil.gens),), 2
+    )
+    cases = [(knot_presentation("SK", 2, raw=raw), S4) for raw in (False, True)]
+    for pres, group in cases + [(square, CyclicGroup(4))]:
+        for fibers in (False, True):
+            for shard_id in (0, 1):
+                _, stats = hom_image_matrix(pres, group, 2, shard_id, fibers)
+                want = search_work(pres, group, fibers, 2, shard_id)
+                assert (stats.nodes, stats.prunes, stats.homs) == want
 
 
 def test_raw_presentations_match_brute_force():
@@ -665,10 +693,10 @@ def non_braid_rows(group, count, seed):
 
 def kernel_pairs(group, base, n, knot):
     els = group.elements()
-    row, d_hat, b_hat, e_hat, third_ok = lift_roots(group, base, n, knot)
+    row, lifts, third_ok = lift_roots(group, base, n, knot)
     return [
-        (int(r), els[d], els[b], els[e], bool(ok))
-        for r, d, b, e, ok in zip(row, d_hat, b_hat, e_hat, third_ok)
+        (int(r), *(els[i] for i in lift), bool(ok))
+        for r, lift, ok in zip(row, lifts, third_ok)
     ]
 
 
