@@ -223,20 +223,12 @@ def cmd_talex(args) -> int:
     if rec.status == "skip":
         print(f"skip: {rec.stats['reason']}", file=sys.stderr)
         return 2
-    lines = [
-        f"homs: {rec.stats['homs']}",
-        f"distinct: {rec.stats['distinct']}",
-        f"digest: {rec.value}",
-    ]
-    _emit(
-        args,
-        {
-            "homs": rec.stats["homs"],
-            "distinct": rec.stats["distinct"],
-            "digest": rec.value,
-        },
-        "\n".join(lines),
-    )
+    payload = {
+        "homs": rec.stats["homs"],
+        "distinct": rec.stats["distinct"],
+        "digest": rec.value,
+    }
+    _emit(args, payload, "\n".join(f"{k}: {v}" for k, v in payload.items()))
     return 0
 
 

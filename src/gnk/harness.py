@@ -44,6 +44,8 @@ ENGINE = f"gnk-{__version__}"
 
 CHIRAL_PAIRS = (("SK", "GK"), ("trefoil_r", "trefoil_l"))
 
+_ENCODER = json.JSONEncoder(sort_keys=True)  # json.dumps builds one per call
+
 
 @dataclass(frozen=True)
 class SweepConfig:
@@ -123,7 +125,7 @@ class ResultRecord:
 
     def to_json(self) -> str:
         # vars, not asdict: the same JSON without deep-copying stats
-        return json.dumps(vars(self), sort_keys=True)
+        return _ENCODER.encode(vars(self))
 
     @classmethod
     def from_json(cls, line: str) -> "ResultRecord":
@@ -170,11 +172,8 @@ def _count_buckets(group: FiniteGroup, reps: np.ndarray, sizes: np.ndarray) -> d
     """The three counting buckets, from one row per conjugation orbit and
     the orbits' sizes (commuting images are a class function)."""
     idx = indexed_tables(group)
-    commuting = np.ones(len(reps), dtype=bool)
-    for a in range(reps.shape[1]):
-        for b in range(a + 1, reps.shape[1]):
-            x, y = reps[:, a], reps[:, b]
-            commuting &= idx.mul[x, y] == idx.mul[y, x]
+    x, y = reps[:, :, None], reps[:, None, :]  # every pair of images
+    commuting = (idx.product(x, y) == idx.product(y, x)).all(axis=(1, 2))
     total = int(sizes.sum())
     return {
         "all_homs": total,
@@ -192,6 +191,7 @@ def run_cell(knot: str, n: int, target: str, tasks) -> list[ResultRecord]:
     group = group_from_spec(target)
     pres = knot_presentation(knot, n)
     cache: dict[str, object] = {}
+    stamp = _now()
 
     def fibers():
         """(search stats, fiber matrix, each row's orbit root, the distinct
@@ -253,7 +253,7 @@ def run_cell(knot: str, n: int, target: str, tasks) -> list[ResultRecord]:
                 status=status,
                 value=value,
                 stats=stats,
-                timestamp=_now(),
+                timestamp=stamp,
                 engine=ENGINE,
             )
         )

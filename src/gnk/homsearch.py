@@ -21,9 +21,10 @@ conjugation orbits of homomorphisms are the C_H(c)-orbits on each F_c
 Property T and structured counts lift the fibers of the n = 1 base, each
 row weighted by [H : C_H(c)].  Shards split the seed.
 
-All group arithmetic runs on precomputed index tables (numpy int32).  The
-enumeration bound in fingroups keeps every index product below 2**31, so
-int32 is safe throughout.
+All group arithmetic runs on precomputed index tables (numpy int32): a
+product of index arrays is one flat gather, mul_flat[a * n + b], and
+n**2 - 1 < 2**31 while n <= 46340, so a larger order is refused before
+its n x n table is allocated.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .presentations import (
 from .words import Word, word_inverse, word_product
 
 BLOCK_ROWS = 1 << 17
+MAX_TABLE_ORDER = 46340  # 46341**2 > 2**31: a * n + b would wrap in int32
 
 
 @dataclass
@@ -68,12 +70,16 @@ class _Indexed:
     the walk fills rows outwards from the identity's by left multiplication
     with the generators.  Whenever it stalls it adjoins the least element
     not reached as the next generator, whose row alone calls group.mul; so
-    gens is the greedy generating set.
+    gens is the greedy generating set.  The inverses are read off the table.
     """
 
     def __init__(self, group: FiniteGroup) -> None:
         els = group.elements()
         n = len(els)
+        if n > MAX_TABLE_ORDER:
+            raise CapabilityError(
+                f"{group.name} has order {n}, above the int32 bound {MAX_TABLE_ORDER}"
+            )
         index = group.index_of
         ident = index(group.identity)
         mul = np.empty((n, n), dtype=np.int32)
@@ -98,12 +104,16 @@ class _Indexed:
         self.gens = np.array(gens, dtype=np.int32)
         self.mul = mul
         self.mul_flat = mul.reshape(-1)
-        self.inv = np.array([index(group.inv(e)) for e in els], dtype=np.int32)
+        self.inv = np.nonzero(mul == ident)[1].astype(np.int32)
         self._pow: dict[int, np.ndarray] = {
             0: np.full(n, ident, dtype=np.int32),
             1: np.arange(n, dtype=np.int32),
         }
         self._roots: dict[int, tuple[np.ndarray, ...]] = {}
+
+    def product(self, a, b):
+        """Products of index arrays (or indices) a, b that broadcast."""
+        return self.mul_flat.take(a * self.n + b)
 
     def pow_map(self, k: int) -> np.ndarray:
         """pow_map(k)[i] is the index of the k-th power of element i.
@@ -117,8 +127,8 @@ class _Indexed:
             out, square, e = self._pow[0], self._pow[1], k
             while e:
                 if e & 1:
-                    out = self.mul_flat[out * self.n + square]
-                square = self.mul_flat[square * self.n + square]
+                    out = self.product(out, square)
+                square = self.product(square, square)
                 e >>= 1
             self._pow[k] = out
         return out
@@ -141,16 +151,16 @@ def indexed_tables(group: FiniteGroup) -> _Indexed:
     return _Indexed(group)
 
 
-def _min_labels(rows: int, targets) -> np.ndarray:
-    """The least index reachable from each of range(rows) along the target
-    maps, which are permutations: each round takes the least label over the
-    targets and then jumps label = label[label], until nothing changes."""
-    label = np.arange(rows)
+def _min_labels(targets: np.ndarray) -> np.ndarray:
+    """The least index reachable from each column index of targets along
+    its rows, which are permutations: each round takes the least label over
+    all the targets at once and then jumps label = label[label], until
+    nothing changes."""
+    label = np.arange(targets.shape[1])
     while True:
-        new = label
-        for target in targets:
-            new = np.minimum(new, new[target])
-        new = new[new]
+        new = label.take(targets).min(axis=0, initial=len(label))
+        new = np.minimum(label, new)
+        new = new.take(new)
         if np.array_equal(new, label):
             return label
         label = new
@@ -158,7 +168,7 @@ def _min_labels(rows: int, targets) -> np.ndarray:
 
 def _conjugate(idx: _Indexed, rows: np.ndarray, by: np.ndarray) -> np.ndarray:
     """by^-1 x by for each entry x of rows; by broadcasts against rows."""
-    return idx.mul[idx.mul[idx.inv[by], rows], by]
+    return idx.product(idx.product(idx.inv[by], rows), by)
 
 
 def _generators_over(
@@ -172,7 +182,7 @@ def _generators_over(
         gens.append(int(np.flatnonzero(members & ~got)[0]))
         elems = np.append(np.flatnonzero(got), gens[-1])
         while True:  # closure by squaring: A <- A A until A is a subgroup
-            got[idx.mul[np.ix_(elems, elems)]] = True
+            got[idx.product(elems[:, None], elems)] = True
             if got.sum() == len(elems):
                 break
             elems = np.flatnonzero(got)
@@ -194,7 +204,7 @@ class _Classes:
         idx = indexed_tables(group)
         gens = idx.gens
         moves = _conjugate(idx, np.arange(idx.n)[None, :], gens[:, None])
-        least = _min_labels(idx.n, moves)
+        least = _min_labels(moves)
         self.reps = np.flatnonzero(least == np.arange(idx.n)).astype(np.int32)
         self.label = np.searchsorted(self.reps, least)
         self.sizes = np.bincount(self.label)
@@ -204,7 +214,7 @@ class _Classes:
         while (t < 0).any():
             for k, move in zip(gens, moves):
                 todo = (t < 0) & (t[move] >= 0)
-                t[todo] = idx.mul[k, t[move[todo]]]
+                t[todo] = idx.product(k, t[move[todo]])
         self.transversal = t
         centre = self.sizes[self.label] == 1
         found: dict[bytes, list[int]] = {}
@@ -308,14 +318,14 @@ def compile_plan(pres: Presentation) -> tuple[_Step, ...]:
 
 
 def _eval_on_columns(word: Word, rows: np.ndarray, idx: _Indexed) -> np.ndarray:
-    """The word's value on each image row: generator g reads rows[:, g]."""
+    """The word's value on each image row, each power column g^e read once."""
     syllables = word.syllables
     if not syllables:
         return np.full(len(rows), idx.ident, dtype=np.int32)
-    g0, e0 = syllables[0]
-    val = idx.pow_map(e0)[rows[:, g0]]
-    for g, e in syllables[1:]:
-        val = idx.mul_flat[val * idx.n + idx.pow_map(e)[rows[:, g]]]
+    powers = {(g, e): idx.pow_map(e).take(rows[:, g]) for g, e in set(syllables)}
+    val = powers[syllables[0]]
+    for syllable in syllables[1:]:
+        val = idx.product(val, powers[syllable])
     return val
 
 
@@ -367,7 +377,7 @@ def hom_image_matrix(
         """Keep the rows that pass step i's checks, then assign step i + 1."""
         for ri in steps[i].checks:
             keep = _eval_on_columns(pres.relators[ri], rows, idx) == idx.ident
-            kept = int(keep.sum())
+            kept = int(np.count_nonzero(keep))
             stats.prunes += len(rows) - kept
             if not kept:
                 return
@@ -384,13 +394,16 @@ def hom_image_matrix(
             rows[:, step.gen] = _eval_on_columns(step.expr, rows, idx)
             descend(i + 1, rows)
             return
-        total = len(rows) * idx.n
-        for lo in range(0, total, BLOCK_ROWS):
-            at = np.arange(lo, min(lo + BLOCK_ROWS, total), dtype=np.int64)
-            block = rows[at // idx.n]
-            block[:, step.gen] = at % idx.n
-            stats.nodes += len(block)
-            descend(i + 1, block)
+        # at most BLOCK_ROWS rows a block: per parents, each taking width values
+        width = min(idx.n, BLOCK_ROWS)
+        per = max(BLOCK_ROWS // idx.n, 1)
+        for lo in range(0, len(rows), per):
+            for v in range(0, idx.n, width):
+                values = np.arange(v, min(v + width, idx.n), dtype=np.int32)
+                block = np.repeat(rows[lo : lo + per], len(values), axis=0)
+                block.reshape(-1, len(values), len(pres.gens))[..., step.gen] = values
+                stats.nodes += len(block)
+                descend(i + 1, block)
 
     stats.nodes += len(seed)
     descend(0, start)
@@ -496,25 +509,19 @@ def orbit_partition(
     is conjugated by each entry of conjugators[i] (default: the generators
     of the group's index tables), and the orbits are those of the group
     they generate: labels start as row indices and propagate as in
-    _min_labels.  Identity entries pad rows with fewer conjugators and cost
-    no lookup.
+    _min_labels.  All (slot, row) pairs are conjugated and found at once;
+    identity entries pad rows with fewer conjugators and cost no lookup.
     """
     idx = indexed_tables(group)
     rows = matrix.shape[0]
-    if rows == 0:
-        return []
     if conjugators is None:
         conjugators = np.broadcast_to(idx.gens, (rows, len(idx.gens)))
-    slots = [(by, np.flatnonzero(by != idx.ident)) for by in conjugators.T]
-    slots = [(by, moved) for by, moved in slots if len(moved)]
-    targets = []
-    if slots:
-        locate = row_locator(matrix)
-    for by, moved in slots:
-        target = np.arange(rows)
-        target[moved] = locate(_conjugate(idx, matrix[moved], by[moved, None]))
-        targets.append(target)
-    return _min_labels(rows, targets).tolist()
+    targets = np.repeat(np.arange(rows)[None, :], conjugators.shape[1], axis=0)
+    slot, row = np.nonzero(conjugators.T != idx.ident)
+    if len(row):
+        by = conjugators[row, slot, None]
+        targets[slot, row] = row_locator(matrix)(_conjugate(idx, matrix[row], by))
+    return _min_labels(targets).tolist()
 
 
 def orbit_count(matrix: np.ndarray, group: FiniteGroup) -> int:
@@ -554,9 +561,11 @@ def fiber_orbits(
     """
     classes = class_data(group)
     row_class = classes.label[matrix[:, compile_plan(pres)[0].gen]]
+    # the traced orbit_partition's list, so its span covers fiber orbits
     roots = orbit_partition(matrix, group, classes.centralizers[row_class])
     roots = np.asarray(roots, dtype=np.int64)
-    reps, counts = np.unique(roots, return_counts=True)
+    reps = np.flatnonzero(roots == np.arange(len(roots)))
+    counts = np.bincount(roots, minlength=len(roots))[reps]
     return roots, reps, counts * classes.sizes[row_class[reps]]
 
 
@@ -604,16 +613,13 @@ def lift_roots(
     first = np.repeat(starts[D] - (np.cumsum(per_row) - per_row), per_row)
     d_hat = order[first + np.arange(len(row))].astype(np.int32)
 
-    def conjugate_roots(x: np.ndarray) -> np.ndarray:
-        return _conjugate(idx, d_hat, idx.inv[x[row]])
-
     if knot == "SK":
-        e_by = idx.mul[D, E]
+        e_by = idx.product(D, E)
     else:
-        e_by = idx.mul[idx.inv[D], idx.inv[E]]
-    lifts = np.stack(
-        [d_hat, conjugate_roots(idx.mul[D, B]), conjugate_roots(e_by)], axis=1
-    )
+        e_by = idx.product(idx.inv[D], idx.inv[E])
+    # conjugating by x^-1 takes d_hat to x d_hat x^-1, for x = DB and e_by
+    by = idx.inv[np.stack([idx.product(D, B), e_by])[:, row]]
+    lifts = np.column_stack([d_hat, *_conjugate(idx, d_hat, by)])
     third_ok = _eval_on_columns(relators[2], lifts, idx) == idx.ident
     return row, lifts, third_ok
 

@@ -599,7 +599,7 @@ def psl27_matrix_dictionary(psl: PSL2Group) -> np.ndarray:
     while frontier:
         x = frontier.pop()
         for gen, img in gens:
-            y = int(idx.mul[x, gen])
+            y = int(idx.product(x, gen))
             if y not in reached:
                 reached.add(y)
                 mats[y] = mats[x] @ img % 2

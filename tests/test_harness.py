@@ -88,10 +88,13 @@ def test_record_json_roundtrip():
 
 
 def test_record_to_json_matches_asdict():
+    # to_json reuses one encoder; it must write what json.dumps writes
     nested = {
         "nodes": 3,
-        "buckets": {"all_homs": 6, "nonabelian_image": 0},
+        "wall_time": 0.125,
+        "buckets": {"all_homs": 6, "nonabelian_image": 0, "z": {"b": [1, None]}},
         "counterexample_base": ["(1,2)", "()", "(1,2,3)"],
+        "reason": "order above 2500 \u2014 too big",
     }
     records = [
         make_record(stats=nested),
@@ -102,6 +105,12 @@ def test_record_to_json_matches_asdict():
     records += run_cell("SK", 2, "SL2_3", ("count", "classes", "property_t", "talex"))
     for rec in records:
         assert rec.to_json() == json.dumps(dataclasses.asdict(rec), sort_keys=True)
+        assert rec.to_json() == json.dumps(vars(rec), sort_keys=True)
+
+
+def test_cell_records_share_one_timestamp():
+    records = run_cell("SK", 2, "S4", ("count", "classes", "property_t", "structured"))
+    assert len({rec.timestamp for rec in records}) == 1
 
 
 def test_write_read_append(tmp_path):

@@ -1,8 +1,11 @@
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
 
+import gnk.fingroups
+from gnk import homsearch
 from gnk.fingroups import (
     CapabilityError,
     CyclicGroup,
@@ -17,6 +20,7 @@ from gnk.fingroups import (
 from gnk.harness import _count_buckets
 from gnk.homsearch import (
     Homomorphism,
+    _min_labels,
     check_property_t,
     class_data,
     compile_plan,
@@ -361,6 +365,56 @@ def test_capability_error_propagates():
         count_homs(knot_presentation("SK", 2), SymmetricGroup(24))
 
 
+def test_tables_refuse_orders_whose_products_overflow_int32(monkeypatch):
+    # products are mul_flat[a * n + b], so n * n - 1 must stay below 2**31;
+    # the refusal comes before the n x n table (8.6 GB here) is allocated
+    monkeypatch.setattr(gnk.fingroups, "MAX_ENUMERABLE_ORDER", 50_000)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CapabilityError, match="46340"):
+            indexed_tables(CyclicGroup(46341))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 64 << 20
+
+
+@pytest.mark.parametrize("target", ["S4", "PSL2_7"])
+def test_block_splitting_keeps_matrix_and_work_counters(target, monkeypatch):
+    # a bound below |H| splits one parent's values; 3 |H| + 1 puts three
+    # parents in a block.  Neither may change a row or a counter
+    group = group_from_spec(target)
+    order = len(group.elements())
+    cases = [
+        (knot_presentation(knot, n), fibers)
+        for knot in ("SK", "GK", "trefoil_r")
+        for n in (2, 3)
+        for fibers in (False, True)
+    ]
+    want = [hom_image_matrix(pres, group, fibers=fibers) for pres, fibers in cases]
+    seen = []
+
+    def spy(word, rows, idx):
+        seen.append(len(rows))
+        return evaluate_on_columns(word, rows, idx)
+
+    evaluate_on_columns = homsearch._eval_on_columns
+    monkeypatch.setattr(homsearch, "_eval_on_columns", spy)
+    for block_rows in (5, 3 * order + 1):
+        monkeypatch.setattr(homsearch, "BLOCK_ROWS", block_rows)
+        for (pres, fibers), (matrix, stats) in zip(cases, want):
+            seen.clear()
+            got, got_stats = hom_image_matrix(pres, group, fibers=fibers)
+            assert np.array_equal(got, matrix)
+            assert (got_stats.nodes, got_stats.prunes, got_stats.homs) == (
+                stats.nodes,
+                stats.prunes,
+                stats.homs,
+            )
+            seeds = len(class_data(group).reps) if fibers else order
+            assert max(seen) <= max(block_rows, seeds)
+
+
 # -- orbits ----------------------------------------------------------------------
 
 
@@ -377,6 +431,41 @@ def test_trefoil_orbits_in_s3():
     for root in set(part):
         members = [i for i, r in enumerate(part) if r == root]
         assert min(members) == root
+
+
+def _least_in_component(targets):
+    parent = list(range(targets.shape[1]))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for target in targets.tolist():
+        for i, j in enumerate(target):
+            a, b = find(i), find(j)
+            parent[max(a, b)] = min(a, b)
+    return [find(i) for i in range(len(parent))]
+
+
+def test_min_labels_reach_the_least_index_of_each_component():
+    rng = np.random.default_rng(11)
+
+    def swaps(rows, pairs):  # an involution with a few 2-cycles
+        perm = np.arange(rows)
+        moved = rng.choice(rows, size=2 * pairs, replace=False)
+        perm[moved] = moved.reshape(2, -1)[::-1].reshape(-1)
+        return perm
+
+    sets = [np.zeros((0, 1), dtype=np.int64), np.zeros((3, 1), dtype=np.int64)]
+    sets.append(np.zeros((0, 40), dtype=np.int64))
+    for rows in (2, 9, 60, 400):
+        for k in (1, 2, 5):
+            sets.append(np.array([rng.permutation(rows) for _ in range(k)]))
+            pairs = max(rows // 8, 1)
+            sets.append(np.array([swaps(rows, pairs) for _ in range(k)]))
+    for targets in sets:
+        assert _min_labels(targets).tolist() == _least_in_component(targets)
 
 
 def test_orbit_rejects_non_closed_sets():

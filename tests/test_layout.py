@@ -1,8 +1,9 @@
 """Layout guards: every public name in src/gnk, and every public method of
 every class there, is used, documented or traced; every private function
 and class there is used in src/; no module imports another's private
-name; no module writes a private attribute onto anything but self; and
-every function the benchmark's tracer wraps exists."""
+name; no module writes a private attribute onto anything but self;
+every function the benchmark's tracer wraps exists; and outside
+homsearch._Indexed no index-table product is read off the 2-D table."""
 
 import ast
 import importlib
@@ -179,3 +180,34 @@ def test_no_module_stamps_private_attributes_on_other_objects():
             ):
                 stamped.append(f"{module}:{node.lineno} {ast.unparse(node)}")
     assert stamped == [], stamped
+
+
+def test_index_table_products_go_through_product():
+    # idx.mul[a, b], idx.mul[x] and idx.mul[np.ix_(...)] are products, or
+    # rows of them, gathered off the 2-D table: outside _Indexed they go
+    # through _Indexed.product, one flat gather.  Slices such as
+    # idx.mul[:, c] read a column or row and stay allowed
+    def indexed(tree):
+        skip = [n for n in tree.body if getattr(n, "name", "") == "_Indexed"]
+        stack = [tree]
+        while stack:
+            cur = stack.pop()
+            if cur not in skip:
+                yield cur
+                stack.extend(ast.iter_child_nodes(cur))
+
+    gathers = [
+        f"{module}:{node.lineno} {ast.unparse(node)}"
+        for module, tree in _sources().items()
+        for node in indexed(tree)
+        if isinstance(node, ast.Subscript)
+        and isinstance(node.value, ast.Attribute)
+        and node.value.attr == "mul"
+        and not any(
+            isinstance(part, ast.Slice)
+            for part in (
+                node.slice.elts if isinstance(node.slice, ast.Tuple) else [node.slice]
+            )
+        )
+    ]
+    assert gathers == [], gathers
