@@ -127,9 +127,9 @@ def cmd_check_t(args) -> int:
         "target": group.name,
         "n": args.n,
         "knot": args.knot,
-        "holds": bool(report.holds),
-        "bases": int(report.bases),
-        "pairs": int(report.pairs),
+        "holds": report.holds,
+        "bases": report.bases,
+        "pairs": report.pairs,
     }
     if report.counterexample_base is not None:
         base = [group.format_element(x) for x in report.counterexample_base]

@@ -129,8 +129,14 @@ class ResultRecord:
 
     @classmethod
     def from_json(cls, line: str) -> "ResultRecord":
-        data = json.loads(line)
-        return cls(**data)
+        record = cls(**json.loads(line))
+        # JSON gives any type anywhere: every field but value must have the
+        # exact type its annotation names (so n is no bool), as run_cell writes
+        for f in fields(cls):
+            got = type(getattr(record, f.name)).__name__
+            if f.type != "object" and got != f.type:
+                raise ValueError(f"{f.name} must be of type {f.type}")
+        return record
 
 
 def sort_records(records) -> list[ResultRecord]:
@@ -217,8 +223,8 @@ def run_cell(knot: str, n: int, target: str, tasks) -> list[ResultRecord]:
                 stats = {"homs": int(sizes.sum())}
             elif task == "property_t":
                 report = check_property_t(group, n, knot)
-                value, status = bool(report.holds), "ok"
-                stats = {"bases": int(report.bases), "pairs": int(report.pairs)}
+                value, status = report.holds, "ok"
+                stats = {"bases": report.bases, "pairs": report.pairs}
                 if report.counterexample_base is not None:
                     stats["counterexample_base"] = [
                         group.format_element(x)
@@ -228,7 +234,7 @@ def run_cell(knot: str, n: int, target: str, tasks) -> list[ResultRecord]:
                         report.counterexample_root
                     )
             elif task == "structured":
-                value, status = int(structured_count(group, n)), "ok"
+                value, status = structured_count(group, n), "ok"
                 stats = {}
             elif task == "talex":
                 _, *found = fibers()  # oversized targets skip here

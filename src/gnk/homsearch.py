@@ -30,7 +30,7 @@ its n x n table is allocated.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -197,25 +197,19 @@ class _Classes:
     sizes[i]      |class(c)| = [H : C_H(c)] for c = reps[i]
     centralizers  row i generates C_H(reps[i]) modulo the centre Z(H),
                   padded with the identity; Z(H) conjugates trivially
-    transversal   transversal[x] = t with t^-1 x t = reps[label[x]]
+
+    An element x is the homomorphism from Z sending 1 to x, so its class
+    is its conjugation orbit, found by orbit_partition on the one-column
+    image matrix of all elements.
     """
 
     def __init__(self, group: FiniteGroup) -> None:
         idx = indexed_tables(group)
         gens = idx.gens
-        moves = _conjugate(idx, np.arange(idx.n)[None, :], gens[:, None])
-        least = _min_labels(moves)
+        least = orbit_partition(np.arange(idx.n, dtype=np.int32)[:, None], group)
         self.reps = np.flatnonzero(least == np.arange(idx.n)).astype(np.int32)
         self.label = np.searchsorted(self.reps, least)
         self.sizes = np.bincount(self.label)
-        # t_y = k t_x when x = k^-1 y k; grown outwards from the reps
-        t = np.full(idx.n, -1, dtype=np.int32)
-        t[self.reps] = idx.ident
-        while (t < 0).any():
-            for k, move in zip(gens, moves):
-                todo = (t < 0) & (t[move] >= 0)
-                t[todo] = idx.product(k, t[move[todo]])
-        self.transversal = t
         centre = self.sizes[self.label] == 1
         found: dict[bytes, list[int]] = {}
         cents = []
@@ -451,7 +445,8 @@ def sharded_search(
     summed: nodes, prunes, homs, wall_time and the shard count.
     """
     _check_shards(shards, shard_id or 0)
-    ids = range(shards) if shard_id is None else [shard_id]
+    seeds = len(class_data(group).reps)  # shards from this one on seed nothing
+    ids = range(min(shards, seeds)) if shard_id is None else [shard_id]
     work = [(pres, group, shards, s, True) for s in ids]
     results = pool_map(hom_image_matrix, work, jobs)
     matrix = results[0][0]
@@ -502,8 +497,9 @@ def row_locator(matrix: np.ndarray):
 
 def orbit_partition(
     matrix: np.ndarray, group: FiniteGroup, conjugators: np.ndarray | None = None
-) -> list[int]:
-    """The least row index of each input row's conjugation orbit.
+) -> np.ndarray:
+    """The least row index of each input row's conjugation orbit, as an
+    int64 array.
 
     For a lex-sorted image matrix that is the orbit's lex-least row.  Row i
     is conjugated by each entry of conjugators[i] (default: the generators
@@ -521,17 +517,16 @@ def orbit_partition(
     if len(row):
         by = conjugators[row, slot, None]
         targets[slot, row] = row_locator(matrix)(_conjugate(idx, matrix[row], by))
-    return _min_labels(targets).tolist()
+    return _min_labels(targets)
 
 
 def orbit_count(matrix: np.ndarray, group: FiniteGroup) -> int:
-    return len(set(orbit_partition(matrix, group)))
+    return len(np.unique(orbit_partition(matrix, group)))
 
 
 def orbit_representatives(matrix: np.ndarray, group: FiniteGroup) -> np.ndarray:
     """Lex-least row of each conjugation orbit, in lex order."""
-    roots = orbit_partition(matrix, group)
-    return matrix[sorted(set(roots))]
+    return matrix[np.unique(orbit_partition(matrix, group))]
 
 
 # -- fibers: one class representative per first free generator -----------------
@@ -541,10 +536,13 @@ def into_fibers(
     pres: Presentation, group: FiniteGroup, rows: np.ndarray
 ) -> np.ndarray:
     """Each row conjugated so its first free generator maps to its class's
-    representative: by transversal[x], x that generator's image."""
-    gen = compile_plan(pres)[0].gen
-    by = class_data(group).transversal[rows[:, gen]]
-    return _conjugate(indexed_tables(group), rows, by[:, None])
+    representative c: by the least t with t^-1 x t = c, x that generator's
+    image, found for each distinct x by one comparison over the group."""
+    idx, classes = indexed_tables(group), class_data(group)
+    xs, which = np.unique(rows[:, compile_plan(pres)[0].gen], return_inverse=True)
+    reps = classes.reps[classes.label[xs]]
+    hit = _conjugate(idx, xs[:, None], np.arange(idx.n)) == reps[:, None]
+    return _conjugate(idx, rows, hit.argmax(axis=1)[which, None])
 
 
 def fiber_orbits(
@@ -561,9 +559,7 @@ def fiber_orbits(
     """
     classes = class_data(group)
     row_class = classes.label[matrix[:, compile_plan(pres)[0].gen]]
-    # the traced orbit_partition's list, so its span covers fiber orbits
     roots = orbit_partition(matrix, group, classes.centralizers[row_class])
-    roots = np.asarray(roots, dtype=np.int64)
     reps = np.flatnonzero(roots == np.arange(len(roots)))
     counts = np.bincount(roots, minlength=len(roots))[reps]
     return roots, reps, counts * classes.sizes[row_class[reps]]
@@ -683,20 +679,14 @@ def check_property_t(group: FiniteGroup, n: int, knot: str) -> PropertyTReport:
     base, weights = g1_base_fibers(group)
     row, lifts, third_ok = lift_roots(group, base, n, knot)
     bad = np.flatnonzero(~third_ok)
-    report = PropertyTReport(
-        holds=not len(bad),
-        bases=int(weights.sum()),
-        pairs=int(weights[row].sum()),
-    )
+    counterexample = None, None
     if len(bad):
         els = group.elements()
         j = bad[0]
-        report = replace(
-            report,
-            counterexample_base=tuple(els[i] for i in base[row[j]]),
-            counterexample_root=els[lifts[j, 0]],
-        )
-    return report
+        counterexample = tuple(els[i] for i in base[row[j]]), els[lifts[j, 0]]
+    return PropertyTReport(
+        not len(bad), int(weights.sum()), int(weights[row].sum()), *counterexample
+    )
 
 
 def structured_count(group: FiniteGroup, n: int) -> int:

@@ -590,6 +590,31 @@ def test_report_truncated_record_names_the_line(capsys, tmp_path):
     assert f"{records}:{len(lines)}:" in err
 
 
+@pytest.mark.parametrize(
+    "field,left,right",
+    [("stats", [], []), ("n", 1, "1"), ("n", True, True), ("knot", None, None)],
+)
+def test_report_mistyped_record_names_the_line(capsys, tmp_path, field, left, right):
+    # unchecked, a list stats reaches _pair_outcome's stats.get and a string
+    # n compare_report's sort, each with a traceback
+    path = str(tmp_path / "typed.jsonl")
+    lines = []
+    for knot, value in (("SK", left), ("GK", right)):
+        record = {
+            "knot": knot, "n": 1, "target": "S3", "task": "count", "status": "ok",
+            "value": 6, "stats": {}, "timestamp": "t", "engine": ENGINE,
+        }
+        record[field] = value
+        lines.append(json.dumps(record))
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("\n".join(lines))
+    code, _, err = run(capsys, "report", "--records", path)
+    assert code == 1
+    assert err.startswith("error:")
+    assert f"{path}:{1 if left == right else 2}: bad record" in err
+    assert "Traceback" not in err
+
+
 # -- any argument vector ----------------------------------------------------------
 
 KNOT_TEXT = st.sampled_from(["SK", "gk", "trefoil_r", "Trefoil_L"]) | st.sampled_from(
@@ -648,7 +673,14 @@ def _records_text(draw):
         status=draw(st.sampled_from(["ok", "skip", "error"])),
         value=draw(st.integers(0, 99)), stats={}, timestamp="t", engine=ENGINE,
     )
-    lines = [record.to_json()] * draw(st.integers(1, 2))
+    text = record.to_json()
+    if draw(st.booleans()):  # one field of another JSON type
+        data = json.loads(text)
+        data[draw(st.sampled_from(sorted(data)))] = draw(st.sampled_from(
+            ["1", [], None, 1.5, True, {}, 2]
+        ))
+        text = json.dumps(data)
+    lines = [text] * draw(st.integers(1, 2))
     return _maybe_truncated(draw, "\n".join(lines))
 
 
@@ -664,7 +696,7 @@ def argument_vectors(draw, files):
     if command == "present":
         argv = knot + n + draw(st.sampled_from([[], ["--raw"]]))
     elif command == "count-homs":
-        shards = draw(st.integers(-1, 4))
+        shards = draw(st.integers(-1, 4) | st.integers(-1, 10**9))
         argv = knot + n + target + ["--shards", str(shards), "--jobs", "1"]
         if draw(st.booleans()):
             argv += ["--shard-id", str(draw(st.integers(-1, shards)))]

@@ -1,4 +1,5 @@
 import itertools
+import time
 import tracemalloc
 
 import numpy as np
@@ -45,6 +46,7 @@ from gnk.presentations import (
     g1_braid_presentation,
     knot_presentation,
 )
+from gnk.talex import _matrix_table
 from gnk.words import GeneratorTable, parse_word
 
 from oracle_utils import (
@@ -360,6 +362,25 @@ def test_sharded_search_pool_size(monkeypatch):
     assert sizes == [2, 3]
 
 
+def test_shards_past_the_class_count_run_no_search(monkeypatch):
+    # S3 has three classes, so of a million shards only three seed anything
+    pres = knot_presentation("SK", 2)
+    single, want = sharded_search(pres, S3)
+    seen = []
+    search = homsearch.hom_image_matrix
+    monkeypatch.setattr(
+        homsearch, "hom_image_matrix", lambda *a: seen.append(a[3]) or search(*a)
+    )
+    started = time.perf_counter()
+    matrix, stats = sharded_search(pres, S3, 10**6)
+    assert time.perf_counter() - started < 1
+    assert seen == [0, 1, 2]
+    assert np.array_equal(matrix, single)
+    assert {**stats, "wall_time": 0} == {**want, "shards": 10**6, "wall_time": 0}
+    _, past = sharded_search(pres, S3, 10**6, shard_id=10**6 - 1)
+    assert (past["homs"], past["nodes"], len(seen)) == (0, 0, 4)
+
+
 def test_capability_error_propagates():
     with pytest.raises(CapabilityError):
         count_homs(knot_presentation("SK", 2), SymmetricGroup(24))
@@ -428,9 +449,9 @@ def test_trefoil_orbits_in_s3():
         assert rep in all_rows
     # representatives are the lex-least members of their orbits
     part = orbit_partition(mat, S3)
-    for root in set(part):
-        members = [i for i, r in enumerate(part) if r == root]
-        assert min(members) == root
+    assert isinstance(part, np.ndarray)
+    for root in np.unique(part):
+        assert np.flatnonzero(part == root).min() == root
 
 
 def _least_in_component(targets):
@@ -542,8 +563,9 @@ def test_orbit_partition_matches_union_find_and_burnside(knot, n, target):
     group = group_from_spec(target)
     mat, _ = hom_image_matrix(knot_presentation(knot, n), group)
     part = orbit_partition(mat, group)
-    assert part == union_find_partition(mat, group)
-    assert len(set(part)) == burnside_orbit_count(mat, group)
+    assert isinstance(part, np.ndarray)
+    assert part.tolist() == union_find_partition(mat, group)
+    assert len(np.unique(part)) == burnside_orbit_count(mat, group)
 
 
 @pytest.mark.parametrize(
@@ -582,9 +604,6 @@ def test_class_data_matches_oracle(make, tmp_path):
                     closure.add(y)
                     frontier.append(y)
         assert closure == centralizer
-    for x, t in enumerate(data.transversal.tolist()):
-        rep = els[data.reps[data.label[x]]]
-        assert conjugate(group, els[x], els[t]) == rep
 
 
 def _buckets_of(matrix, group):
@@ -613,7 +632,7 @@ def test_fibers_match_full_search(knot, raw, n, target):
     group = group_from_spec(target)
     pres = knot_presentation(knot, n, raw=raw)
     full, _ = hom_image_matrix(pres, group)
-    full_roots = np.array(orbit_partition(full, group))
+    full_roots = orbit_partition(full, group)
     full_reps, full_sizes = np.unique(full_roots, return_counts=True)
     want = _buckets_of(full, group)
     for shards in (1, 3):
@@ -638,15 +657,28 @@ def test_fibers_match_full_search(knot, raw, n, target):
 
 
 def test_into_fibers_lands_on_class_representatives():
-    group = group_from_spec("S4")
-    pres = knot_presentation("SK", 2, raw=True)  # first free generator is not gen 0
-    full, _ = hom_image_matrix(pres, group)
-    fibers, _ = hom_image_matrix(pres, group, fibers=True)
-    moved = into_fibers(pres, group, full)
-    gen = compile_plan(pres)[0].gen
-    data = class_data(group)
-    assert (moved[:, gen] == data.reps[data.label[full[:, gen]]]).all()
-    assert len(row_locator(fibers)(moved)) == len(full)  # every row is found
+    """Each row comes back conjugated by the least t that takes its first
+    free generator's image x to the least element of x's class: the S4
+    full search's rows, and the diag(1, r) twins of SL2_p fiber matrices."""
+    for target in ("S4", "SL2_3", "SL2_5", "SL2_7"):
+        group = group_from_spec(target)
+        twin = _matrix_table(group)[2] if target != "S4" else None
+        pres = knot_presentation("SK", 2, raw=twin is None)  # first free gen is not 0
+        fibers, _ = hom_image_matrix(pres, group, fibers=True)
+        rows = hom_image_matrix(pres, group)[0] if twin is None else twin[fibers]
+        moved = into_fibers(pres, group, rows)
+        gen = compile_plan(pres)[0].gen
+        els = group.elements()
+        least = {}
+        for x in set(rows[:, gen].tolist()):
+            conj = [group.index_of(conjugate(group, els[x], t)) for t in els]
+            least[x] = els[conj.index(min(conj))]
+        want = [
+            [group.index_of(conjugate(group, els[v], least[row[gen]])) for v in row]
+            for row in rows.tolist()
+        ]
+        assert moved.tolist() == want, target
+        assert len(row_locator(fibers)(moved)) == len(rows)  # every row is found
 
 
 def test_row_locator_matches_dict_oracle():
