@@ -91,7 +91,10 @@ class SweepConfig:
 
     @classmethod
     def from_json(cls, text: str) -> "SweepConfig":
-        data = json.loads(text)
+        try:
+            data = json.loads(text)
+        except RecursionError:
+            raise ValueError("a sweep config must not nest this deeply") from None
         if not isinstance(data, dict):
             raise ValueError("a sweep config must be a JSON object")
         unknown = set(data) - {f.name for f in fields(cls)}
@@ -162,7 +165,7 @@ def read_records(path: str) -> list[ResultRecord]:
                 continue
             try:
                 out.append(ResultRecord.from_json(line))
-            except (ValueError, TypeError) as exc:
+            except (ValueError, TypeError, RecursionError) as exc:
                 raise ValueError(f"{path}:{lineno}: bad record: {exc}") from exc
     return out
 
@@ -271,6 +274,9 @@ def run_sweep(cfg: SweepConfig, jobs: int = 1) -> list[ResultRecord]:
     the canonical-sorted records to cfg.output."""
     for target in cfg.targets:
         group_from_spec(target)  # unconstructible targets fail before work
+    if jobs < 1:  # and so do bad job counts and unwritable outputs
+        raise ValueError("need jobs >= 1")
+    write_records(cfg.output, [])
     cells = [
         (knot, n, target, cfg.tasks)
         for target in cfg.targets

@@ -17,7 +17,9 @@ representative c of each conjugacy class: its rows are the fibers F_c, the
 homomorphisms whose first free generator maps to c.  The paper's two
 invariants follow from them, |Hom| = sum_c [H : C_H(c)] |F_c|, and the
 conjugation orbits of homomorphisms are the C_H(c)-orbits on each F_c
-(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005).
+(Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005):
+each row is conjugated by every element of C_H(c) outside the centre, and
+its orbit's least row is the least row found.
 Property T and structured counts lift the fibers of the n = 1 base, each
 row weighted by [H : C_H(c)].  Shards split the seed.
 
@@ -141,7 +143,7 @@ class _Indexed:
         if k not in self._roots:
             powers = self.pow_map(k)
             counts = np.bincount(powers, minlength=self.n)
-            order = np.argsort(powers, kind="stable")
+            order = np.argsort(powers, kind="stable").astype(np.int32)
             self._roots[k] = order, np.cumsum(counts) - counts, counts
         return self._roots[k]
 
@@ -151,42 +153,20 @@ def indexed_tables(group: FiniteGroup) -> _Indexed:
     return _Indexed(group)
 
 
-def _min_labels(targets: np.ndarray) -> np.ndarray:
-    """The least index reachable from each column index of targets along
-    its rows, which are permutations: each round takes the least label over
-    all the targets at once and then jumps label = label[label], until
-    nothing changes."""
-    label = np.arange(targets.shape[1])
-    while True:
-        new = label.take(targets).min(axis=0, initial=len(label))
-        new = np.minimum(label, new)
-        new = new.take(new)
-        if np.array_equal(new, label):
-            return label
-        label = new
-
-
 def _conjugate(idx: _Indexed, rows: np.ndarray, by: np.ndarray) -> np.ndarray:
     """by^-1 x by for each entry x of rows; by broadcasts against rows."""
-    return idx.product(idx.product(idx.inv[by], rows), by)
+    return idx.product(idx.product(idx.inv.take(by), rows), by)
 
 
-def _generators_over(
-    idx: _Indexed, members: np.ndarray, start: np.ndarray
-) -> list[int]:
-    """Greedy generators of the subgroup with this membership mask, over
-    its subgroup start: repeatedly adjoin the least member not generated."""
-    got = start.copy()
-    gens: list[int] = []
-    while not got[members].all():
-        gens.append(int(np.flatnonzero(members & ~got)[0]))
-        elems = np.append(np.flatnonzero(got), gens[-1])
-        while True:  # closure by squaring: A <- A A until A is a subgroup
-            got[idx.product(elems[:, None], elems)] = True
-            if got.sum() == len(elems):
-                break
-            elems = np.flatnonzero(got)
-    return gens
+def _expand(buckets: tuple[np.ndarray, ...], keys: np.ndarray) -> tuple:
+    """(i, member) pairs, one per member of bucket keys[i], ordered by i and
+    then by position in the bucket; buckets are (members, starts, counts),
+    bucket k being members[starts[k] : starts[k] + counts[k]]."""
+    members, starts, counts = buckets
+    per = counts.take(keys)
+    i = np.repeat(np.arange(len(keys)), per)
+    first = np.repeat(starts.take(keys) + per - np.cumsum(per), per)
+    return i, members.take(first + np.arange(len(i)))
 
 
 class _Classes:
@@ -195,37 +175,32 @@ class _Classes:
     reps          the least element index of each class, ascending
     label[x]      the position in reps of x's class
     sizes[i]      |class(c)| = [H : C_H(c)] for c = reps[i]
-    centralizers  row i generates C_H(reps[i]) modulo the centre Z(H),
-                  padded with the identity; Z(H) conjugates trivially
+    centralizers  buckets (members, starts, counts) for _expand: bucket i
+                  is C_H(reps[i]) minus the centre Z(H), ascending, as
+                  Z(H) conjugates trivially
 
-    An element x is the homomorphism from Z sending 1 to x, so its class
-    is its conjugation orbit, found by orbit_partition on the one-column
-    image matrix of all elements.
+    An element's class representative is its least conjugate, read off the
+    n x n table of conjugates t^-1 x t, built a block of rows at a time so
+    that no temporary outgrows a search block.
     """
 
     def __init__(self, group: FiniteGroup) -> None:
         idx = indexed_tables(group)
-        gens = idx.gens
-        least = orbit_partition(np.arange(idx.n, dtype=np.int32)[:, None], group)
-        self.reps = np.flatnonzero(least == np.arange(idx.n)).astype(np.int32)
+        every = np.arange(idx.n, dtype=np.int32)
+        per = max(BLOCK_ROWS // idx.n, 1)  # table rows at a time, as the search
+        least = np.concatenate([
+            _conjugate(idx, every[lo : lo + per, None], every).min(axis=1)
+            for lo in range(0, idx.n, per)
+        ])
+        self.reps = np.flatnonzero(least == every).astype(np.int32)
         self.label = np.searchsorted(self.reps, least)
         self.sizes = np.bincount(self.label)
-        centre = self.sizes[self.label] == 1
-        found: dict[bytes, list[int]] = {}
-        cents = []
-        for c, size in zip(self.reps, self.sizes):
-            if size == 1:  # C_H(c) is the whole group
-                cents.append(gens[~centre[gens]].tolist())
-                continue
-            members = idx.mul[:, c] == idx.mul[c, :]
-            key = members.tobytes()
-            if key not in found:
-                found[key] = _generators_over(idx, members, centre)
-            cents.append(found[key])
-        width = max(map(len, cents))
-        self.centralizers = np.full((len(cents), width), idx.ident, dtype=np.int32)
-        for row, cent in zip(self.centralizers, cents):
-            row[: len(cent)] = cent
+        moves = self.sizes[self.label] > 1
+        c = self.reps[:, None]
+        commute = (idx.product(c, every) == idx.product(every, c)) & moves
+        counts = np.count_nonzero(commute, axis=1)
+        members = np.nonzero(commute)[1].astype(np.int32)
+        self.centralizers = members, np.cumsum(counts) - counts, counts
 
 
 @lru_cache(maxsize=None)
@@ -496,28 +471,25 @@ def row_locator(matrix: np.ndarray):
 
 
 def orbit_partition(
-    matrix: np.ndarray, group: FiniteGroup, conjugators: np.ndarray | None = None
+    matrix: np.ndarray, group: FiniteGroup, pairs: tuple | None = None
 ) -> np.ndarray:
     """The least row index of each input row's conjugation orbit, as an
     int64 array.
 
-    For a lex-sorted image matrix that is the orbit's lex-least row.  Row i
-    is conjugated by each entry of conjugators[i] (default: the generators
-    of the group's index tables), and the orbits are those of the group
-    they generate: labels start as row indices and propagate as in
-    _min_labels.  All (slot, row) pairs are conjugated and found at once;
-    identity entries pad rows with fewer conjugators and cost no lookup.
+    For a lex-sorted image matrix that is the orbit's lex-least row.  Each
+    pair (i, t) conjugates row i by t (default: every row by every
+    element), all conjugates are found in one lookup, and row i's label is
+    the least row found, or i.  When the pairs of row i run over a whole
+    group, leaving out only elements that fix every row (such as the
+    centre), that is the least row of its orbit under the group.
     """
-    idx = indexed_tables(group)
-    rows = matrix.shape[0]
-    if conjugators is None:
-        conjugators = np.broadcast_to(idx.gens, (rows, len(idx.gens)))
-    targets = np.repeat(np.arange(rows)[None, :], conjugators.shape[1], axis=0)
-    slot, row = np.nonzero(conjugators.T != idx.ident)
-    if len(row):
-        by = conjugators[row, slot, None]
-        targets[slot, row] = row_locator(matrix)(_conjugate(idx, matrix[row], by))
-    return _min_labels(targets)
+    idx, rows = indexed_tables(group), matrix.shape[0]
+    i, by = np.divmod(np.arange(rows * idx.n), idx.n) if pairs is None else pairs
+    least = np.arange(rows)
+    if len(i):  # no pairs (an abelian group's fibers): each row is its orbit
+        conjugates = _conjugate(idx, matrix.take(i, axis=0), by[:, None])
+        np.minimum.at(least, i, row_locator(matrix)(conjugates))
+    return least
 
 
 def orbit_count(matrix: np.ndarray, group: FiniteGroup) -> int:
@@ -552,14 +524,14 @@ def fiber_orbits(
     for a fiber matrix.
 
     The conjugation orbits of homomorphisms meet the fiber of c in the
-    orbits of C_H(c), so each row is conjugated by its c's centralizer
-    generators.  A root is the row of the orbit's lex-least member; an
-    orbit's size counts all its homomorphisms, [H : C_H(c)] times its
-    C_H(c)-orbit size.
+    orbits of C_H(c), so each row is conjugated by every element of C_H(c)
+    outside the centre (see class_data).  A root is the row of the orbit's
+    lex-least member; an orbit's size counts all its homomorphisms,
+    [H : C_H(c)] times its C_H(c)-orbit size.
     """
     classes = class_data(group)
     row_class = classes.label[matrix[:, compile_plan(pres)[0].gen]]
-    roots = orbit_partition(matrix, group, classes.centralizers[row_class])
+    roots = orbit_partition(matrix, group, _expand(classes.centralizers, row_class))
     reps = np.flatnonzero(roots == np.arange(len(roots)))
     counts = np.bincount(roots, minlength=len(roots))[reps]
     return roots, reps, counts * classes.sizes[row_class[reps]]
@@ -602,12 +574,8 @@ def lift_roots(
     relators = knot_presentation(knot, n).relators  # bad n or knot raise here
     require_composite("property_t", knot)
     idx = indexed_tables(group)
-    order, starts, counts = idx.root_buckets(n)
-    D, B, E = base.T.astype(np.int64)
-    per_row = counts[D]
-    row = np.repeat(np.arange(len(base)), per_row)
-    first = np.repeat(starts[D] - (np.cumsum(per_row) - per_row), per_row)
-    d_hat = order[first + np.arange(len(row))].astype(np.int32)
+    D, B, E = base.T
+    row, d_hat = _expand(idx.root_buckets(n), D)
 
     if knot == "SK":
         e_by = idx.product(D, E)
@@ -676,6 +644,8 @@ def check_property_t(group: FiniteGroup, n: int, knot: str) -> PropertyTReport:
     under conjugation, so the first failing base row has such a D; the
     fiber rows, lex-sorted like the full base, meet its pairs first.
     """
+    knot_presentation(knot, n)  # bad n or knot raise before any table is built
+    require_composite("property_t", knot)
     base, weights = g1_base_fibers(group)
     row, lifts, third_ok = lift_roots(group, base, n, knot)
     bad = np.flatnonzero(~third_ok)

@@ -11,7 +11,7 @@ the full n = 1 base checks the class-weighted fiber rows behind property T
 and structured counts, and entry-by-entry index tables, a greedy
 generating set closed element by element and a union-find orbit
 partition check the Cayley-graph walk that builds the generators and
-tables, and the label-propagation orbits.  The plan's descent replayed
+tables, and the least-conjugate orbits.  The plan's descent replayed
 one row at a time, with the scalar word evaluation, checks the search's
 work counters.  A Smith diagonalization over
 F_p[t], built from extended-gcd transforms, checks the package's

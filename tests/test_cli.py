@@ -326,6 +326,17 @@ def test_check_t_trefoil_skips(capsys):
     assert err == "skip: property_t is defined for the composite knots only\n"
 
 
+def test_check_t_checks_knot_and_n_before_any_table(capsys):
+    # S24 is past the enumeration bound, so a table build would skip first
+    code, out, err = run(capsys, "check-t", "--target", "S24", "--n", "0",
+                         "--knot", "SK")
+    assert (code, out, err) == (1, "", "error: twist level n must be >= 1\n")
+    code, out, err = run(capsys, "check-t", "--target", "S24", "--n", "2",
+                         "--knot", "trefoil_r")
+    assert (code, out) == (2, "")
+    assert err == "skip: property_t is defined for the composite knots only\n"
+
+
 def test_extend_reports_candidates(capsys):
     code, out, _ = run(capsys, "extend", "--target", "S4", "--n", "2",
                        "--knot", "SK", "--base",
@@ -539,6 +550,26 @@ def test_sweep_with_skips_exits_two(capsys, tmp_path):
     code, out, _ = run(capsys, "sweep", "--config", config)
     assert code == 2
     assert "skips: 1" in out
+
+
+def test_sweep_unwritable_output_fails_before_any_cell(capsys, tmp_path, monkeypatch):
+    ran = []
+    monkeypatch.setattr(gnk.harness, "run_cell", lambda *cell: ran.append(cell) or [])
+    config, _ = write_config(tmp_path, output=str(tmp_path))
+    code, out, err = run(capsys, "sweep", "--config", config)
+    assert (code, out, ran) == (1, "", [])
+    assert err.startswith("error: [Errno 21] Is a directory")
+
+
+@pytest.mark.parametrize("command", ["sweep --config", "report --records"])
+def test_deeply_nested_json_is_an_error(capsys, tmp_path, command):
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100000 + "]" * 100000)
+    code, out, err = run(capsys, *command.split(), str(path))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ") and "Traceback" not in err
+    if command.startswith("report"):
+        assert err.startswith(f"error: {path}:1: bad record: ")
 
 
 def test_sweep_output_override(capsys, tmp_path):

@@ -21,7 +21,6 @@ from gnk.fingroups import (
 from gnk.harness import _count_buckets
 from gnk.homsearch import (
     Homomorphism,
-    _min_labels,
     check_property_t,
     class_data,
     compile_plan,
@@ -454,41 +453,6 @@ def test_trefoil_orbits_in_s3():
         assert np.flatnonzero(part == root).min() == root
 
 
-def _least_in_component(targets):
-    parent = list(range(targets.shape[1]))
-
-    def find(i):
-        while parent[i] != i:
-            i = parent[i]
-        return i
-
-    for target in targets.tolist():
-        for i, j in enumerate(target):
-            a, b = find(i), find(j)
-            parent[max(a, b)] = min(a, b)
-    return [find(i) for i in range(len(parent))]
-
-
-def test_min_labels_reach_the_least_index_of_each_component():
-    rng = np.random.default_rng(11)
-
-    def swaps(rows, pairs):  # an involution with a few 2-cycles
-        perm = np.arange(rows)
-        moved = rng.choice(rows, size=2 * pairs, replace=False)
-        perm[moved] = moved.reshape(2, -1)[::-1].reshape(-1)
-        return perm
-
-    sets = [np.zeros((0, 1), dtype=np.int64), np.zeros((3, 1), dtype=np.int64)]
-    sets.append(np.zeros((0, 40), dtype=np.int64))
-    for rows in (2, 9, 60, 400):
-        for k in (1, 2, 5):
-            sets.append(np.array([rng.permutation(rows) for _ in range(k)]))
-            pairs = max(rows // 8, 1)
-            sets.append(np.array([swaps(rows, pairs) for _ in range(k)]))
-    for targets in sets:
-        assert _min_labels(targets).tolist() == _least_in_component(targets)
-
-
 def test_orbit_rejects_non_closed_sets():
     mat, _ = hom_image_matrix(knot_presentation("trefoil_r", 1), S3)
     with pytest.raises(ValueError):
@@ -588,22 +552,18 @@ def test_class_data_matches_oracle(make, tmp_path):
     def commute(x, y):
         return group.mul(x, y) == group.mul(y, x)
 
+    # bucket i is C_H(c) minus the centre, which conjugates trivially, in
+    # ascending element order
     centre = {x for x in els if all(commute(x, y) for y in els)}
-    for c, gens in zip(data.reps.tolist(), data.centralizers.tolist()):
-        rep = els[c]
-        centralizer = {x for x in els if commute(x, rep)}
-        gens = [els[g] for g in gens]
-        assert set(gens) <= centralizer
-        # with the centre, which conjugates trivially, they generate C_H(c)
-        closure, frontier = set(centre), list(centre)
-        while frontier:
-            x = frontier.pop()
-            for g in gens:
-                y = group.mul(x, g)
-                if y not in closure:
-                    closure.add(y)
-                    frontier.append(y)
-        assert closure == centralizer
+    members, starts, counts = data.centralizers
+    assert len(starts) == len(counts) == len(data.reps)
+    assert counts.sum() == len(members)
+    for i, c in enumerate(data.reps.tolist()):
+        bucket = members[starts[i] : starts[i] + counts[i]].tolist()
+        want = [
+            g for g, x in enumerate(els) if x not in centre and commute(x, els[c])
+        ]
+        assert bucket == want
 
 
 def _buckets_of(matrix, group):
