@@ -20,8 +20,10 @@ conjugation orbits of homomorphisms are the C_H(c)-orbits on each F_c
 (Holt, Eick and O'Brien, Handbook of Computational Group Theory, 2005):
 each row is conjugated by every element of C_H(c) outside the centre, and
 its orbit's least row is the least row found.
-Property T and structured counts lift the fibers of the n = 1 base, each
-row weighted by [H : C_H(c)].  Shards split the seed.
+Property T and structured counts read the fibers of the n = 1 base, each
+row weighted by [H : C_H(c)].  Property T at any n tests the n-th roots of
+each row's D against one stored commutant per row, which does not depend on
+n (see lift_roots).  Shards split the seed.
 
 All group arithmetic runs on precomputed index tables (numpy int32): a
 product of index arrays is one flat gather, mul_flat[a * n + b], and
@@ -551,10 +553,47 @@ def g1_base_fibers(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
     return rows, classes.sizes[classes.label[rows[:, compile_plan(pres)[0].gen]]]
 
 
+_COMPOSITE = ("SK", "GK")
+
+
 def require_composite(task: str, knot: str) -> None:
     """Refuse tasks that need the third relator of the composite knots."""
-    if knot not in ("SK", "GK"):
+    if knot not in _COMPOSITE:
         raise CapabilityError(f"{task} is defined for the composite knots only")
+
+
+def _lift_conjugators(idx: _Indexed, base: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(x, y, c) for base rows (D, B, E); y and c hold one row per knot of
+    _COMPOSITE, SK then GK.  A lift along an n-th root d_hat of D has b_hat =
+    x d_hat x^-1 and e_hat = y d_hat y^-1, and its third relator holds
+    exactly when d_hat commutes with c, at every n.
+
+    x = DB, and y = DE (SK) or D^-1 E^-1 (GK).  As d_hat^n = D, b_hat^n =
+    x D x^-1 and e_hat^n = y D y^-1 on any row, braid or not.  So the right
+    side b^n d^n b d^-n b^-n is Q d_hat Q^-1, Q = (x D x^-1) D x, and the
+    left side is P d_hat P^-1, P = (y D y^-1) D y for SK's e^n d^n e d^-n
+    e^-n and P = (y D^-1 y^-1) D^-1 y for GK's e^-n d^-n e d^n e^n: they
+    agree exactly when d_hat commutes with c = Q^-1 P.
+    """
+    D, B, E = base.T
+    inv, prod = idx.inv, idx.product
+    d_inv = inv.take(D)
+    z = np.stack([prod(D, B), prod(D, E), prod(d_inv, inv.take(E))])  # x, y, y
+    t = np.stack([D, D, d_inv])
+    sides = prod(prod(prod(prod(z, t), inv.take(z)), t), z)  # Q, P, P
+    return z[0], z[1:], prod(inv.take(sides[0]), sides[1:])
+
+
+@lru_cache(maxsize=None)
+def _commutants(group: FiniteGroup, base_bytes: bytes) -> np.ndarray:
+    """c of _lift_conjugators for int32 base rows (D, B, E) given as bytes:
+    built once per group and base rows, for both composite knots."""
+    base = np.frombuffer(base_bytes, dtype=np.int32).reshape(-1, 3)
+    return _lift_conjugators(indexed_tables(group), base)[2]
+
+
+def _commutes(idx: _Indexed, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return idx.product(a, b) == idx.product(b, a)
 
 
 def lift_roots(
@@ -569,23 +608,20 @@ def lift_roots(
     (DB) d_hat (DB)^-1, and e_hat is d_hat conjugated by DE (SK) or
     D^-1 E^-1 (GK).  A lift is a homomorphism of the reduced twisted
     presentation exactly when its third relator checks out; the braid
-    relators hold whenever the base's do.
+    relators hold whenever the base's do, and the third exactly when d_hat
+    commutes with the row's commutant c (see _lift_conjugators), which does
+    not depend on n: n enters only through the n-th roots of D.
     """
-    relators = knot_presentation(knot, n).relators  # bad n or knot raise here
+    knot_presentation(knot, n)  # bad n or knot raise here
     require_composite("property_t", knot)
     idx = indexed_tables(group)
-    D, B, E = base.T
-    row, d_hat = _expand(idx.root_buckets(n), D)
-
-    if knot == "SK":
-        e_by = idx.product(D, E)
-    else:
-        e_by = idx.product(idx.inv[D], idx.inv[E])
-    # conjugating by x^-1 takes d_hat to x d_hat x^-1, for x = DB and e_by
-    by = idx.inv[np.stack([idx.product(D, B), e_by])[:, row]]
+    row, d_hat = _expand(idx.root_buckets(n), base[:, 0])
+    k = _COMPOSITE.index(knot)
+    x, y, c = _lift_conjugators(idx, base)
+    # conjugating by z^-1 takes d_hat to z d_hat z^-1, for z = x and y
+    by = idx.inv.take(np.stack([x, y[k]])[:, row])
     lifts = np.column_stack([d_hat, *_conjugate(idx, d_hat, by)])
-    third_ok = _eval_on_columns(relators[2], lifts, idx) == idx.ident
-    return row, lifts, third_ok
+    return row, lifts, _commutes(idx, d_hat, c[k].take(row))
 
 
 @dataclass(frozen=True)
@@ -639,21 +675,27 @@ def check_property_t(group: FiniteGroup, n: int, knot: str) -> PropertyTReport:
     """Property T on the base fibers, each row weighted by its class size:
     the lifts of a conjugate base row are the conjugate lifts.
 
-    The search seeds D, so a fiber holds every base row whose D is a class
-    representative, its class's least element.  Failing rows are closed
-    under conjugation, so the first failing base row has such a D; the
-    fiber rows, lex-sorted like the full base, meet its pairs first.
+    No lift is built: each n-th root d_hat of a row's D is tested against
+    the row's commutant c (see lift_roots), cached per group and base rows
+    for every n and both knots.  The search seeds D, so a fiber holds every
+    base row whose D is a class representative, its class's least element.
+    Failing rows are closed under conjugation, so the first failing base
+    row has such a D; the fiber rows, lex-sorted like the full base, meet
+    its pairs first.
     """
     knot_presentation(knot, n)  # bad n or knot raise before any table is built
     require_composite("property_t", knot)
     base, weights = g1_base_fibers(group)
-    row, lifts, third_ok = lift_roots(group, base, n, knot)
-    bad = np.flatnonzero(~third_ok)
+    idx = indexed_tables(group)
+    row, d_hat = _expand(idx.root_buckets(n), base[:, 0])
+    c = _commutants(group, np.ascontiguousarray(base, dtype=np.int32).tobytes())
+    c = c[_COMPOSITE.index(knot)].take(row)
+    bad = np.flatnonzero(~_commutes(idx, d_hat, c))
     counterexample = None, None
     if len(bad):
         els = group.elements()
         j = bad[0]
-        counterexample = tuple(els[i] for i in base[row[j]]), els[lifts[j, 0]]
+        counterexample = tuple(els[i] for i in base[row[j]]), els[d_hat[j]]
     return PropertyTReport(
         not len(bad), int(weights.sum()), int(weights[row].sum()), *counterexample
     )

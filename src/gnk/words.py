@@ -62,9 +62,9 @@ class Word:
     syllables: tuple[Syllable, ...]
 
     def __post_init__(self) -> None:
-        prev = -1
+        prev, count = -1, len(self.table)
         for gen, exp in self.syllables:
-            if not 0 <= gen < len(self.table):
+            if not 0 <= gen < count:
                 raise ValueError(f"generator index {gen} out of range")
             if exp == 0:
                 raise ValueError("zero exponent in syllable")

@@ -1,3 +1,4 @@
+import functools
 import math
 import tracemalloc
 
@@ -16,6 +17,9 @@ from gnk.fingroups import (
     PSL2Group,
     SL2Group,
     SymmetricGroup,
+    WITNESS_CYCLES,
+    WITNESS_DEGREE,
+    WITNESS_TWIST,
     format_cycles,
     from_cayley_table,
     group_from_spec,
@@ -23,6 +27,7 @@ from gnk.fingroups import (
     parse_cayley_table,
     parse_cycles,
     permutation_parity,
+    s24_witness_report,
 )
 from gnk.homsearch import indexed_tables
 
@@ -426,3 +431,30 @@ def test_power_matches_iteration(x, k):
     for _ in range(abs(k)):
         naive = s5.mul(naive, step)
     assert s5.power(x, k) == naive
+
+
+
+# -- the degree-24 certificate as a commutant test --------------------------------
+
+
+def test_s24_witness_fails_the_commutant_test():
+    # property T(2,SK) at the certificate's lift holds exactly when d_hat
+    # commutes with c = Q^-1 P, Q = (x D x^-1) D x and P = (y D y^-1) D y
+    # for x = DB and y = DE.  Read under either composition convention it
+    # fails, as the certificate's powered relation does
+    group = SymmetricGroup(WITNESS_DEGREE)
+    B, D, E, d_hat = (
+        group.parse_element(WITNESS_CYCLES[k]) for k in ("B", "D", "E", "d_hat")
+    )
+    report = s24_witness_report()
+
+    def commutes_under(mul):
+        x, y = mul(D, B), mul(D, E)
+        q, p = (functools.reduce(mul, (z, D, group.inv(z), D, z)) for z in (x, y))
+        c = mul(group.inv(q), p)
+        return mul(d_hat, c) == mul(c, d_hat)
+
+    assert group.power(d_hat, WITNESS_TWIST) == D
+    assert not commutes_under(group.mul)
+    assert not commutes_under(lambda a, b: group.mul(b, a))
+    assert not report.powered_holds and not report.powered_holds_mirror

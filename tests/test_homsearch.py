@@ -791,9 +791,9 @@ def oracle_pairs(group, base, n, knot):
 
 
 @pytest.mark.parametrize("knot", ["SK", "GK"])
-@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("n", [1, 2, 3, 12])  # 12 = exp(S4): all roots of 1
 def test_lift_kernel_matches_scalar_oracle(knot, n):
-    for spec in ("S3", "S4", "D4", "Z6"):
+    for spec in ("S3", "S4", "D4", "Z6", "SL2_3"):
         group = group_from_spec(spec)
         base = g1_base_matrix(group)
         assert kernel_pairs(group, base, n, knot) == oracle_pairs(
@@ -842,6 +842,20 @@ def test_property_t_failure_counts_every_pair(monkeypatch):
     root_counts = [len(nth_roots(S4, els[int(d)], 2)) for d in base[:, 0]]
     assert report.pairs == pairs == sum(root_counts)
     assert report.bases == len(base)
+
+
+def test_property_t_commutants_key_on_the_base_rows(monkeypatch):
+    # the same group and knot on another base must not meet stale commutants
+    assert check_property_t(S4, 2, "SK").holds
+    base = with_orbits_of(S4, non_braid_rows(S4, 12, seed=7))
+    fibers = fiber_form(S4, base)
+    with monkeypatch.context() as patch:
+        patch.setattr("gnk.homsearch.g1_base_fibers", lambda group: fibers)
+        report = check_property_t(S4, 2, "SK")
+    holds, first_fail, _ = scalar_property_t(S4, base, 2, "SK")
+    assert not report.holds and not holds
+    assert (report.counterexample_base, report.counterexample_root) == first_fail
+    assert check_property_t(S4, 2, "SK").holds
 
 
 def assert_fibers_match_full_base(group, base, n, knot):

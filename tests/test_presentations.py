@@ -249,11 +249,17 @@ def test_trefoil_reduction_by_generator_elimination(n):
 
 
 def test_reduced_trefoils_share_relators():
-    # same two relators, opposite order
-    r, l = trefoil_right_reduced(4), trefoil_left_reduced(4)
-    assert (r.gens, r.n) == (l.gens, l.n)
-    assert relator_multiset(r.relators) == relator_multiset(l.relators)
-    assert r.relators == l.relators[::-1]
+    # same two relators, opposite order, at each n: so the report's trefoil
+    # rows match by construction, while the per-arc presentations differ
+    for n in range(1, 7):
+        r, l = trefoil_right_reduced(n), trefoil_left_reduced(n)
+        assert (r.gens, r.n) == (l.gens, l.n)
+        assert r == knot_presentation("trefoil_r", n)
+        assert l == knot_presentation("trefoil_l", n)
+        assert relator_multiset(r.relators) == relator_multiset(l.relators)
+        assert r.relators == l.relators[::-1]
+        raw = [knot_presentation(k, n, raw=True) for k in ("trefoil_r", "trefoil_l")]
+        assert relator_multiset(raw[0].relators) != relator_multiset(raw[1].relators)
     r = trefoil_right_reduced(2)
     assert len(r.relators) == 2 and len(r.gens) == 2
 
